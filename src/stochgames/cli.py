@@ -136,7 +136,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_echo(args)
     arena, eve, adam = _load_pair(args)
     objective = Objective.from_name(args.objective)
-    chain = build_chain(arena, eve, adam)
+    chain = build_chain(arena, eve, adam, max_nodes=args.max_nodes)
     value = objective_probability(chain, objective)
     _write_output(
         json.dumps({"probability": format_probability(value), "method": "exact"}) + "\n",
@@ -227,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--eve", required=True)
     p_eval.add_argument("--adam", required=True)
     p_eval.add_argument("--objective", choices=["reach", "safety", "buchi", "cobuchi"], required=True)
+    p_eval.add_argument("--max-nodes", type=int, default=10**6, help="cap on product-chain nodes")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", parents=[shared], help="Monte Carlo estimate for a strategy pair")

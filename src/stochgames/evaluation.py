@@ -2,9 +2,13 @@
 
 A pair of finite-memory strategies induces a finite Markov chain over
 (state, eve memory, adam memory) triples; objective probabilities are
-computed on it exactly, in rational arithmetic, via graph analysis plus
-linear systems restricted to the relevant nodes.  Monte Carlo simulation
-gives an independent statistical cross-check and never decides anything.
+computed on it exactly, in rational arithmetic.  Graph analysis pins every
+node of value 0 (no path to the targets) or 1 (no path to a value-0 node
+that avoids the targets); the remaining nodes are solved one strongly
+connected component at a time in reverse topological order, each block by
+fraction-free integer (Bareiss) elimination with the values of the
+components below it substituted.  Monte Carlo simulation gives an
+independent statistical cross-check and never decides anything.
 The module also hosts two adversary oracles: the fully informed best
 response (a sound over-approximation of any observation-constrained
 adversary) and a brute-force verdict for tiny games.
@@ -12,12 +16,13 @@ adversary) and a brute-force verdict for tiny games.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import ValidationError
+from .errors import ResourceLimit, ValidationError
 from .model import (
     ADAM,
     EVE,
@@ -76,9 +81,18 @@ class EvalResult:
     approximate: bool = False
 
 
-def build_chain(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy) -> ProductChain:
+def build_chain(
+    arena: Arena,
+    eve: FiniteMemoryStrategy,
+    adam: FiniteMemoryStrategy,
+    max_nodes: int | None = None,
+) -> ProductChain:
     """Reachable product construction; each edge weight is the one-step
-    mixture of the transition function under both moves."""
+    mixture of the transition function under both moves.
+
+    Raises ResourceLimit once the chain would exceed ``max_nodes`` nodes;
+    without a cap the chain is at most states x memory x memory.
+    """
     ce = _Compiled(arena, eve, EVE)
     ca = _Compiled(arena, adam, ADAM)
     start = (arena.init, ce.init, ca.init)
@@ -98,6 +112,8 @@ def build_chain(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrat
                     v = index.get(node)
                     if v is None:
                         v = len(nodes)
+                        if max_nodes is not None and v >= max_nodes:
+                            raise ResourceLimit(f"product chain exceeds {max_nodes} nodes")
                         nodes.append(node)
                         index[node] = v
                     out[v] = out.get(v, _ZERO) + w * q
@@ -172,88 +188,102 @@ def bottom_sccs(edges) -> list[list[int]]:
     return out
 
 
-def _reachable(edges, init: int) -> set[int]:
-    seen = {init}
-    queue = [init]
+def _reachable(edges, sources, blocked=()) -> set[int]:
+    """``sources`` and every node reachable from them along ``edges``
+    without entering a node of ``blocked``."""
+    seen = set(sources)
+    queue = list(seen)
     while queue:
         v = queue.pop()
         for w in edges[v]:
-            if w not in seen:
+            if w not in seen and w not in blocked:
                 seen.add(w)
                 queue.append(w)
     return seen
 
 
-def _solve_linear(unknowns: list[int], rows: dict[int, dict[int, Fraction]], rhs: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Solve A x = b by exact Gaussian elimination.
-
-    ``rows[u]`` holds the coefficients of equation u over the unknowns.
-    """
-    pos = {u: i for i, u in enumerate(unknowns)}
-    n = len(unknowns)
-    a = [[_ZERO] * n for _ in range(n)]
-    b = [_ZERO] * n
-    for u in unknowns:
-        i = pos[u]
-        b[i] = rhs.get(u, _ZERO)
-        for v, c in rows[u].items():
-            a[i][pos[v]] = c
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular linear system in exact solve")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [c * inv for c in a[col]]
-        b[col] = b[col] * inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [cr - f * cc for cr, cc in zip(a[r], a[col])]
-                b[r] = b[r] - f * b[col]
-    return {u: b[pos[u]] for u in unknowns}
-
-
 def absorption_values(edges, targets: set[int]) -> list[Fraction]:
     """Exact probability, from every node, of ever hitting ``targets``.
 
-    Nodes without a path to the target set get 0, which also makes the
-    restricted linear system non-singular.
+    ``edges[u]`` maps successors to positive weights that sum to 1; an
+    empty row makes u a dead end.  Nodes without a path to the targets get
+    0, nodes that cannot reach such a node without passing a target get 1,
+    and only the rest (whose values lie strictly between) are solved, one
+    strongly connected component at a time, sinks first, so that every
+    equation sees the values of its other successors already fixed.
     """
     n = len(edges)
     reverse: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
         for v in edges[u]:
             reverse[v].append(u)
-    relevant = set(targets)
-    queue = list(targets)
-    while queue:
-        v = queue.pop()
-        for u in reverse[v]:
-            if u not in relevant:
-                relevant.add(u)
-                queue.append(u)
-    unknowns = [u for u in range(n) if u in relevant and u not in targets]
-    rows: dict[int, dict[int, Fraction]] = {}
-    rhs: dict[int, Fraction] = {}
-    for u in unknowns:
-        row = {u: _ONE}
-        acc = _ZERO
-        for v, p in edges[u].items():
-            if v in targets:
-                acc += p
-            elif v in relevant:
-                row[v] = row.get(v, _ZERO) - p
-        rows[u] = row
-        rhs[u] = acc
-    solved = _solve_linear(unknowns, rows, rhs) if unknowns else {}
-    values = [_ZERO] * n
-    for t in targets:
-        values[t] = _ONE
-    for u, x in solved.items():
-        values[u] = x
+    zero = set(range(n)) - _reachable(reverse, targets)
+    values = [_ZERO if u in zero else _ONE for u in range(n)]
+    unknowns = sorted(_reachable(reverse, zero, targets) - zero)
+    pos = {u: i for i, u in enumerate(unknowns)}
+    inner = [[pos[v] for v in edges[u] if v in pos] for u in unknowns]
+    for comp in strongly_connected_components(inner):
+        _solve_component([unknowns[i] for i in comp], edges, values)
     return values
+
+
+def _solve_component(comp: list[int], edges, values: list[Fraction]) -> None:
+    """Fill in ``values`` on ``comp`` from x_u = sum_v p_uv x_v, where every
+    successor outside ``comp`` already carries its final value.
+
+    Each equation is scaled by the LCM of its coefficient denominators and
+    the constant column by the LCM of the scaled constants; the integer
+    system is then solved by Bareiss's fraction-free elimination, in which
+    every division is exact, and the solution x = y / (det * scale) is
+    recovered by integer back-substitution with y = det * x.
+    """
+    col = {u: i for i, u in enumerate(comp)}
+    k = len(comp)
+    m: list[list[int]] = []
+    consts: list[Fraction] = []
+    for u in comp:
+        row = {col[u]: _ONE}
+        const = _ZERO
+        for v, p in edges[u].items():
+            j = col.get(v)
+            if j is not None:
+                row[j] = row.get(j, _ZERO) - p
+            elif values[v]:
+                const += p * values[v]
+        lcm = math.lcm(*(c.denominator for c in row.values()))
+        ints = [0] * (k + 1)
+        for j, c in row.items():
+            ints[j] = c.numerator * (lcm // c.denominator)
+        m.append(ints)
+        consts.append(const * lcm)
+    scale = math.lcm(*(c.denominator for c in consts))
+    for ints, const in zip(m, consts):
+        ints[k] = const.numerator * (scale // const.denominator)
+    prev = 1
+    for j in range(k):
+        pivot = next((r for r in range(j, k) if m[r][j]), None)
+        if pivot is None:
+            raise ValidationError("singular linear system in exact solve")
+        m[j], m[pivot] = m[pivot], m[j]
+        top = m[j]
+        p = top[j]
+        for r in range(j + 1, k):
+            row = m[r]
+            f = row[j]
+            if f:
+                m[r] = [(a * p - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                m[r] = [a * p // prev for a in row]
+        prev = p
+    det = prev
+    y = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = m[i]
+        acc = det * row[k] - sum(row[j] * y[j] for j in range(i + 1, k))
+        y[i] = acc // row[i]
+    den = det * scale
+    for u, num in zip(comp, y):
+        values[u] = Fraction(num, den)
 
 
 def reach_probability(chain: ProductChain) -> Fraction:
@@ -299,21 +329,21 @@ def almost_sure(chain: ProductChain, objective: Objective) -> bool:
         absorbed = [
             {u: _ONE} if u in chain.final else chain.edges[u] for u in range(len(chain.nodes))
         ]
-        reachable = _reachable(absorbed, chain.init)
+        reachable = _reachable(absorbed, [chain.init])
         for comp in bottom_sccs(absorbed):
             if comp[0] in reachable and not all(v in chain.final for v in comp):
                 return False
         return True
     if objective is Objective.SAFETY:
-        return not (_reachable(chain.edges, chain.init) & chain.final)
+        return not (_reachable(chain.edges, [chain.init]) & chain.final)
     if objective is Objective.BUCHI:
-        reachable = _reachable(chain.edges, chain.init)
+        reachable = _reachable(chain.edges, [chain.init])
         for comp in bottom_sccs(chain.edges):
             if comp[0] in reachable and not any(v in chain.final for v in comp):
                 return False
         return True
     # co-Buchi: no reachable bottom SCC may contain a final node
-    reachable = _reachable(chain.edges, chain.init)
+    reachable = _reachable(chain.edges, [chain.init])
     for comp in bottom_sccs(chain.edges):
         if comp[0] in reachable and any(v in chain.final for v in comp):
             return False
@@ -495,31 +525,11 @@ def _mdp_min_reach(mdp: _Mdp) -> Fraction:
                 changed = True
     work = [v for v in range(n) if v not in zero and v not in mdp.final]
 
-    def values_for(policy):
-        rows = {}
-        rhs = {}
-        unknown = set(work)
-        for u in work:
-            row = {u: _ONE}
-            acc = _ZERO
-            for v, p in mdp.trans[u][policy[u]].items():
-                if v in mdp.final:
-                    acc += p
-                elif v in unknown:
-                    row[v] = row.get(v, _ZERO) - p
-            rows[u] = row
-            rhs[u] = acc
-        solved = _solve_linear(work, rows, rhs) if work else {}
-        vals = [_ZERO] * n
-        for f in mdp.final:
-            vals[f] = _ONE
-        for u, x in solved.items():
-            vals[u] = x
-        return vals
-
     policy = [0] * n
     for _ in range(_MAX_PI_ROUNDS):
-        vals = values_for(policy)
+        # empty rows keep the zero region at 0 whatever the policy plays there
+        edges = [{} if v in zero else mdp.trans[v][policy[v]] for v in range(n)]
+        vals = absorption_values(edges, mdp.final)
         improved = False
         for v in work:
             best_a, best_q = policy[v], None

@@ -2,10 +2,12 @@
 
 These deliberately avoid the package's own graph machinery: the attractor
 works on raw successor tables, the end-component check enumerates subsets,
-and SCC cross-checks go through networkx.
+SCC cross-checks go through networkx, and exact absorption probabilities
+come from one dense Gauss-Jordan solve.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import networkx as nx
@@ -148,3 +150,57 @@ def nx_bottom_sccs(edges):
 
 def enumerate_policies(n_nodes: int, n_actions: int):
     return product(range(n_actions), repeat=n_nodes)
+
+
+# ---------------------------------------------------------------------------
+# Exact absorption probabilities by dense Gauss-Jordan elimination
+
+
+def dense_absorption_values(edges, targets) -> list[Fraction]:
+    """Probability, from every node, of ever hitting ``targets``.
+
+    Every non-target node with a path to a target is an unknown of one
+    dense system x_u - sum_v p_uv x_v = sum_{t in targets} p_ut, solved by
+    Gauss-Jordan elimination in ``Fraction`` arithmetic; the other nodes
+    get 0, which keeps the system non-singular.
+    """
+    n = len(edges)
+    relevant = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            if u not in relevant and any(v in relevant for v in edges[u]):
+                relevant.add(u)
+                changed = True
+    unknowns = [u for u in range(n) if u in relevant and u not in targets]
+    pos = {u: i for i, u in enumerate(unknowns)}
+    k = len(unknowns)
+    a = [[Fraction(0)] * k for _ in range(k)]
+    b = [Fraction(0)] * k
+    for u in unknowns:
+        i = pos[u]
+        a[i][i] += 1
+        for v, p in edges[u].items():
+            if v in targets:
+                b[i] += p
+            elif v in pos:
+                a[i][pos[v]] -= p
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [c * inv for c in a[col]]
+        b[col] = b[col] * inv
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [cr - f * cc for cr, cc in zip(a[r], a[col])]
+                b[r] = b[r] - f * b[col]
+    values = [Fraction(0)] * n
+    for t in targets:
+        values[t] = Fraction(1)
+    for u in unknowns:
+        values[u] = b[pos[u]]
+    return values

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,10 @@ from stochgames.evaluation import (
     simulate_play,
 )
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy, parse_game
-from stochgames.gen import generate_arena, random_params
+from stochgames.gen import GenParams, generate_arena, random_params
 
 from instances import coin_chain, g1, g1_prime, g2, hidden_coin, make_doc
-from oracles import enumerate_policies, nx_bottom_sccs
+from oracles import dense_absorption_values, enumerate_policies, nx_bottom_sccs
 from util import random_strategy
 
 
@@ -158,11 +159,102 @@ def test_buchi_equals_reach_of_winning_bsccs():
             arena, random_strategy(arena, EVE, rng), random_strategy(arena, ADAM, rng)
         )
         targets = set()
-        for comp in bottom_sccs(chain.edges):
-            if any(v in chain.final for v in comp):
+        for comp in nx_bottom_sccs(chain.edges):
+            if comp & chain.final:
                 targets.update(comp)
-        expected = absorption_values(chain.edges, targets)[chain.init] if targets else Fraction(0)
+        expected = dense_absorption_values(chain.edges, targets)[chain.init]
         assert buchi_probability(chain) == expected
+
+
+@st.composite
+def sparse_chains(draw):
+    """(edges, targets) of a random Markov chain: every row is a dead end
+    (empty) or positive weights summing to 1, and self-loops occur.
+
+    "random" draws up to three successors per node and up to three
+    targets, possibly none; "pinned" gives every node the value 0 or 1;
+    "one_component" puts all but two nodes on one cycle that leaks to a
+    target and to a trap, so that they form a single component of
+    unknowns.  Any chain may get one more target that no node enters.
+    """
+    shape = draw(st.sampled_from(["random", "pinned", "one_component"]))
+    n = draw(st.integers(1, 24))
+
+    def row(succs):
+        weights = [draw(st.integers(1, 4)) for _ in succs]
+        out = {}
+        for v, w in zip(succs, weights):
+            out[v] = out.get(v, Fraction(0)) + Fraction(w, sum(weights))
+        return out
+
+    def some(nodes, max_size):
+        return draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=max_size)) if nodes else []
+
+    if shape == "random":
+        edges = [row(some(range(n), 3) if draw(st.booleans()) or u == 0 else []) for u in range(n)]
+        targets = set(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    elif shape == "pinned":
+        # each node moves to later nodes of its own colour, possibly looping
+        # first; the last good node is the target, the last bad one a trap
+        good = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges, targets = [], set()
+        for u in range(n):
+            later = [v for v in range(u + 1, n) if good[v] == good[u]]
+            if later:
+                edges.append(row(some(later, 2) + ([u] if draw(st.booleans()) else [])))
+            elif good[u]:
+                edges.append({u: Fraction(1)})
+                targets.add(u)
+            else:
+                edges.append({} if draw(st.booleans()) else {u: Fraction(1)})
+    else:
+        target, trap = n, n + 1
+        edges = []
+        for u in range(n):
+            succs = [(u + 1) % n] + some(range(n), 2)
+            if u == 0 or draw(st.booleans()):
+                succs.append(target if u == 0 else draw(st.sampled_from([target, trap])))
+            if u == n - 1:
+                succs.append(trap)
+            edges.append(row(succs))
+        edges += [{target: Fraction(1)}, {}]
+        targets = {target}
+    if draw(st.booleans()):
+        targets.add(len(edges))
+        edges.append(row(some(range(len(edges)), 2)))
+    return edges, targets
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_chains())
+def test_absorption_values_match_dense_oracle(chain):
+    edges, targets = chain
+    values = absorption_values(edges, targets)
+    assert values == dense_absorption_values(edges, targets)
+    assert all(0 <= x <= 1 for x in values)
+
+
+@pytest.mark.parametrize("seed", [168, 389])
+def test_scale_chain(seed):
+    """About 200 product nodes; the reach systems have components of 41
+    and 126 unknowns, on which one dense solve of all unknowns together
+    takes seconds."""
+    arena = generate_arena(GenParams(46, 2, 2, 0.3, 3, 4, 1, seed=seed))
+    rng = random.Random(seed)
+    chain = build_chain(
+        arena, random_strategy(arena, EVE, rng, max_memory=3), random_strategy(arena, ADAM, rng, max_memory=3)
+    )
+    assert 190 <= len(chain.nodes) <= 215
+    reach = objective_probability(chain, Objective.REACHABILITY)
+    buchi = objective_probability(chain, Objective.BUCHI)
+    assert 0 <= buchi <= reach <= 1
+    assert almost_sure(chain, Objective.REACHABILITY) == (reach == 1)
+    assert almost_sure(chain, Objective.BUCHI) == (buchi == 1)
+    # every node value satisfies its equation, so it is the unique solution
+    values = absorption_values(chain.edges, set(chain.final))
+    for u, row in enumerate(chain.edges):
+        if u not in chain.final and values[u]:
+            assert values[u] == sum((p * values[v] for v, p in row.items()), Fraction(0))
 
 
 def test_monte_carlo_deterministic_chain():
@@ -231,12 +323,12 @@ def test_best_response_matches_policy_enumeration():
         best_buchi = None
         for policy in enumerate_policies(len(mdp.nodes), n_actions):
             edges = [mdp.trans[v][policy[v]] for v in range(len(mdp.nodes))]
-            reach = absorption_values(edges, set(mdp.final))[mdp.init] if mdp.final else Fraction(0)
+            reach = dense_absorption_values(edges, mdp.final)[mdp.init]
             targets = set()
-            for comp in bottom_sccs(edges):
-                if any(v in mdp.final for v in comp):
+            for comp in nx_bottom_sccs(edges):
+                if comp & mdp.final:
                     targets.update(comp)
-            buchi = absorption_values(edges, targets)[mdp.init] if targets else Fraction(0)
+            buchi = dense_absorption_values(edges, targets)[mdp.init]
             best_reach = reach if best_reach is None else min(best_reach, reach)
             best_buchi = buchi if best_buchi is None else min(best_buchi, buchi)
         got_reach = best_response_full_info(arena, eve, Objective.REACHABILITY).probability

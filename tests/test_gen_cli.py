@@ -89,7 +89,7 @@ def test_cli_solve_cap_exit_3(tmp_path):
     assert "error" in partial
 
 
-def test_cli_eval_g1(tmp_path, capsys):
+def _eval_g1_args(tmp_path):
     game = tmp_path / "g1.json"
     game.write_text(g1_doc())
     eve = tmp_path / "eve.json"
@@ -104,10 +104,24 @@ def test_cli_eval_g1(tmp_path, capsys):
         "move": {"m": {"x": "1/1"}},
         "update": {"m": {"0": "m", "1": "m"}},
     }))
-    code = main(["eval", "--game", str(game), "--eve", str(eve), "--adam", str(adam), "--objective", "reach"])
+    return ["eval", "--game", str(game), "--eve", str(eve), "--adam", str(adam), "--objective", "reach"]
+
+
+def test_cli_eval_g1(tmp_path, capsys):
+    code = main(_eval_g1_args(tmp_path))
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert json.loads(out) == {"probability": "1/1", "method": "exact"}
+
+
+def test_cli_eval_node_cap_exit_3(tmp_path, capsys):
+    args = _eval_g1_args(tmp_path)
+    assert main(args + ["--max-nodes", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "product chain exceeds 1 nodes" in captured.err
+    assert main(args + ["--max-nodes", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"probability": "1/1", "method": "exact"}
 
 
 def test_cli_simulate_reproducible(tmp_path, capsys):
