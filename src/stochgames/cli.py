@@ -260,14 +260,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
         return args.func(args)
     except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        kind, message, code = "resource-limit", str(exc), EXIT_RESOURCE
     except GameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        kind, message, code = "invalid-input", str(exc), EXIT_INVALID
+    # a command that writes its own run record returns instead of raising
+    print(f"error: {message}", file=sys.stderr)
+    _run_record(args.command, _config_echo(args), f"{kind}: {message}", t0)
+    return code
 
 
 if __name__ == "__main__":

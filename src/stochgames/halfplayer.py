@@ -2,71 +2,69 @@
 
 Positive winning for safety and co-Buchi objectives.  The protagonist is
 whichever player has a real alphabet; the other side has a single action, so
-the game is a partially observable Markov decision process.  Beliefs are the
-protagonist's knowledges over game states; every belief node is refined by
-final-membership so that "visits a final state" is a property of the node.
-The refinement is realized once and for all by splitting the protagonist's
-observation partition along the final set, which can only strengthen the
-protagonist's information.
+the game is a partially observable Markov decision process.  Only supports
+matter, so a game is given by bitmask tables: the successor mask of every
+state and protagonist action, the final mask, and the protagonist's
+observation cells.  Beliefs are the protagonist's knowledges over game
+states; every belief node is refined by final-membership so that "visits a
+final state" is a property of the node.  The refinement is realized once
+and for all by splitting the protagonist's observation partition along the
+final set into those cells, which can only strengthen the protagonist's
+information.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable, Mapping
 
+from .bitset import bits, block_masks, mask_of, split_masks
 from .errors import ResourceLimit, ValidationError
 from .model import ADAM, EVE, Arena, Distribution, FiniteMemoryStrategy
 
 DEFAULT_BELIEF_CAP = 10**6
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def refine_obs_by_final(arena: Arena, player: str) -> Arena:
     """Split every observation block of ``player`` into its non-final and
     final parts.  Idempotent; block order is preserved with the non-final
     part first."""
-    blocks = []
-    for block in arena.obs_blocks(player):
-        nonfinal = tuple(s for s in block if s not in arena.final)
-        final = tuple(s for s in block if s in arena.final)
-        if nonfinal:
-            blocks.append(nonfinal)
-        if final:
-            blocks.append(final)
-    if tuple(blocks) == arena.obs_blocks(player):
-        return arena
-    kwargs = dict(
-        states=arena.states,
-        init=arena.init,
-        eve_actions=arena.eve_actions,
-        adam_actions=arena.adam_actions,
-        transition=arena.transition,
-        eve_obs=arena.eve_obs,
-        adam_obs=arena.adam_obs,
-        final=arena.final,
+    blocks = tuple(
+        part
+        for block in arena.obs_blocks(player)
+        for part in (
+            tuple(s for s in block if s not in arena.final),
+            tuple(s for s in block if s in arena.final),
+        )
+        if part
     )
-    kwargs["eve_obs" if player == EVE else "adam_obs"] = tuple(blocks)
-    return Arena(**kwargs)
+    if blocks == arena.obs_blocks(player):
+        return arena
+    return replace(arena, **{"eve_obs" if player == EVE else "adam_obs": blocks})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneHalfGame:
-    """Arena in which the antagonist has a single action.
+    """Game of the protagonist against chance, as support tables.
 
-    Construct through :meth:`from_arena`, which checks the antagonist's
-    alphabet and refines the protagonist's observation partition by
-    final-membership.
+    ``post[s][a]`` is the mask of the states reachable from s under the
+    protagonist's action a; ``cells`` are the protagonist's observation
+    blocks split by final-membership (non-final part first), as masks.
+    ``arena`` is the same game as an ``Arena`` with exact weights and the
+    refined partition, built by ``build_arena`` on first use.  Construct
+    from an arena through :meth:`from_arena`, which checks the antagonist's
+    alphabet.
     """
 
-    arena: Arena
     protagonist: str
+    states: tuple[str, ...]
+    actions: tuple[str, ...]
+    post: tuple[tuple[int, ...], ...]
+    cells: tuple[int, ...]
+    final_mask: int
+    init: int
+    build_arena: Callable[[], Arena] = field(repr=False)
 
     @classmethod
     def from_arena(cls, arena: Arena, protagonist: str) -> "OneHalfGame":
@@ -75,64 +73,50 @@ class OneHalfGame:
         antagonist_actions = arena.adam_actions if protagonist == EVE else arena.eve_actions
         if len(antagonist_actions) != 1:
             raise ValidationError("the antagonist of a 1½-player game must have a single action")
-        return cls(arena=refine_obs_by_final(arena, protagonist), protagonist=protagonist)
+        actions = arena.actions(protagonist)
+        key = (lambda s, a: (s, a, 0)) if protagonist == EVE else (lambda s, a: (s, 0, a))
+        final_mask = mask_of(arena.final)
+        return cls(
+            protagonist=protagonist,
+            states=arena.states,
+            actions=actions,
+            post=tuple(
+                tuple(
+                    mask_of(t for t, _q in arena.transition[key(s, a)].items())
+                    for a in range(len(actions))
+                )
+                for s in range(arena.n_states)
+            ),
+            cells=split_masks(block_masks(arena.obs_blocks(protagonist)), final_mask),
+            final_mask=final_mask,
+            init=arena.init,
+            build_arena=partial(refine_obs_by_final, arena, protagonist),
+        )
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.post)
+
+    @cached_property
+    def n_actions(self) -> int:
+        return len(self.actions)
+
+    @cached_property
+    def arena(self) -> Arena:
+        return self.build_arena()
 
     def step(self, s: int, action: int) -> Distribution:
         if self.protagonist == EVE:
             return self.arena.transition[(s, action, 0)]
         return self.arena.transition[(s, 0, action)]
 
-    @property
-    def actions(self) -> tuple[str, ...]:
-        return self.arena.actions(self.protagonist)
-
-
-class _Dynamics:
-    """Bitmask tables for belief computations over a OneHalfGame."""
-
-    def __init__(self, g: OneHalfGame):
-        arena = g.arena
-        self.n = arena.n_states
-        self.n_actions = len(g.actions)
-        self.final_mask = 0
-        for s in arena.final:
-            self.final_mask |= 1 << s
-        self.block_masks = []
-        for block in arena.obs_blocks(g.protagonist):
-            m = 0
-            for s in block:
-                m |= 1 << s
-            self.block_masks.append(m)
-        self.post = [
-            [self._support_mask(g.step(s, a)) for a in range(self.n_actions)]
-            for s in range(self.n)
-        ]
-
-    @staticmethod
-    def _support_mask(dist: Distribution) -> int:
-        m = 0
-        for s in dist.support:
-            m |= 1 << s
-        return m
-
     def belief_successors(self, belief: int, action: int) -> tuple[int, ...]:
         """Refined successor beliefs: intersection with each observation
-        block, split by final-membership."""
+        cell."""
         post = 0
-        for s in _bits(belief):
+        for s in bits(belief):
             post |= self.post[s][action]
-        out = []
-        for bm in self.block_masks:
-            cell = post & bm
-            if not cell:
-                continue
-            nonfinal = cell & ~self.final_mask
-            final = cell & self.final_mask
-            if nonfinal:
-                out.append(nonfinal)
-            if final:
-                out.append(final)
-        return tuple(out)
+        return tuple(cell & post for cell in self.cells if cell & post)
 
 
 @dataclass(frozen=True)
@@ -150,26 +134,14 @@ class BeliefGraph:
 
 
 def build_belief_graph(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> BeliefGraph:
-    """Closure of the belief space from all singleton beliefs."""
-    dyn = _Dynamics(g)
-    return _belief_graph(dyn, [1 << s for s in range(dyn.n)], max_beliefs)
-
-
-def _belief_graph(dyn: _Dynamics, seeds: list[int], max_beliefs: int) -> BeliefGraph:
-    nodes: list[int] = []
-    seen: set[int] = set()
+    """Closure of the belief space from all singleton beliefs, breadth first."""
+    nodes: list[int] = [1 << s for s in range(g.n)]
+    seen = set(nodes)
     succ: dict[int, tuple[tuple[int, ...], ...]] = {}
-    queue = []
-    for b in seeds:
-        if b not in seen:
-            seen.add(b)
-            nodes.append(b)
-            queue.append(b)
-    while queue:
-        b = queue.pop(0)
+    for b in nodes:  # grows while it is walked
         rows = []
-        for a in range(dyn.n_actions):
-            row = dyn.belief_successors(b, a)
+        for a in range(g.n_actions):
+            row = g.belief_successors(b, a)
             rows.append(row)
             for c in row:
                 if c not in seen:
@@ -177,9 +149,8 @@ def _belief_graph(dyn: _Dynamics, seeds: list[int], max_beliefs: int) -> BeliefG
                         raise ResourceLimit(f"belief graph exceeds {max_beliefs} nodes")
                     seen.add(c)
                     nodes.append(c)
-                    queue.append(c)
         succ[b] = tuple(rows)
-    touching = frozenset(b for b in nodes if b & dyn.final_mask)
+    touching = frozenset(b for b in nodes if b & g.final_mask)
     return BeliefGraph(nodes=tuple(nodes), succ=succ, touching=touching)
 
 
@@ -198,19 +169,19 @@ class PositiveWinReport:
     iterations: int
 
 
-def _sure_safety(dyn: _Dynamics, graph: BeliefGraph) -> tuple[set[int], dict[int, int], int]:
+def _sure_safety(g: OneHalfGame, graph: BeliefGraph) -> tuple[set[int], dict[int, int], int]:
     """Greatest fixpoint of beliefs that can avoid final states forever.
 
     Returns (fixpoint, chosen action per surviving belief, deletion rounds).
     """
-    alive = {b for b in graph.nodes if not b & dyn.final_mask}
+    alive = {b for b in graph.nodes if not b & g.final_mask}
     rounds = 0
     changed = True
     while changed:
         changed = False
         for b in list(alive):
             if not any(
-                all(c in alive for c in graph.succ[b][a]) for a in range(dyn.n_actions)
+                all(c in alive for c in graph.succ[b][a]) for a in range(g.n_actions)
             ):
                 alive.discard(b)
                 changed = True
@@ -218,14 +189,14 @@ def _sure_safety(dyn: _Dynamics, graph: BeliefGraph) -> tuple[set[int], dict[int
             rounds += 1
     choice = {}
     for b in alive:
-        for a in range(dyn.n_actions):
+        for a in range(g.n_actions):
             if all(c in alive for c in graph.succ[b][a]):
                 choice[b] = a
                 break
     return alive, choice, rounds
 
 
-def _sure_cobuchi(dyn: _Dynamics, graph: BeliefGraph) -> tuple[set[int], dict[int, int], int]:
+def _sure_cobuchi(g: OneHalfGame, graph: BeliefGraph) -> tuple[set[int], dict[int, int], int]:
     """Two-nested fixpoint for sure co-Buchi on the belief graph, with the
     observation choice adversarial.
 
@@ -238,7 +209,7 @@ def _sure_cobuchi(dyn: _Dynamics, graph: BeliefGraph) -> tuple[set[int], dict[in
         return {
             b
             for b in graph.nodes
-            if any(all(c in target for c in graph.succ[b][a]) for a in range(dyn.n_actions))
+            if any(all(c in target for c in graph.succ[b][a]) for a in range(g.n_actions))
         }
 
     z: set[int] = set()
@@ -252,7 +223,7 @@ def _sure_cobuchi(dyn: _Dynamics, graph: BeliefGraph) -> tuple[set[int], dict[in
                 b
                 for b in y
                 if b in progress
-                or (b not in graph.touching and any(all(c in y for c in graph.succ[b][a]) for a in range(dyn.n_actions)))
+                or (b not in graph.touching and any(all(c in y for c in graph.succ[b][a]) for a in range(g.n_actions)))
             }
             if y_next == y:
                 break
@@ -262,47 +233,46 @@ def _sure_cobuchi(dyn: _Dynamics, graph: BeliefGraph) -> tuple[set[int], dict[in
         rounds += 1
         for b in y - z:
             if b in progress:
-                for a in range(dyn.n_actions):
+                for a in range(g.n_actions):
                     if all(c in z for c in graph.succ[b][a]):
                         choice[b] = a
                         break
             else:
-                for a in range(dyn.n_actions):
+                for a in range(g.n_actions):
                     if all(c in y for c in graph.succ[b][a]):
                         choice[b] = a
                         break
         z = y
 
 
-def _state_edges(dyn: _Dynamics, s: int) -> list[tuple[int, int]]:
+def _state_edges(g: OneHalfGame, s: int) -> list[tuple[int, int]]:
     """(target, least action) pairs over the positive-probability edges."""
     out = {}
-    for a in range(dyn.n_actions):
-        for t in _bits(dyn.post[s][a]):
+    for a in range(g.n_actions):
+        for t in bits(g.post[s][a]):
             if t not in out:
                 out[t] = a
     return sorted(out.items())
 
 
 def _winning_path(
-    dyn: _Dynamics, init: int, sure_states: set[int], through_final: bool
+    g: OneHalfGame, init: int, sure_states: set[int], through_final: bool
 ) -> tuple[list[int], list[int]] | None:
     """Shortest path of positive-probability edges from init to a surely
     winning state; restricted to non-final states unless ``through_final``.
     Ties are broken by canonical state and action order."""
-    if not through_final and (dyn.final_mask >> init) & 1:
+    if not through_final and (g.final_mask >> init) & 1:
         return None
     if init in sure_states:
         return [init], []
     parent: dict[int, tuple[int, int]] = {}
     seen = {init}
     queue = [init]
-    while queue:
-        s = queue.pop(0)
-        for t, a in _state_edges(dyn, s):
+    for s in queue:  # grows while it is walked
+        for t, a in _state_edges(g, s):
             if t in seen:
                 continue
-            if not through_final and (dyn.final_mask >> t) & 1:
+            if not through_final and (g.final_mask >> t) & 1:
                 continue
             parent[t] = (s, a)
             if t in sure_states:
@@ -320,54 +290,49 @@ def _winning_path(
     return None
 
 
-def _belief_label(arena: Arena, mask: int) -> str:
-    return "b{" + ",".join(arena.states[s] for s in _bits(mask)) + "}"
+def _belief_label(g: OneHalfGame, mask: int) -> str:
+    return "b{" + ",".join(g.states[s] for s in bits(mask)) + "}"
 
 
 def _assemble_witness(
     g: OneHalfGame,
-    dyn: _Dynamics,
     graph: BeliefGraph,
     path_states: list[int],
     path_actions: list[int],
     sure_choice: dict[int, int],
 ) -> FiniteMemoryStrategy:
-    arena = g.arena
     actions = g.actions
-    n_blocks = len(arena.obs_blocks(g.protagonist))
+    n_blocks = len(g.cells)
     start_belief = 1 << path_states[-1]
 
     # closure of the sure region under the chosen actions
     closure = [start_belief]
     seen = {start_belief}
-    qi = 0
-    while qi < len(closure):
-        b = closure[qi]
-        qi += 1
+    for b in closure:  # grows while it is walked
         for c in graph.succ[b][sure_choice[b]]:
             if c not in seen:
                 seen.add(c)
                 closure.append(c)
 
     memory = [f"path{i}" for i in range(len(path_actions))]
-    memory += [_belief_label(arena, b) for b in closure]
+    memory += [_belief_label(g, b) for b in closure]
     move = {}
     update = {}
     for i, a in enumerate(path_actions):
         name = f"path{i}"
         move[name] = Distribution.point(actions[a])
-        nxt = f"path{i + 1}" if i + 1 < len(path_actions) else _belief_label(arena, start_belief)
+        nxt = f"path{i + 1}" if i + 1 < len(path_actions) else _belief_label(g, start_belief)
         update[name] = {b: nxt for b in range(n_blocks)}
     for b in closure:
-        name = _belief_label(arena, b)
+        name = _belief_label(g, b)
         a = sure_choice[b]
         move[name] = Distribution.point(actions[a])
         row = {}
-        by_cell = {c: _belief_label(arena, c) for c in graph.succ[b][a]}
+        by_cell = {c: _belief_label(g, c) for c in graph.succ[b][a]}
         for blk in range(n_blocks):
             target = name  # unreachable observations loop in place
             for c, label in by_cell.items():
-                if c & dyn.block_masks[blk]:
+                if c & g.cells[blk]:
                     target = label
                     break
             row[blk] = target
@@ -383,14 +348,13 @@ def _assemble_witness(
 
 
 def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> PositiveWinReport:
-    dyn = _Dynamics(g)
-    graph = _belief_graph(dyn, [1 << s for s in range(dyn.n)], max_beliefs)
+    graph = build_belief_graph(g, max_beliefs)
     if through_final:
-        sure, choice, rounds = _sure_cobuchi(dyn, graph)
+        sure, choice, rounds = _sure_cobuchi(g, graph)
     else:
-        sure, choice, rounds = _sure_safety(dyn, graph)
+        sure, choice, rounds = _sure_safety(g, graph)
 
-    sure_states = {s for s in range(dyn.n) if (1 << s) in sure}
+    sure_states = {s for s in range(g.n) if (1 << s) in sure}
 
     # positively winning states are those connected to a surely winning
     # state; the connecting path avoids final states for safety and is
@@ -399,25 +363,25 @@ def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> Positive
     changed = True
     while changed:
         changed = False
-        for s in range(dyn.n):
+        for s in range(g.n):
             if s in winning:
                 continue
-            if not through_final and (dyn.final_mask >> s) & 1:
+            if not through_final and (g.final_mask >> s) & 1:
                 continue
-            if any(t in winning for t, _a in _state_edges(dyn, s)):
+            if any(t in winning for t, _a in _state_edges(g, s)):
                 winning.add(s)
                 changed = True
 
     witness = None
-    if g.arena.init in winning:
-        found = _winning_path(dyn, g.arena.init, sure_states, through_final)
+    if g.init in winning:
+        found = _winning_path(g, g.init, sure_states, through_final)
         assert found is not None
         path_states, path_actions = found
-        witness = _assemble_witness(g, dyn, graph, path_states, path_actions, choice)
+        witness = _assemble_witness(g, graph, path_states, path_actions, choice)
 
     return PositiveWinReport(
         winning_states=frozenset(winning),
-        sure_beliefs=frozenset(frozenset(_bits(b)) for b in sure),
+        sure_beliefs=frozenset(frozenset(bits(b)) for b in sure),
         witness=witness,
         iterations=rounds,
     )
@@ -425,10 +389,8 @@ def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> Positive
 
 def sure_safety_beliefs(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> frozenset[frozenset[int]]:
     """Beliefs from which the protagonist can surely avoid final states."""
-    dyn = _Dynamics(g)
-    graph = _belief_graph(dyn, [1 << s for s in range(dyn.n)], max_beliefs)
-    sure, _choice, _rounds = _sure_safety(dyn, graph)
-    return frozenset(frozenset(_bits(b)) for b in sure)
+    sure, _choice, _rounds = _sure_safety(g, build_belief_graph(g, max_beliefs))
+    return frozenset(frozenset(bits(b)) for b in sure)
 
 
 def positive_safety(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> PositiveWinReport:
@@ -443,10 +405,8 @@ def positive_safety(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> Po
 
 def sure_cobuchi_beliefs(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> frozenset[frozenset[int]]:
     """Beliefs from which the protagonist can surely visit finals finitely often."""
-    dyn = _Dynamics(g)
-    graph = _belief_graph(dyn, [1 << s for s in range(dyn.n)], max_beliefs)
-    sure, _choice, _rounds = _sure_cobuchi(dyn, graph)
-    return frozenset(frozenset(_bits(b)) for b in sure)
+    sure, _choice, _rounds = _sure_cobuchi(g, build_belief_graph(g, max_beliefs))
+    return frozenset(frozenset(bits(b)) for b in sure)
 
 
 def positive_cobuchi(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> PositiveWinReport:

@@ -8,32 +8,26 @@ may depend on knowledge alone; this module also provides the two strategy
 translations between the base arena and the knowledge arena.
 
 Knowledges are stored as bitmasks over the state index for O(1) set algebra
-and canonical hashing.
+and canonical hashing.  The knowledge arena itself is built as bitmask
+support tables, which is all the solver reads: whether a knowledge-only
+strategy wins almost surely depends on supports only.  Its exact
+``Fraction``-weighted ``Arena`` is derived from the base arena on first
+access, for dumps and for evaluating lifted strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Mapping
 
+from .bitset import bits, block_masks, mask_of, split_masks
 from .errors import InconsistentObservation, ResourceLimit, ValidationError
 from .model import ADAM, EVE, Arena, Distribution, FiniteMemoryStrategy, validate_strategy
 
 DEFAULT_KNOWLEDGE_CAP = 10**6
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 @dataclass(frozen=True)
@@ -48,11 +42,11 @@ class Knowledge:
 
     @classmethod
     def of(cls, states: Iterable[int]) -> "Knowledge":
-        return cls(_mask_of(states))
+        return cls(mask_of(states))
 
     @property
     def states(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+        return tuple(bits(self.mask))
 
     def __contains__(self, s: int) -> bool:
         return bool(self.mask >> s & 1)
@@ -100,25 +94,31 @@ class KnowledgeOnlyStrategy:
                 raise ValidationError(f"empty action set for knowledge {k}")
 
     def action_names(self, k: Knowledge, arena: Arena) -> tuple[str, ...]:
-        return tuple(arena.eve_actions[i] for i in _bits(self.choice[k]))
+        return tuple(arena.eve_actions[i] for i in bits(self.choice[k]))
 
 
 @dataclass(frozen=True)
 class KnowledgeArena:
-    """Arena over (real state, knowledge, last domain) triples.
+    """Arena over (real state, knowledge, last domain) triples, as support
+    tables.
 
-    ``arena`` is a full Arena value: its states are the reachable knowledge
-    states, its Eve actions are the playable (action, support) pairs, its
-    Adam actions are unchanged.  Back-maps tie every piece to the base arena.
+    Knowledge state 0 is the initial one.  Eve's letters are the playable
+    (action, support) pairs ``eve_pairs``, grouped by support in ascending
+    order; Adam keeps his alphabet.  ``post[u][p][a]`` is the mask of the
+    knowledge states reachable from u under pair p and Adam action a;
+    ``final_mask`` marks the knowledge states whose real state is final;
+    ``adam_cells`` are Adam's observation blocks (the base block of the real
+    state) split by final-membership, as masks.  ``arena`` is the same game
+    as a full ``Arena`` with the base arena's weights, built on first use.
     """
 
-    arena: Arena
     base: Arena
     kstates: tuple[KnowledgeState, ...]
     eve_pairs: tuple[tuple[int, int], ...]
     knowledges: tuple[Knowledge, ...]
-    eve_block_info: tuple[tuple[Knowledge, int], ...]
-    adam_block_base: tuple[int, ...]
+    post: tuple[tuple[tuple[int, ...], ...], ...]
+    final_mask: int
+    adam_cells: tuple[int, ...]
     n_edges: int
 
     @property
@@ -129,36 +129,80 @@ class KnowledgeArena:
     def pair_name(self, action: int, dom: int) -> str:
         return f"{self.base.eve_actions[action]}|{_dom_label(self.base, dom)}"
 
+    @cached_property
+    def dom_pairs(self) -> tuple[tuple[int, ...], ...]:
+        """``dom_pairs[dom]``: indices of the pairs (e, dom), e in dom."""
+        out: list[list[int]] = [[] for _ in range(1 << len(self.base.eve_actions))]
+        for p, (_e, dom) in enumerate(self.eve_pairs):
+            out[dom].append(p)
+        return tuple(tuple(ps) for ps in out)
+
+    @cached_property
+    def state_names(self) -> tuple[str, ...]:
+        return tuple(_kstate_name(self.base, ks) for ks in self.kstates)
+
+    @cached_property
+    def eve_block_info(self) -> tuple[tuple[Knowledge, int], ...]:
+        """(knowledge, domain) of each of Eve's observation blocks."""
+        return tuple((Knowledge(k), dom) for k, dom in _obs_groups(self.base, self.kstates, EVE))
+
+    @cached_property
+    def adam_block_base(self) -> tuple[int, ...]:
+        """Base observation block of each of Adam's observation blocks."""
+        return tuple(_obs_groups(self.base, self.kstates, ADAM))
+
+    @cached_property
+    def arena(self) -> Arena:
+        base = self.base
+        kstates = self.kstates
+        transition: dict[tuple[int, int, int], Distribution] = {}
+        for u, ks in enumerate(kstates):
+            for p, (e, _dom) in enumerate(self.eve_pairs):
+                for a, targets in enumerate(self.post[u][p]):
+                    dist = base.transition[(ks.real, e, a)]
+                    transition[(u, p, a)] = Distribution(
+                        {v: dist[kstates[v].real] for v in bits(targets)}
+                    )
+        return Arena(
+            states=self.state_names,
+            init=0,
+            eve_actions=tuple(self.pair_name(e, dom) for e, dom in self.eve_pairs),
+            adam_actions=base.adam_actions,
+            transition=transition,
+            eve_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, kstates, EVE).values()),
+            adam_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, kstates, ADAM).values()),
+            final=frozenset(bits(self.final_mask)),
+        )
+
+
+def _obs_groups(base: Arena, kstates, player: str) -> dict:
+    """Observation blocks of ``player`` on the knowledge states, as masks
+    keyed by what the player sees, in order of first appearance: Eve sees
+    (knowledge, domain), Adam the base block of the real state."""
+    groups: dict = {}
+    for v, ks in enumerate(kstates):
+        key = (ks.know.mask, ks.dom) if player == EVE else base.adam_block_of[ks.real]
+        groups[key] = groups.get(key, 0) | 1 << v
+    return groups
+
 
 def _dom_label(arena: Arena, dom: int) -> str:
-    return "{" + ",".join(arena.eve_actions[i] for i in _bits(dom)) + "}"
+    return "{" + ",".join(arena.eve_actions[i] for i in bits(dom)) + "}"
 
 
 def _kstate_name(arena: Arena, ks: KnowledgeState) -> str:
     return f"{arena.states[ks.real]}|{ks.know.label(arena)}|{_dom_label(arena, ks.dom)}"
 
 
-def _post_masks(arena: Arena) -> list[list[int]]:
-    """post[s][e] = states reachable from s playing e, under any adam action."""
-    n_eve = len(arena.eve_actions)
-    n_adam = len(arena.adam_actions)
-    post = [[0] * n_eve for _ in range(arena.n_states)]
-    for s in range(arena.n_states):
-        for e in range(n_eve):
-            acc = 0
-            for a in range(n_adam):
-                acc |= _mask_of(arena.transition[(s, e, a)].support)
-            post[s][e] = acc
-    return post
-
-
-def _update_mask(post: list[list[int]], kmask: int, block_mask: int, dom: int) -> int:
+def successors(post, kmask: int, dom: int) -> int:
+    """States reachable in one step from some state of ``kmask`` under some
+    action of ``dom`` and any Adam action, given the arena's ``post`` table."""
     acc = 0
-    for r in _bits(kmask):
+    for r in bits(kmask):
         row = post[r]
-        for e in _bits(dom):
+        for e in bits(dom):
             acc |= row[e]
-    return acc & block_mask
+    return acc
 
 
 def knowledge_update(arena: Arena, k: Knowledge, obs_block: int, dom: Iterable[int]) -> Knowledge:
@@ -169,12 +213,10 @@ def knowledge_update(arena: Arena, k: Knowledge, obs_block: int, dom: Iterable[i
     some state of ``k`` under some action of ``dom`` and any adam action.
     Raises InconsistentObservation when that set is empty.
     """
-    dom_mask = dom if isinstance(dom, int) else _mask_of(dom)
+    dom_mask = dom if isinstance(dom, int) else mask_of(dom)
     if dom_mask == 0:
         raise ValueError("dom must be non-empty")
-    post = _post_masks(arena)
-    block_mask = _mask_of(arena.eve_obs[obs_block])
-    result = _update_mask(post, k.mask, block_mask, dom_mask)
+    result = successors(arena.post, k.mask, dom_mask) & mask_of(arena.eve_obs[obs_block])
     if result == 0:
         raise InconsistentObservation(
             f"observation block {obs_block} cannot follow knowledge {k.label(arena)} under the played domain"
@@ -189,91 +231,66 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     whose action lies in the support.  Letters with the action outside the
     support can never carry probability under a well-formed distribution, so
     dropping them keeps the transition function total without changing any
-    strategy or any probability.
+    strategy or any probability.  Knowledge states are numbered in order of
+    discovery, targets in the order of the base distributions.
     """
-    post = _post_masks(arena)
     n_eve = len(arena.eve_actions)
-    n_adam = len(arena.adam_actions)
-    eve_block_masks = [_mask_of(b) for b in arena.eve_obs]
+    eve_block_masks = block_masks(arena.eve_obs)
+    block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]
+    adam = range(len(arena.adam_actions))
+    pairs = [(e, dom) for dom in range(1, 1 << n_eve) for e in bits(dom)]
 
-    pairs = [(e, dom) for dom in range(1, 1 << n_eve) for e in _bits(dom)]
+    init_know = Knowledge(1 << arena.init)
+    kstates: list[KnowledgeState] = [KnowledgeState(real=arena.init, know=init_know, dom=0)]
+    index: dict[tuple[int, int, int], int] = {(arena.init, init_know.mask, 0): 0}
+    knowledges: dict[int, Knowledge] = {init_know.mask: init_know}
+    post: list[tuple[tuple[int, ...], ...]] = []
+    n_edges = 0
 
-    initial = KnowledgeState(real=arena.init, know=Knowledge(1 << arena.init), dom=0)
-    kstates: list[KnowledgeState] = [initial]
-    index: dict[KnowledgeState, int] = {initial: 0}
-    transition: dict[tuple[int, int, int], Distribution] = {}
-    edges: set[tuple[int, int]] = set()
+    while len(post) < len(kstates):
+        ks = kstates[len(post)]
+        kmask = ks.know.mask
+        rows = []
+        for dom in range(1, 1 << n_eve):
+            # the successor knowledge of a target depends only on the played
+            # domain and the target's block, not on the action pair
+            after = successors(arena.post, kmask, dom)
+            bit_of: dict[int, int] = {}
+            for e in bits(dom):
+                row = []
+                for a in adam:
+                    m = 0
+                    for t, _q in arena.transition[(ks.real, e, a)].items():
+                        bit = bit_of.get(t)
+                        if bit is None:
+                            know_mask = after & block_mask_of[t]
+                            v = index.get((t, know_mask, dom))
+                            if v is None:
+                                v = len(kstates)
+                                if v >= max_states:
+                                    raise ResourceLimit(
+                                        f"knowledge arena exceeds {max_states} states", checked=v
+                                    )
+                                know = knowledges.setdefault(know_mask, Knowledge(know_mask))
+                                kstates.append(KnowledgeState(real=t, know=know, dom=dom))
+                                index[(t, know_mask, dom)] = v
+                            bit = bit_of[t] = 1 << v
+                        m |= bit
+                    row.append(m)
+                rows.append(tuple(row))
+        n_edges += reduce(or_, chain.from_iterable(rows), 0).bit_count()
+        post.append(tuple(rows))
 
-    frontier = 0
-    while frontier < len(kstates):
-        u = frontier
-        ks = kstates[u]
-        frontier += 1
-        for p, (e, dom) in enumerate(pairs):
-            # the successor knowledge per target state is the same for every
-            # adam action: it depends only on the played domain and the block
-            know_cache: dict[int, Knowledge] = {}
-            for a in range(n_adam):
-                weights = {}
-                for t, q in arena.transition[(ks.real, e, a)].items():
-                    know = know_cache.get(t)
-                    if know is None:
-                        block = arena.eve_block_of[t]
-                        know = Knowledge(_update_mask(post, ks.know.mask, eve_block_masks[block], dom))
-                        know_cache[t] = know
-                    target = KnowledgeState(real=t, know=know, dom=dom)
-                    v = index.get(target)
-                    if v is None:
-                        v = len(kstates)
-                        if v >= max_states:
-                            raise ResourceLimit(
-                                f"knowledge arena exceeds {max_states} states", checked=v
-                            )
-                        kstates.append(target)
-                        index[target] = v
-                    weights[v] = q
-                    edges.add((u, v))
-                transition[(u, p, a)] = Distribution(weights)
-
-    # observation partitions: Eve sees (knowledge, domain); Adam sees the
-    # base block of the real component
-    eve_groups: dict[tuple[int, int], list[int]] = {}
-    adam_groups: dict[int, list[int]] = {}
-    for i, ks in enumerate(kstates):
-        eve_groups.setdefault((ks.know.mask, ks.dom), []).append(i)
-        adam_groups.setdefault(arena.adam_block_of[ks.real], []).append(i)
-
-    eve_obs = tuple(tuple(members) for members in eve_groups.values())
-    eve_block_info = tuple((Knowledge(kmask), dom) for (kmask, dom) in eve_groups.keys())
-    adam_obs = tuple(tuple(members) for members in adam_groups.values())
-    adam_block_base = tuple(adam_groups.keys())
-
-    knowledges: list[Knowledge] = []
-    seen_masks: set[int] = set()
-    for ks in kstates:
-        if ks.know.mask not in seen_masks:
-            seen_masks.add(ks.know.mask)
-            knowledges.append(ks.know)
-
-    ka_arena = Arena(
-        states=tuple(_kstate_name(arena, ks) for ks in kstates),
-        init=0,
-        eve_actions=tuple(f"{arena.eve_actions[e]}|{_dom_label(arena, dom)}" for e, dom in pairs),
-        adam_actions=arena.adam_actions,
-        transition=transition,
-        eve_obs=eve_obs,
-        adam_obs=adam_obs,
-        final=frozenset(i for i, ks in enumerate(kstates) if ks.real in arena.final),
-    )
+    final_mask = mask_of(v for v, ks in enumerate(kstates) if ks.real in arena.final)
     return KnowledgeArena(
-        arena=ka_arena,
         base=arena,
         kstates=tuple(kstates),
         eve_pairs=tuple(pairs),
-        knowledges=tuple(knowledges),
-        eve_block_info=eve_block_info,
-        adam_block_base=adam_block_base,
-        n_edges=len(edges),
+        knowledges=tuple(knowledges.values()),
+        post=tuple(post),
+        final_mask=final_mask,
+        adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
+        n_edges=n_edges,
     )
 
 
@@ -291,13 +308,13 @@ def lift_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> FiniteMemo
 
     move = {}
     for m, dist in strat.move.items():
-        supp = _mask_of(base.eve_action_index[a] for a in dist.support)
+        supp = mask_of(base.eve_action_index[a] for a in dist.support)
         move[m] = Distribution(
             {ka.pair_name(base.eve_action_index[a], supp): p for a, p in dist.items()}
         )
 
     base_block_of_ka = [
-        base.eve_block_of[next(_bits(know.mask))] for know, _dom in ka.eve_block_info
+        base.eve_block_of[next(bits(know.mask))] for know, _dom in ka.eve_block_info
     ]
     update = {
         m: {kb: strat.update[m][base_block_of_ka[kb]] for kb in range(len(ka.eve_block_info))}
@@ -333,23 +350,21 @@ def lower_strategy(arena: Arena, phi: KnowledgeOnlyStrategy) -> FiniteMemoryStra
     applies the knowledge update on the fly and the move is uniform over the
     chosen action set of the current knowledge.
     """
-    post = _post_masks(arena)
-    eve_block_masks = [_mask_of(b) for b in arena.eve_obs]
+    eve_block_masks = block_masks(arena.eve_obs)
 
     initial = (Knowledge(1 << arena.init), 0)
     mems: list[tuple[Knowledge, int]] = [initial]
     seen = {initial}
     update_raw: dict[tuple[Knowledge, int], dict[int, tuple[Knowledge, int]]] = {}
-    queue = [initial]
-    while queue:
-        mem = queue.pop(0)
+    for mem in mems:  # grows while it is walked: breadth-first order
         know, _dom = mem
         if know not in phi.choice:
             raise ValidationError(f"knowledge-only strategy undefined for knowledge {know.label(arena)}")
         played = phi.choice[know]
+        after = successors(arena.post, know.mask, played)
         row = {}
-        for b in range(len(arena.eve_obs)):
-            result = _update_mask(post, know.mask, eve_block_masks[b], played)
+        for b, block_mask in enumerate(eve_block_masks):
+            result = after & block_mask
             if result == 0:
                 row[b] = mem  # observation impossible under this strategy
                 continue
@@ -358,7 +373,6 @@ def lower_strategy(arena: Arena, phi: KnowledgeOnlyStrategy) -> FiniteMemoryStra
             if succ not in seen:
                 seen.add(succ)
                 mems.append(succ)
-                queue.append(succ)
         update_raw[mem] = row
 
     def name(mem: tuple[Knowledge, int]) -> str:
@@ -367,7 +381,7 @@ def lower_strategy(arena: Arena, phi: KnowledgeOnlyStrategy) -> FiniteMemoryStra
 
     move = {
         name(mem): Distribution.uniform(
-            arena.eve_actions[i] for i in _bits(phi.choice[mem[0]])
+            arena.eve_actions[i] for i in bits(phi.choice[mem[0]])
         )
         for mem in mems
     }

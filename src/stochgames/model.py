@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .bitset import mask_of
 from .errors import SchemaError, ValidationError
 
 EVE = "eve"
@@ -212,6 +213,19 @@ class Arena:
     @cached_property
     def adam_block_of(self) -> tuple[int, ...]:
         return self._block_lookup(self.adam_obs)
+
+    @cached_property
+    def post(self) -> tuple[tuple[int, ...], ...]:
+        """``post[s][e]``: mask of the states reachable from s under Eve's
+        action e and some Adam action."""
+        adam = range(len(self.adam_actions))
+        return tuple(
+            tuple(
+                mask_of(t for a in adam for t, _q in self.transition[(s, e, a)].items())
+                for e in range(len(self.eve_actions))
+            )
+            for s in range(len(self.states))
+        )
 
     def _block_lookup(self, obs) -> tuple[int, ...]:
         lookup = [0] * len(self.states)

@@ -1,24 +1,28 @@
 """Decision procedures for almost-sure reachability and Buchi winning.
 
 The solver enumerates Eve's knowledge-only uniform strategies in canonical
-order.  Fixing one turns the game, from Adam's point of view, into a game
-against chance with a safety (for reachability) or co-Buchi (for Buchi)
-objective; the candidate is almost-surely winning exactly when Adam is not
-positively winning there.  The first successful candidate in canonical
-order is lowered to a finite-memory witness on the base arena.
+order; one enumeration feeds both the sequential and the pooled check.
+Fixing one turns the game, from Adam's point of view, into a game against
+chance with a safety (for reachability) or co-Buchi (for Buchi) objective;
+the candidate is almost-surely winning exactly when Adam is not positively
+winning there.  That depends on supports only, so a candidate is folded by
+OR-ing bitmask rows of the knowledge arena's support tables, and no
+weighted arena is built while deciding.  The first successful candidate in
+canonical order is lowered to a finite-memory witness on the base arena.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from typing import Iterator
 
+from .bitset import bits, block_masks
 from .errors import NotClosed, ResourceLimit, ValidationError
 from .halfplayer import (
     DEFAULT_BELIEF_CAP,
@@ -33,17 +37,11 @@ from .knowledge import (
     KnowledgeOnlyStrategy,
     build_knowledge_arena,
     lower_strategy,
+    successors,
 )
 from .model import ADAM, Arena, Distribution, FiniteMemoryStrategy, Objective, validate_strategy
 
 DEFAULT_CANDIDATE_CAP = 10**7
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -110,40 +108,14 @@ def enumerate_candidates(
         yield CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
 
 
-# folded transition rows keyed by (knowledge state, action mask, adam action);
-# they do not depend on the rest of the candidate, so they are shared across
-# the whole enumeration for a given knowledge arena (cache keyed by identity,
-# evicted when the arena is collected)
-_FOLD_CACHE: dict[int, dict] = {}
-
-
-def _folded_row(ka: KnowledgeArena, u: int, cmask: int, a: int) -> Distribution:
-    cache = _FOLD_CACHE.get(id(ka))
-    if cache is None:
-        cache = {"pairs": {pair: p for p, pair in enumerate(ka.eve_pairs)}}
-        _FOLD_CACHE[id(ka)] = cache
-        weakref.finalize(ka, _FOLD_CACHE.pop, id(ka), None)
-    key = (u, cmask, a)
-    dist = cache.get(key)
-    if dist is None:
-        pair_index = cache["pairs"]
-        pairs = [pair_index[(e, cmask)] for e in _bits(cmask)]
-        share = Fraction(1, len(pairs))
-        weights: dict[int, Fraction] = {}
-        for p in pairs:
-            for t, q in ka.arena.transition[(u, p, a)].items():
-                weights[t] = weights.get(t, Fraction(0)) + share * q
-        dist = Distribution(weights)
-        cache[key] = dist
-    return dist
-
-
 def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy, objective: Objective) -> AdversaryGame:
     """Fold the candidate's uniform move into the knowledge arena.
 
     The result is a game in which only Adam plays; his objective is the
     complement of Eve's, i.e. safety against reachability and co-Buchi
-    against Buchi.
+    against Buchi.  Playing uniformly over a set S of actions reaches the
+    union of the supports of the pairs (e, S), e in S, so the fold ORs
+    their ``post`` rows; the weighted arena is built only when read.
     """
     if objective is Objective.REACHABILITY:
         adversary_objective = Objective.SAFETY
@@ -152,34 +124,56 @@ def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy, objective: Object
     else:
         raise ValidationError(f"no decision procedure for objective {objective.value!r}")
 
-    kaa = ka.arena
-    n_adam = len(kaa.adam_actions)
-    transition: dict[tuple[int, int, int], Distribution] = {}
-    for u, ks in enumerate(ka.kstates):
-        try:
-            cmask = cand.strategy.choice[ks.know]
-        except KeyError:
-            raise ValidationError(
-                f"candidate undefined for knowledge {ks.know.label(ka.base)}"
-            ) from None
-        for a in range(n_adam):
-            transition[(u, 0, a)] = _folded_row(ka, u, cmask, a)
+    choice = cand.strategy.choice
+    try:
+        cmask_of = {know.mask: choice[know] for know in ka.knowledges}
+    except KeyError as exc:
+        raise ValidationError(f"candidate undefined for knowledge {exc.args[0].label(ka.base)}") from None
+    cmasks = [cmask_of[ks.know.mask] for ks in ka.kstates]
+    dom_pairs = ka.dom_pairs
+    post = []
+    for rows, cmask in zip(ka.post, cmasks):
+        first, *rest = dom_pairs[cmask]
+        row = rows[first]
+        for p in rest:
+            row = tuple(x | y for x, y in zip(row, rows[p]))
+        post.append(row)
+    game = OneHalfGame(
+        protagonist=ADAM,
+        states=ka.state_names,
+        actions=ka.base.adam_actions,
+        post=tuple(post),
+        cells=ka.adam_cells,
+        final_mask=ka.final_mask,
+        init=0,
+        build_arena=partial(_folded_arena, ka, cmasks),
+    )
+    return AdversaryGame(game=game, ka=ka, candidate=cand, objective=adversary_objective)
 
-    folded = Arena(
+
+def _folded_arena(ka: KnowledgeArena, cmasks: list[int]) -> Arena:
+    """Adam's game with exact weights: at knowledge state u, Eve's pairs
+    (e, cmasks[u]) are mixed uniformly; Adam's partition is refined by final."""
+    kaa = ka.arena
+    transition: dict[tuple[int, int, int], Distribution] = {}
+    for u, cmask in enumerate(cmasks):
+        pairs = ka.dom_pairs[cmask]
+        share = Fraction(1, len(pairs))
+        for a in range(len(kaa.adam_actions)):
+            weights: dict[int, Fraction] = {}
+            for p in pairs:
+                for t, q in kaa.transition[(u, p, a)].items():
+                    weights[t] = weights.get(t, 0) + share * q
+            transition[(u, 0, a)] = Distribution(weights)
+    return Arena(
         states=kaa.states,
         init=kaa.init,
         eve_actions=("*",),
         adam_actions=kaa.adam_actions,
         transition=transition,
         eve_obs=(tuple(range(len(kaa.states))),),
-        adam_obs=kaa.adam_obs,
+        adam_obs=tuple(tuple(bits(cell)) for cell in ka.adam_cells),
         final=kaa.final,
-    )
-    return AdversaryGame(
-        game=OneHalfGame.from_arena(folded, ADAM),
-        ka=ka,
-        candidate=cand,
-        objective=adversary_objective,
     )
 
 
@@ -195,7 +189,7 @@ def check_candidate(
         rep = positive_safety(adv.game, max_beliefs)
     else:
         rep = positive_cobuchi(adv.game, max_beliefs)
-    return adv.game.arena.init not in rep.winning_states, rep, adv
+    return adv.game.init not in rep.winning_states, rep, adv
 
 
 def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinReport) -> dict:
@@ -206,7 +200,7 @@ def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinRep
             know.label(base): list(cand.strategy.action_names(know, base))
             for know in ka.knowledges
         },
-        "adam_positively_wins": ka.arena.init in rep.winning_states,
+        "adam_positively_wins": 0 in rep.winning_states,  # knowledge state 0 is initial
         "adam_winning_states": len(rep.winning_states),
         "sure_beliefs": len(rep.sure_beliefs),
         "iterations": rep.iterations,
@@ -221,15 +215,12 @@ def _worker_init(ka, objective, max_beliefs, debug):
     _WORKER_STATE["args"] = (ka, objective, max_beliefs, debug)
 
 
-def _worker_chunk(chunk):
+def _worker_chunk(chunk: list[CandidateStrategy]):
     ka, objective, max_beliefs, debug = _WORKER_STATE["args"]
     out = []
-    for index, assignment in chunk:
-        cand = CandidateStrategy(
-            strategy=KnowledgeOnlyStrategy(dict(zip(ka.knowledges, assignment))), index=index
-        )
+    for cand in chunk:
         wins, rep, _adv = check_candidate(ka, cand, objective, max_beliefs)
-        out.append((index, wins, _diag_entry(ka, cand, rep) if debug else None))
+        out.append((wins, _diag_entry(ka, cand, rep) if debug else None))
     return out
 
 
@@ -282,13 +273,13 @@ def _decide(
 ) -> SolveReport:
     t0 = time.perf_counter()
     ka = build_knowledge_arena(arena, max_beliefs)
-    diagnostics: list[dict] | None = [] if debug else None
-
+    candidates = enumerate_candidates(ka, max_candidates)
     if threads > 1:
-        return _decide_parallel(arena, ka, objective, max_candidates, max_beliefs, threads, debug, t0)
+        return _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, debug, t0)
 
+    diagnostics: list[dict] | None = [] if debug else None
     checked = 0
-    for cand in enumerate_candidates(ka, max_candidates):
+    for cand in candidates:
         checked += 1
         wins, rep, _adv = check_candidate(ka, cand, objective, max_beliefs)
         if diagnostics is not None:
@@ -298,77 +289,58 @@ def _decide(
     return _report(arena, ka, objective, None, None, checked, t0, diagnostics)
 
 
-def _decide_parallel(arena, ka, objective, max_candidates, max_beliefs, threads, debug, t0):
-    total = candidate_count(ka)
-    k = len(ka.base.eve_actions)
-    masks = range(1, 1 << k)
-    chunk_size = max(1, min(64, total // (threads * 4) or 1))
+def _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, debug, t0):
+    chunk_size = max(1, min(64, candidate_count(ka) // (threads * 4) or 1))
+    capped: list[ResourceLimit] = []
 
     def chunks():
+        # the enumeration raises at the cap; the candidates before it are
+        # still checked, and the limit is reported only if none of them wins
         chunk = []
-        for index, assignment in enumerate(product(masks, repeat=len(ka.knowledges))):
-            if index >= max_candidates:
-                break
-            chunk.append((index, assignment))
-            if len(chunk) == chunk_size:
-                yield chunk
-                chunk = []
+        try:
+            for cand in candidates:
+                chunk.append(cand)
+                if len(chunk) == chunk_size:
+                    yield chunk
+                    chunk = []
+        except ResourceLimit as exc:
+            capped.append(exc)
         if chunk:
             yield chunk
 
     diagnostics = [] if debug else None
-    winner_index = None
+    winner = None
+    checked = 0
     chunk_iter = chunks()
     with ProcessPoolExecutor(
         max_workers=threads, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
     ) as pool:
         # keep a bounded window of in-flight chunks; results are consumed in
         # submission order so the least winning index is seen first
-        pending = deque()
-        for chunk in islice(chunk_iter, threads * 2):
-            pending.append(pool.submit(_worker_chunk, chunk))
+        pending = deque(
+            (chunk, pool.submit(_worker_chunk, chunk)) for chunk in islice(chunk_iter, threads * 2)
+        )
         while pending:
-            results = pending.popleft().result()
-            for index, wins, diag in results:
-                if diagnostics is not None and diag is not None:
+            chunk, future = pending.popleft()
+            for cand, (wins, diag) in zip(chunk, future.result()):
+                if diagnostics is not None:
                     diagnostics.append(diag)
-                if wins and winner_index is None:
-                    winner_index = index
-            if winner_index is not None:
+                if wins and winner is None:
+                    winner = cand
+            checked += len(chunk)
+            if winner is not None:
                 break
             for chunk in islice(chunk_iter, 1):
-                pending.append(pool.submit(_worker_chunk, chunk))
-    if winner_index is not None:
-        # rebuild the winning candidate and its report deterministically
-        assignment = _assignment_for_index(winner_index, len(masks), len(ka.knowledges))
-        cand = CandidateStrategy(
-            strategy=KnowledgeOnlyStrategy(
-                dict(zip(ka.knowledges, [m + 1 for m in assignment]))
-            ),
-            index=winner_index,
-        )
-        _wins, rep, _adv = check_candidate(ka, cand, objective, max_beliefs)
+                pending.append((chunk, pool.submit(_worker_chunk, chunk)))
+    if winner is not None:
+        # the winner's report is recomputed here: workers return verdicts only
+        _wins, rep, _adv = check_candidate(ka, winner, objective, max_beliefs)
         if diagnostics is not None:
-            diagnostics = [d for d in diagnostics if d["index"] <= winner_index]
-            diagnostics.sort(key=lambda d: d["index"])
-        return _report(arena, ka, objective, cand, rep, winner_index + 1, t0, diagnostics)
-    if total > max_candidates:
-        raise ResourceLimit(
-            f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates
-        )
-    if diagnostics is not None:
-        diagnostics.sort(key=lambda d: d["index"])
-    return _report(arena, ka, objective, None, None, total, t0, diagnostics)
-
-
-def _assignment_for_index(index: int, base: int, width: int) -> list[int]:
-    """Digits (0-based) of ``index`` in the enumeration's mixed radix; the
-    last knowledge varies fastest."""
-    digits = [0] * width
-    for pos in range(width - 1, -1, -1):
-        digits[pos] = index % base
-        index //= base
-    return digits
+            diagnostics = [d for d in diagnostics if d["index"] <= winner.index]
+        return _report(arena, ka, objective, winner, rep, winner.index + 1, t0, diagnostics)
+    if capped:
+        raise capped[0]
+    return _report(arena, ka, objective, None, None, checked, t0, diagnostics)
 
 
 def decide_almost_sure_reach(
@@ -405,28 +377,15 @@ def random_safe_strategy(ka: KnowledgeArena, w) -> CandidateStrategy:
     must keep every compatible observation inside ``w``.  Raises NotClosed
     if some knowledge has no safe action.
     """
-    from .knowledge import _post_masks, _update_mask  # shared bitmask helpers
-
     base = ka.base
-    post = _post_masks(base)
-    block_masks = []
-    for block in base.eve_obs:
-        m = 0
-        for s in block:
-            m |= 1 << s
-        block_masks.append(m)
+    eve_block_masks = block_masks(base.eve_obs)
     wset = {know.mask for know in w}
     choice: dict[Knowledge, int] = {}
     for know in w:
         safe = 0
         for e in range(len(base.eve_actions)):
-            ok = True
-            for bm in block_masks:
-                result = _update_mask(post, know.mask, bm, 1 << e)
-                if result and result not in wset:
-                    ok = False
-                    break
-            if ok:
+            after = successors(base.post, know.mask, 1 << e)
+            if all(not after & bm or after & bm in wset for bm in eve_block_masks):
                 safe |= 1 << e
         if safe == 0:
             raise NotClosed(f"knowledge {know.label(base)} has no safe action within w")

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own graph machinery: the attractor
 works on raw successor tables, the end-component check enumerates subsets,
-SCC cross-checks go through networkx, and exact absorption probabilities
-come from one dense Gauss-Jordan solve.
+SCC cross-checks go through networkx, exact absorption probabilities
+come from one dense Gauss-Jordan solve, and a candidate is folded into
+Adam's game on exact weights rather than on support masks.
 """
 
 import random
@@ -12,7 +13,7 @@ from itertools import product
 
 import networkx as nx
 
-from stochgames import Arena, parse_game
+from stochgames import Arena, Distribution, parse_game
 from instances import make_doc
 
 
@@ -204,3 +205,36 @@ def dense_absorption_values(edges, targets) -> list[Fraction]:
     for u in unknowns:
         values[u] = b[pos[u]]
     return values
+
+
+# ---------------------------------------------------------------------------
+# Candidate fold on exact weights
+
+
+def dense_fold(ka, cand) -> Arena:
+    """Adam's game once Eve plays ``cand``, built from the weighted knowledge
+    arena: at every knowledge state the rows of the pairs (e, S), e in the
+    chosen set S, are mixed with weight 1/|S| each."""
+    kaa = ka.arena
+    pair_index = {pair: p for p, pair in enumerate(ka.eve_pairs)}
+    transition = {}
+    for u, ks in enumerate(ka.kstates):
+        cmask = cand.strategy.choice[ks.know]
+        pairs = [pair_index[(e, cmask)] for e in range(len(ka.base.eve_actions)) if cmask >> e & 1]
+        share = Fraction(1, len(pairs))
+        for a in range(len(kaa.adam_actions)):
+            weights = {}
+            for p in pairs:
+                for t, q in kaa.transition[(u, p, a)].items():
+                    weights[t] = weights.get(t, Fraction(0)) + share * q
+            transition[(u, 0, a)] = Distribution(weights)
+    return Arena(
+        states=kaa.states,
+        init=kaa.init,
+        eve_actions=("*",),
+        adam_actions=kaa.adam_actions,
+        transition=transition,
+        eve_obs=(tuple(range(len(kaa.states))),),
+        adam_obs=kaa.adam_obs,
+        final=kaa.final,
+    )

@@ -64,17 +64,35 @@ def test_cli_solve_g1(tmp_path, capsys):
     assert record["command"] == "solve" and record["outcome"] == "verdict=yes"
 
 
+def _run_records(err: str) -> list[dict]:
+    return [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+
+
 def test_cli_solve_malformed_exit_2(tmp_path):
     game = tmp_path / "bad.json"
     game.write_text("{broken")
     assert main(["solve", "--game", str(game), "--objective", "reach"]) == 2
 
 
+def test_cli_solve_bad_game_run_record(tmp_path, capsys):
+    game = tmp_path / "bad.json"
+    game.write_text(g1_doc().replace('"init": "s"', '"init": "nowhere"'))
+    assert main(["solve", "--game", str(game), "--objective", "reach"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["command"] == "solve"
+    assert record["outcome"].startswith("invalid-input: ")
+    assert "unknown state 'nowhere'" in record["outcome"]
+    assert record["config"]["game"] == str(game)
+    assert len(_run_records(captured.err)) == 1
+
+
 def test_cli_solve_missing_file_exit_2(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "none.json"), "--objective", "reach"]) == 2
 
 
-def test_cli_solve_cap_exit_3(tmp_path):
+def test_cli_solve_cap_exit_3(tmp_path, capsys):
     game = tmp_path / "g1.json"
     game.write_text(g1_doc())
     out = tmp_path / "partial.json"
@@ -87,6 +105,8 @@ def test_cli_solve_cap_exit_3(tmp_path):
     assert partial["verdict"] is None
     assert partial["candidates_checked"] == 1
     assert "error" in partial
+    records = _run_records(capsys.readouterr().err)
+    assert [r["outcome"] for r in records] == [f"resource-limit: {partial['error']}"]
 
 
 def _eval_g1_args(tmp_path):
@@ -120,6 +140,11 @@ def test_cli_eval_node_cap_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "product chain exceeds 1 nodes" in captured.err
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["command"] == "eval"
+    assert record["outcome"] == "resource-limit: product chain exceeds 1 nodes"
+    assert record["config"]["max_nodes"] == 1
+    assert len(_run_records(captured.err)) == 1
     assert main(args + ["--max-nodes", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"probability": "1/1", "method": "exact"}
 

@@ -1,4 +1,6 @@
+import pickle
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,14 +18,19 @@ from stochgames import (
     enumerate_candidates,
     fix_candidate,
     objective_probability,
+    positive_cobuchi,
+    positive_safety,
     random_safe_strategy,
     validate_strategy,
 )
-from stochgames.model import parse_game
+from stochgames.bitset import bits, block_masks, mask_of, split_masks
+from stochgames.gen import generate_arena, random_params
+from stochgames.halfplayer import OneHalfGame
+from stochgames.model import ADAM, parse_game
 from stochgames.solver import CandidateStrategy, candidate_count, check_candidate
 from stochgames.knowledge import KnowledgeOnlyStrategy
 from instances import cycle_arena, g1, g1_prime, g2, hidden_coin, make_doc
-from oracles import attractor_verdict, random_turn_based
+from oracles import attractor_verdict, dense_fold, random_turn_based
 
 
 def test_candidate_counts():
@@ -236,3 +243,51 @@ def test_random_safe_strategy_no_traps():
 def test_solver_resource_limit():
     with pytest.raises(ResourceLimit):
         decide_almost_sure_reach(g1(), max_candidates=1)
+
+
+def _report_key(rep):
+    return (rep.winning_states, rep.sure_beliefs, rep.iterations, rep.witness)
+
+
+def test_support_fold_matches_dense_fold():
+    objectives = (
+        (Objective.REACHABILITY, positive_safety),
+        (Objective.BUCHI, positive_cobuchi),
+    )
+    compared = 0
+    for seed in range(120):
+        arena = generate_arena(random_params(7000 + seed, max_states=5, max_blocks=3))
+        ka = build_knowledge_arena(arena)
+        cands = list(islice(enumerate_candidates(ka), 20))
+        checked = {
+            (objective, cand.index): check_candidate(ka, cand, objective)
+            for objective, _positive in objectives
+            for cand in cands
+        }
+        # the solve path runs on the support tables alone
+        assert "arena" not in vars(ka)
+        shipped = pickle.dumps(ka)
+        assert "arena" not in vars(pickle.loads(shipped))
+
+        kaa = ka.arena
+        assert len(pickle.dumps(ka)) > len(shipped)
+        assert len(kaa.transition) == len(ka.kstates) * len(ka.eve_pairs) * len(arena.adam_actions)
+        for (u, p, a), dist in kaa.transition.items():
+            assert mask_of(dist.support) == ka.post[u][p][a]
+        assert kaa.final == frozenset(bits(ka.final_mask))
+        assert split_masks(block_masks(kaa.adam_obs), ka.final_mask) == ka.adam_cells
+
+        for objective, positive in objectives:
+            for cand in cands:
+                wins, rep, adv = checked[(objective, cand.index)]
+                dense = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM)
+                assert (adv.game.post, adv.game.cells, adv.game.final_mask) == (
+                    dense.post,
+                    dense.cells,
+                    dense.final_mask,
+                )
+                want = positive(dense)
+                assert _report_key(rep) == _report_key(want)
+                assert wins == (dense.init not in want.winning_states)
+                compared += 1
+    assert compared > 1500
