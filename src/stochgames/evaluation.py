@@ -7,11 +7,18 @@ node of value 0 (no path to the targets) or 1 (no path to a value-0 node
 that avoids the targets); the remaining nodes are solved one strongly
 connected component at a time in reverse topological order, each block by
 fraction-free integer (Bareiss) elimination with the values of the
-components below it substituted.  Monte Carlo simulation gives an
+components below it substituted.  The same pinning alone decides whether
+an objective holds almost surely.  Monte Carlo simulation gives an
 independent statistical cross-check and never decides anything.
-The module also hosts two adversary oracles: the fully informed best
+
+The module also hosts two adversary oracles.  The fully informed best
 response (a sound over-approximation of any observation-constrained
-adversary) and a brute-force verdict for tiny games.
+adversary) works on the adversary's decision process against Eve's
+strategy: the sure-safe region, the greatest set of non-final nodes in
+which the adversary can keep the play forever, settles both objectives,
+whose values are one minus the maximal probability of reaching that
+region, computed by policy iteration over the same exact solver.  The
+other oracle is a brute-force verdict for tiny games.
 """
 
 from __future__ import annotations
@@ -202,6 +209,19 @@ def _reachable(edges, sources, blocked=()) -> set[int]:
     return seen
 
 
+def _pin(edges, targets) -> tuple[set[int], set[int]]:
+    """The 0/1 pinning of the absorption values of ``targets``: the nodes
+    without a path to the targets (value 0), and the nodes that can reach
+    one of those without passing a target (value below 1)."""
+    n = len(edges)
+    reverse: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in edges[u]:
+            reverse[v].append(u)
+    zero = set(range(n)) - _reachable(reverse, targets)
+    return zero, _reachable(reverse, zero, targets)
+
+
 def absorption_values(edges, targets: set[int]) -> list[Fraction]:
     """Exact probability, from every node, of ever hitting ``targets``.
 
@@ -212,14 +232,9 @@ def absorption_values(edges, targets: set[int]) -> list[Fraction]:
     strongly connected component at a time, sinks first, so that every
     equation sees the values of its other successors already fixed.
     """
-    n = len(edges)
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in edges[u]:
-            reverse[v].append(u)
-    zero = set(range(n)) - _reachable(reverse, targets)
-    values = [_ZERO if u in zero else _ONE for u in range(n)]
-    unknowns = sorted(_reachable(reverse, zero, targets) - zero)
+    zero, below = _pin(edges, targets)
+    values = [_ZERO if u in zero else _ONE for u in range(len(edges))]
+    unknowns = sorted(below - zero)
     pos = {u: i for i, u in enumerate(unknowns)}
     inner = [[pos[v] for v in edges[u] if v in pos] for u in unknowns]
     for comp in strongly_connected_components(inner):
@@ -323,31 +338,17 @@ def objective_probability(chain: ProductChain, objective: Objective) -> Fraction
 
 
 def almost_sure(chain: ProductChain, objective: Objective) -> bool:
-    """Qualitative check that the objective probability is exactly 1,
-    by graph analysis only."""
-    if objective is Objective.REACHABILITY:
-        absorbed = [
-            {u: _ONE} if u in chain.final else chain.edges[u] for u in range(len(chain.nodes))
-        ]
-        reachable = _reachable(absorbed, [chain.init])
-        for comp in bottom_sccs(absorbed):
-            if comp[0] in reachable and not all(v in chain.final for v in comp):
-                return False
-        return True
-    if objective is Objective.SAFETY:
-        return not (_reachable(chain.edges, [chain.init]) & chain.final)
-    if objective is Objective.BUCHI:
-        reachable = _reachable(chain.edges, [chain.init])
-        for comp in bottom_sccs(chain.edges):
-            if comp[0] in reachable and not any(v in chain.final for v in comp):
-                return False
-        return True
-    # co-Buchi: no reachable bottom SCC may contain a final node
-    reachable = _reachable(chain.edges, [chain.init])
-    for comp in bottom_sccs(chain.edges):
-        if comp[0] in reachable and any(v in chain.final for v in comp):
-            return False
-    return True
+    """Qualitative check that the objective probability is exactly 1, read
+    off the 0/1 pinning: reach and Buchi hold almost surely iff the initial
+    node is pinned to 1, safety and co-Buchi iff it is pinned to 0."""
+    if objective in (Objective.REACHABILITY, Objective.SAFETY):
+        targets = set(chain.final)
+    else:
+        targets = _buchi_targets(chain)
+    zero, below = _pin(chain.edges, targets)
+    if objective in (Objective.REACHABILITY, Objective.BUCHI):
+        return chain.init not in below
+    return chain.init in zero
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +363,7 @@ def simulate_play(
     rng: random.Random,
 ) -> list[int]:
     """Sample one play of ``horizon`` steps; returns the state sequence."""
-    ce = _Compiled(arena, eve, EVE)
-    ca = _Compiled(arena, adam, ADAM)
-    return _simulate(arena, ce, ca, horizon, rng)
+    return _sampler(arena, eve, adam)(horizon, rng)
 
 
 def _float_cdf(pairs):
@@ -384,30 +383,32 @@ def _draw(cdf, rng):
     return cdf[-1][1]
 
 
-def _simulate(arena, ce, ca, horizon, rng, trans_cache=None, move_cache=None):
-    if trans_cache is None:
-        trans_cache = {}
-    if move_cache is None:
-        move_cache = {}
-    s, me, ma = arena.init, ce.init, ca.init
-    states = [s]
-    for _ in range(horizon):
-        ke = ("e", id(ce), me)
-        if ke not in move_cache:
-            move_cache[ke] = _float_cdf(ce.move[me])
-        ka = ("a", id(ca), ma)
-        if ka not in move_cache:
-            move_cache[ka] = _float_cdf(ca.move[ma])
-        e = _draw(move_cache[ke], rng)
-        a = _draw(move_cache[ka], rng)
-        key = (s, e, a)
-        if key not in trans_cache:
-            trans_cache[key] = _float_cdf(arena.transition[key].items())
-        s = _draw(trans_cache[key], rng)
-        me = ce.update[me][ce.block_of[s]]
-        ma = ca.update[ma][ca.block_of[s]]
-        states.append(s)
-    return states
+def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy):
+    """A function (horizon, rng) -> state sequence of one sampled play.
+
+    The float CDF tables of both strategies' moves and of every transition
+    are built once here; each step draws Eve's action, Adam's action and
+    then the successor, in that order.
+    """
+    ce = _Compiled(arena, eve, EVE)
+    ca = _Compiled(arena, adam, ADAM)
+    eve_cdf = [_float_cdf(row) for row in ce.move]
+    adam_cdf = [_float_cdf(row) for row in ca.move]
+    trans_cdf = {key: _float_cdf(dist.items()) for key, dist in arena.transition.items()}
+
+    def play(horizon: int, rng: random.Random) -> list[int]:
+        s, me, ma = arena.init, ce.init, ca.init
+        states = [s]
+        for _ in range(horizon):
+            e = _draw(eve_cdf[me], rng)
+            a = _draw(adam_cdf[ma], rng)
+            s = _draw(trans_cdf[(s, e, a)], rng)
+            me = ce.update[me][ce.block_of[s]]
+            ma = ca.update[ma][ca.block_of[s]]
+            states.append(s)
+        return states
+
+    return play
 
 
 def monte_carlo(
@@ -428,15 +429,14 @@ def monte_carlo(
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    ce = _Compiled(arena, eve, EVE)
-    ca = _Compiled(arena, adam, ADAM)
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1")
+    play = _sampler(arena, eve, adam)
     rng = random.Random(seed)
     window = max(1, horizon // 10)
     hits = 0
-    trans_cache: dict = {}
-    move_cache: dict = {}
     for _ in range(samples):
-        states = _simulate(arena, ce, ca, horizon, rng, trans_cache, move_cache)
+        states = play(horizon, rng)
         if objective is Objective.REACHABILITY:
             ok = any(s in arena.final for s in states)
         elif objective is Objective.SAFETY:
@@ -496,58 +496,12 @@ class _Mdp:
         self.n_actions = n_adam
 
 
-def _policy_values(mdp: _Mdp, policy: list[int], targets: set[int]) -> list[Fraction]:
-    edges = [mdp.trans[v][policy[v]] for v in range(len(mdp.nodes))]
-    return absorption_values(edges, targets)
-
-
 _MAX_PI_ROUNDS = 10_000
 
 
-def _mdp_min_reach(mdp: _Mdp) -> Fraction:
-    """Minimal probability of reaching the final nodes, exact.
-
-    The value-0 region (nodes from which the adversary can avoid the final
-    set surely) is computed graph-theoretically first; with it pinned, the
-    Bellman system has a unique solution and policy iteration converges to
-    the true minimum.
-    """
-    n = len(mdp.nodes)
-    zero = {v for v in range(n) if v not in mdp.final}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(zero):
-            if not any(
-                all(t in zero for t in mdp.trans[v][a]) for a in range(mdp.n_actions)
-            ):
-                zero.discard(v)
-                changed = True
-    work = [v for v in range(n) if v not in zero and v not in mdp.final]
-
-    policy = [0] * n
-    for _ in range(_MAX_PI_ROUNDS):
-        # empty rows keep the zero region at 0 whatever the policy plays there
-        edges = [{} if v in zero else mdp.trans[v][policy[v]] for v in range(n)]
-        vals = absorption_values(edges, mdp.final)
-        improved = False
-        for v in work:
-            best_a, best_q = policy[v], None
-            for a in range(mdp.n_actions):
-                q = sum((p * vals[t] for t, p in mdp.trans[v][a].items()), _ZERO)
-                if best_q is None or q < best_q:
-                    best_q = q
-                    best_a = a
-            if best_q < vals[v]:
-                policy[v] = best_a
-                improved = True
-        if not improved:
-            return vals[mdp.init]
-    raise RuntimeError("policy iteration failed to converge")
-
-
-def _mdp_max_reach(mdp: _Mdp, targets: set[int]) -> Fraction:
-    """Maximal probability of reaching ``targets``, exact.
+def _mdp_max_reach(mdp: _Mdp, targets: set[int], absorbing: set[int]) -> Fraction:
+    """Maximal probability of reaching ``targets`` from the initial node,
+    exact, where the nodes of ``absorbing`` are dead ends.
 
     Evaluation always computes the true (least-fixpoint) value of the
     current policy, so the iteration terminates at the optimum.
@@ -555,13 +509,13 @@ def _mdp_max_reach(mdp: _Mdp, targets: set[int]) -> Fraction:
     if mdp.init in targets:
         return _ONE
     n = len(mdp.nodes)
+    free = [v for v in range(n) if v not in targets and v not in absorbing]
     policy = [0] * n
     for _ in range(_MAX_PI_ROUNDS):
-        vals = _policy_values(mdp, policy, targets)
+        edges = [{} if v in absorbing else mdp.trans[v][policy[v]] for v in range(n)]
+        vals = absorption_values(edges, targets)
         improved = False
-        for v in range(n):
-            if v in targets:
-                continue
+        for v in free:
             best_a, best_q = policy[v], None
             for a in range(mdp.n_actions):
                 q = sum((p * vals[t] for t, p in mdp.trans[v][a].items()), _ZERO)
@@ -576,57 +530,6 @@ def _mdp_max_reach(mdp: _Mdp, targets: set[int]) -> Fraction:
     raise RuntimeError("policy iteration failed to converge")
 
 
-def _maximal_end_components(n: int, allowed_actions, trans) -> list[set[int]]:
-    """Standard iterative MEC decomposition.
-
-    ``allowed_actions(v)`` lists the initially allowed actions at v;
-    ``trans[v][a]`` is the successor distribution (a dict).
-    """
-    states = set(range(n))
-    actions = {v: list(allowed_actions(v)) for v in states}
-    while True:
-        # drop states with no actions closing inside the current state set
-        changed = True
-        while changed:
-            changed = False
-            for v in list(states):
-                actions[v] = [
-                    a for a in actions[v] if all(t in states for t in trans[v][a])
-                ]
-                if not actions[v]:
-                    states.discard(v)
-                    changed = True
-        if not states:
-            return []
-        order = sorted(states)
-        pos = {v: i for i, v in enumerate(order)}
-        edges = [
-            sorted({pos[t] for a in actions[v] for t in trans[v][a]}) for v in order
-        ]
-        comp_of = {}
-        sccs = strongly_connected_components(edges)
-        for i, comp in enumerate(sccs):
-            for p in comp:
-                comp_of[order[p]] = i
-        changed = False
-        for v in list(states):
-            kept = [
-                a
-                for a in actions[v]
-                if all(comp_of[t] == comp_of[v] for t in trans[v][a])
-            ]
-            if not kept:
-                states.discard(v)
-                changed = True
-            else:
-                actions[v] = kept
-        if not changed:
-            groups: dict[int, set[int]] = {}
-            for v in states:
-                groups.setdefault(comp_of[v], set()).add(v)
-            return list(groups.values())
-
-
 def best_response_full_info(arena: Arena, eve: FiniteMemoryStrategy, objective: Objective) -> EvalResult:
     """Minimal objective probability a fully informed adversary can enforce.
 
@@ -634,30 +537,31 @@ def best_response_full_info(arena: Arena, eve: FiniteMemoryStrategy, objective: 
     a lower bound on what any observation-constrained adversary allows; a
     value of exactly 1 certifies the strategy almost-surely winning against
     every adversary.
+
+    Both objectives reduce to the adversary's sure-safe region S: the
+    greatest set of non-final nodes in each of which the adversary has an
+    action keeping every successor inside S.  From S the adversary avoids
+    the final nodes forever.  Conversely, whatever the adversary plays,
+    almost every play ends up in an end component, and a play that sees
+    final nodes only finitely often ends in one without final nodes, which
+    lies inside S.  So the Buchi value is 1 minus the adversary's maximal
+    probability of reaching S, and the reach value is the same with the
+    final nodes made absorbing, since a play that meets one is won (the
+    reach/safety duality for MDPs; de Alfaro 1997, Baier and Katoen ch. 10).
     """
     if objective not in (Objective.REACHABILITY, Objective.BUCHI):
         raise ValidationError("best response supports reach and buchi objectives only")
     mdp = _Mdp(arena, eve)
-    if objective is Objective.REACHABILITY:
-        value = _mdp_min_reach(mdp)
-    else:
-        nonfinal = set(range(len(mdp.nodes))) - mdp.final
-
-        def allowed(v):
-            if v not in nonfinal:
-                return []
-            return [
-                a
-                for a in range(mdp.n_actions)
-                if all(t in nonfinal for t in mdp.trans[v][a])
-            ]
-
-        mecs = _maximal_end_components(len(mdp.nodes), allowed, mdp.trans)
-        safe_union: set[int] = set()
-        for comp in mecs:
-            safe_union.update(comp)
-        value = _ONE - (_mdp_max_reach(mdp, safe_union) if safe_union else _ZERO)
-    return EvalResult(probability=value, method="exact")
+    safe = set(range(len(mdp.nodes))) - mdp.final
+    changed = True
+    while changed:
+        changed = False
+        for v in list(safe):
+            if not any(all(t in safe for t in row) for row in mdp.trans[v]):
+                safe.discard(v)
+                changed = True
+    absorbing = mdp.final if objective is Objective.REACHABILITY else set()
+    return EvalResult(probability=_ONE - _mdp_max_reach(mdp, safe, absorbing), method="exact")
 
 
 # ---------------------------------------------------------------------------

@@ -461,9 +461,9 @@ def parse_game(text: str) -> Arena:
         if not isinstance(entry, dict) or set(entry) != {"from", "eve", "adam", "to"}:
             raise SchemaError(f"{where}: must be an object with keys from/eve/adam/to")
         s = state_id(entry["from"], where)
-        if entry["eve"] not in eve_index:
+        if not isinstance(entry["eve"], str) or entry["eve"] not in eve_index:
             raise ValidationError(f"{where}: unknown eve action {entry['eve']!r}")
-        if entry["adam"] not in adam_index:
+        if not isinstance(entry["adam"], str) or entry["adam"] not in adam_index:
             raise ValidationError(f"{where}: unknown adam action {entry['adam']!r}")
         e, a = eve_index[entry["eve"]], adam_index[entry["adam"]]
         if (s, e, a) in transition:
@@ -559,7 +559,7 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             raise SchemaError(f"strategy: update[{m!r}] must be an object")
         parsed = {}
         for b, target in row.items():
-            if not b.isdigit():
+            if not (b.isascii() and b.isdigit()):
                 raise SchemaError(f"strategy: update[{m!r}] block key {b!r} is not an index")
             parsed[int(b)] = target
         update[m] = parsed

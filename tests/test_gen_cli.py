@@ -88,6 +88,19 @@ def test_cli_solve_bad_game_run_record(tmp_path, capsys):
     assert len(_run_records(captured.err)) == 1
 
 
+def test_cli_solve_non_string_action_run_record(tmp_path, capsys):
+    doc = json.loads(g1_doc())
+    doc["transitions"][0]["eve"] = ["a"]
+    game = tmp_path / "bad.json"
+    game.write_text(json.dumps(doc))
+    assert main(["solve", "--game", str(game), "--objective", "reach"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    records = _run_records(captured.err)
+    assert len(records) == 1
+    assert records[0]["outcome"].startswith("invalid-input: game: transitions[0]: unknown eve action")
+
+
 def test_cli_solve_missing_file_exit_2(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "none.json"), "--objective", "reach"]) == 2
 
@@ -176,6 +189,14 @@ def test_cli_simulate_reproducible(tmp_path, capsys):
     record = json.loads(first)
     assert record["generator"] == "python-random-mt19937"
     assert record["samples"] == 300
+
+
+def test_cli_simulate_bad_horizon_exit_2(tmp_path, capsys):
+    args = ["simulate"] + _eval_g1_args(tmp_path)[1:] + ["--samples", "10", "--horizon", "-5"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [r["outcome"] for r in _run_records(captured.err)] == ["invalid-input: horizon must be >= 1"]
 
 
 def test_cli_knowledge_dump(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stochgames import (
     Distribution,
+    GameError,
     Objective,
     SchemaError,
     ValidationError,
@@ -122,6 +123,73 @@ def test_schema_errors():
     doc["bogus"] = 1
     with pytest.raises(SchemaError, match="unknown keys"):
         parse_game(json.dumps(doc))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text() | st.sampled_from(["0", "1", "-1", "²", "٣", " 1"]), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _field_paths(doc, path=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+def _two_memory_strategy_doc() -> str:
+    return serialize_strategy(
+        FiniteMemoryStrategy(
+            owner="eve",
+            memory=("m0", "m1"),
+            init_mem="m0",
+            move={"m0": Distribution.uniform(["a", "b"]), "m1": Distribution.point("b")},
+            update={"m0": {0: "m1", 1: "m0"}, "m1": {0: "m0", 1: "m1"}},
+        )
+    )
+
+
+def _parse_with_field(kind: str, path: tuple, value) -> None:
+    """Parse a valid game or strategy document (the latter also validated
+    against g1) after setting the field at ``path`` to ``value``."""
+    doc = json.loads(g1_doc() if kind == "game" else _two_memory_strategy_doc())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    if kind == "game":
+        parse_game(json.dumps(doc))
+    else:
+        validate_strategy(g1(), "eve", parse_strategy(json.dumps(doc)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["game", "strategy"]), st.data())
+def test_parsers_raise_only_game_errors(kind, data):
+    """Replacing any one field of a valid document by an arbitrary JSON
+    value either still parses or raises a GameError, never anything else."""
+    doc = json.loads(g1_doc() if kind == "game" else _two_memory_strategy_doc())
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    try:
+        _parse_with_field(kind, path, data.draw(json_values))
+    except GameError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "kind,path,value",
+    [
+        ("game", ("transitions", 0, "eve"), ["a"]),
+        ("game", ("transitions", 0, "adam"), {"x": 1}),
+        ("strategy", ("update", "m0"), {"²": "m0", "1": "m0"}),
+    ],
+)
+def test_parsers_reject_unhashable_actions_and_non_ascii_block_keys(kind, path, value):
+    with pytest.raises(GameError):
+        _parse_with_field(kind, path, value)
 
 
 def test_round_trip_named_instances():
