@@ -27,8 +27,6 @@ from .halfplayer import (
     PositiveWinReport,
     positive_cobuchi,
     positive_safety,
-    sure_cobuchi_beliefs,
-    sure_safety_beliefs,
 )
 from .knowledge import (
     Knowledge,
@@ -54,7 +52,6 @@ from .model import (
     validate_strategy,
 )
 from .solver import (
-    AdversaryGame,
     CandidateStrategy,
     SolveReport,
     decide_almost_sure_buchi,

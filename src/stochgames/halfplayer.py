@@ -5,12 +5,14 @@ whichever player has a real alphabet; the other side has a single action, so
 the game is a partially observable Markov decision process.  Only supports
 matter, so a game is given by bitmask tables: the successor mask of every
 state and protagonist action, the final mask, and the protagonist's
-observation cells.  Beliefs are the protagonist's knowledges over game
-states; every belief node is refined by final-membership so that "visits a
-final state" is a property of the node.  The refinement is realized once
-and for all by splitting the protagonist's observation partition along the
-final set into those cells, which can only strengthen the protagonist's
-information.
+observation cells.  Only a game built from an arena keeps weights; Adam's
+game folded from a solver candidate has none (tests fold exact weights with
+their oracle ``dense_fold``).  Beliefs are the protagonist's knowledges over
+game states; every belief node is refined by final-membership so that
+"visits a final state" is a property of the node.  The refinement is
+realized once and for all by splitting the protagonist's observation
+partition along the final set into those cells, which can only strengthen
+the protagonist's information.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ class OneHalfGame:
     protagonist's action a; ``cells`` are the protagonist's observation
     blocks split by final-membership (non-final part first), as masks.
     ``arena`` is the same game as an ``Arena`` with exact weights and the
-    refined partition, built by ``build_arena`` on first use.  Construct
-    from an arena through :meth:`from_arena`, which checks the antagonist's
-    alphabet.
+    refined partition when the game was built by :meth:`from_arena`, which
+    also checks the antagonist's alphabet, and None otherwise.
     """
 
     protagonist: str
@@ -64,7 +65,7 @@ class OneHalfGame:
     cells: tuple[int, ...]
     final_mask: int
     init: int
-    build_arena: Callable[[], Arena] = field(repr=False)
+    arena: Arena | None = field(default=None, repr=False)
 
     @classmethod
     def from_arena(cls, arena: Arena, protagonist: str) -> "OneHalfGame":
@@ -90,7 +91,7 @@ class OneHalfGame:
             cells=split_masks(block_masks(arena.obs_blocks(protagonist)), final_mask),
             final_mask=final_mask,
             init=arena.init,
-            build_arena=partial(refine_obs_by_final, arena, protagonist),
+            arena=refine_obs_by_final(arena, protagonist),
         )
 
     @cached_property
@@ -100,10 +101,6 @@ class OneHalfGame:
     @cached_property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    @cached_property
-    def arena(self) -> Arena:
-        return self.build_arena()
 
     def step(self, s: int, action: int) -> Distribution:
         if self.protagonist == EVE:
@@ -158,101 +155,78 @@ def build_belief_graph(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) ->
 class PositiveWinReport:
     """Result of a positive-winning analysis.
 
-    ``witness`` is present exactly when the arena's initial state is
+    ``witness`` is present exactly when the game's initial state is
     positively winning; it plays a fixed action path to a surely winning
     state, then follows the memoryless belief strategy of the sure region.
+    ``build_witness`` assembles it on first read.
     """
 
     winning_states: frozenset[int]
     sure_beliefs: frozenset[frozenset[int]]
-    witness: FiniteMemoryStrategy | None
     iterations: int
+    build_witness: Callable[[], FiniteMemoryStrategy] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def witness(self) -> FiniteMemoryStrategy | None:
+        return None if self.build_witness is None else self.build_witness()
 
 
-def _sure_safety(g: OneHalfGame, graph: BeliefGraph) -> tuple[set[int], dict[int, int], int]:
-    """Greatest fixpoint of beliefs that can avoid final states forever.
+def _first_action(graph: BeliefGraph, b: int, inside: set[int]) -> int | None:
+    """Least action whose refined successors of ``b`` all lie in ``inside``."""
+    for a, row in enumerate(graph.succ[b]):
+        if all(c in inside for c in row):
+            return a
+    return None
 
-    Returns (fixpoint, chosen action per surviving belief, deletion rounds).
+
+def _shrink(graph: BeliefGraph, alive: set[int], kept: set[int]) -> int:
+    """Delete from ``alive``, in place and sweep after sweep, the beliefs
+    outside ``kept`` that have no action staying in ``alive``.
+
+    Returns the number of sweeps that deleted something.
     """
-    alive = {b for b in graph.nodes if not b & g.final_mask}
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        for b in list(alive):
-            if not any(
-                all(c in alive for c in graph.succ[b][a]) for a in range(g.n_actions)
-            ):
-                alive.discard(b)
-                changed = True
-        if changed:
-            rounds += 1
-    choice = {}
-    for b in alive:
-        for a in range(g.n_actions):
-            if all(c in alive for c in graph.succ[b][a]):
-                choice[b] = a
-                break
-    return alive, choice, rounds
-
-
-def _sure_cobuchi(g: OneHalfGame, graph: BeliefGraph) -> tuple[set[int], dict[int, int], int]:
-    """Two-nested fixpoint for sure co-Buchi on the belief graph, with the
-    observation choice adversarial.
-
-    A belief wins surely iff the protagonist can force every consistent play
-    to visit final-touching beliefs finitely often.  The recorded action
-    strictly decreases an inner rank at every touching belief.
-    """
-
-    def cpre(target: set[int]) -> set[int]:
-        return {
-            b
-            for b in graph.nodes
-            if any(all(c in target for c in graph.succ[b][a]) for a in range(g.n_actions))
-        }
-
-    z: set[int] = set()
-    choice: dict[int, int] = {}
-    rounds = 0
+    sweeps = 0
     while True:
-        progress = cpre(z)
-        y = set(graph.nodes)
-        while True:
-            y_next = {
-                b
-                for b in y
-                if b in progress
-                or (b not in graph.touching and any(all(c in y for c in graph.succ[b][a]) for a in range(g.n_actions)))
-            }
-            if y_next == y:
-                break
-            y = y_next
+        deleted = False
+        for b in list(alive):
+            if b not in kept and _first_action(graph, b, alive) is None:
+                alive.discard(b)
+                deleted = True
+        if not deleted:
+            return sweeps
+        sweeps += 1
+
+
+Layers = list[tuple[set[int], set[int]]]
+
+
+def _sure_region(graph: BeliefGraph, through_final: bool) -> tuple[set[int], int, Layers]:
+    """Beliefs from which the protagonist can surely avoid final-touching
+    beliefs forever (safety) or visit them finitely often (co-Buchi), the
+    observation being chosen adversarially.
+
+    Returns (region, rounds, layers).  Co-Buchi is a least fixpoint over
+    rounds: from z, the next set y keeps the beliefs that progress (have an
+    action into z) and the non-touching beliefs that can stay in y; the
+    layer (z, y) records the round.  Safety is the first round: no belief
+    progresses into the empty z, as no successor row is empty.  Its rounds
+    count the sweeps that deleted a belief.
+    """
+    nontouching = {b for b in graph.nodes if b not in graph.touching}
+    if not through_final:
+        return nontouching, _shrink(graph, nontouching, set()), [(set(), nontouching)]
+    z: set[int] = set()
+    layers: Layers = []
+    while True:
+        progress = {b for b in graph.nodes if _first_action(graph, b, z) is not None}
+        y = progress | nontouching
+        _shrink(graph, y, progress)
         if y == z:
-            return z, choice, rounds
-        rounds += 1
-        for b in y - z:
-            if b in progress:
-                for a in range(g.n_actions):
-                    if all(c in z for c in graph.succ[b][a]):
-                        choice[b] = a
-                        break
-            else:
-                for a in range(g.n_actions):
-                    if all(c in y for c in graph.succ[b][a]):
-                        choice[b] = a
-                        break
+            return z, len(layers), layers
+        layers.append((z, y))
         z = y
-
-
-def _state_edges(g: OneHalfGame, s: int) -> list[tuple[int, int]]:
-    """(target, least action) pairs over the positive-probability edges."""
-    out = {}
-    for a in range(g.n_actions):
-        for t in bits(g.post[s][a]):
-            if t not in out:
-                out[t] = a
-    return sorted(out.items())
 
 
 def _winning_path(
@@ -269,7 +243,11 @@ def _winning_path(
     seen = {init}
     queue = [init]
     for s in queue:  # grows while it is walked
-        for t, a in _state_edges(g, s):
+        least_action: dict[int, int] = {}
+        for a, mask in enumerate(g.post[s]):
+            for t in bits(mask):
+                least_action.setdefault(t, a)
+        for t, a in sorted(least_action.items()):
             if t in seen:
                 continue
             if not through_final and (g.final_mask >> t) & 1:
@@ -297,10 +275,21 @@ def _belief_label(g: OneHalfGame, mask: int) -> str:
 def _assemble_witness(
     g: OneHalfGame,
     graph: BeliefGraph,
-    path_states: list[int],
-    path_actions: list[int],
-    sure_choice: dict[int, int],
+    sure_states: set[int],
+    layers: Layers,
+    through_final: bool,
 ) -> FiniteMemoryStrategy:
+    found = _winning_path(g, g.init, sure_states, through_final)
+    assert found is not None  # assembled only when the initial state wins
+    path_states, path_actions = found
+    # a belief that entered the region in round (z, y) moves into z if it
+    # can, and otherwise stays in y
+    sure_choice = {}
+    for z, y in layers:
+        for b in y - z:
+            a = _first_action(graph, b, z)
+            sure_choice[b] = _first_action(graph, b, y) if a is None else a
+
     actions = g.actions
     n_blocks = len(g.cells)
     start_belief = 1 << path_states[-1]
@@ -349,48 +338,38 @@ def _assemble_witness(
 
 def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> PositiveWinReport:
     graph = build_belief_graph(g, max_beliefs)
-    if through_final:
-        sure, choice, rounds = _sure_cobuchi(g, graph)
-    else:
-        sure, choice, rounds = _sure_safety(g, graph)
-
+    sure, rounds, layers = _sure_region(graph, through_final)
     sure_states = {s for s in range(g.n) if (1 << s) in sure}
 
     # positively winning states are those connected to a surely winning
     # state; the connecting path avoids final states for safety and is
-    # unrestricted for co-Buchi
+    # unrestricted for co-Buchi, so the search expands only such states
+    pred: list[list[int]] = [[] for _ in range(g.n)]
+    for s, row in enumerate(g.post):
+        if through_final or not (g.final_mask >> s) & 1:
+            reach = 0
+            for mask in row:
+                reach |= mask
+            for t in bits(reach):
+                pred[t].append(s)
     winning = set(sure_states)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(g.n):
-            if s in winning:
-                continue
-            if not through_final and (g.final_mask >> s) & 1:
-                continue
-            if any(t in winning for t, _a in _state_edges(g, s)):
+    queue = list(winning)
+    for t in queue:  # grows while it is walked
+        for s in pred[t]:
+            if s not in winning:
                 winning.add(s)
-                changed = True
-
-    witness = None
-    if g.init in winning:
-        found = _winning_path(g, g.init, sure_states, through_final)
-        assert found is not None
-        path_states, path_actions = found
-        witness = _assemble_witness(g, graph, path_states, path_actions, choice)
+                queue.append(s)
 
     return PositiveWinReport(
         winning_states=frozenset(winning),
         sure_beliefs=frozenset(frozenset(bits(b)) for b in sure),
-        witness=witness,
         iterations=rounds,
+        build_witness=(
+            partial(_assemble_witness, g, graph, sure_states, layers, through_final)
+            if g.init in winning
+            else None
+        ),
     )
-
-
-def sure_safety_beliefs(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> frozenset[frozenset[int]]:
-    """Beliefs from which the protagonist can surely avoid final states."""
-    sure, _choice, _rounds = _sure_safety(g, build_belief_graph(g, max_beliefs))
-    return frozenset(frozenset(bits(b)) for b in sure)
 
 
 def positive_safety(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> PositiveWinReport:
@@ -401,12 +380,6 @@ def positive_safety(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> Po
     path and then the memoryless sure strategy.
     """
     return _positive(g, through_final=False, max_beliefs=max_beliefs)
-
-
-def sure_cobuchi_beliefs(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> frozenset[frozenset[int]]:
-    """Beliefs from which the protagonist can surely visit finals finitely often."""
-    sure, _choice, _rounds = _sure_cobuchi(g, build_belief_graph(g, max_beliefs))
-    return frozenset(frozenset(bits(b)) for b in sure)
 
 
 def positive_cobuchi(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> PositiveWinReport:

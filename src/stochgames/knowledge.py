@@ -268,9 +268,7 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
                             if v is None:
                                 v = len(kstates)
                                 if v >= max_states:
-                                    raise ResourceLimit(
-                                        f"knowledge arena exceeds {max_states} states", checked=v
-                                    )
+                                    raise ResourceLimit(f"knowledge arena exceeds {max_states} states")
                                 know = knowledges.setdefault(know_mask, Knowledge(know_mask))
                                 kstates.append(KnowledgeState(real=t, know=know, dom=dom))
                                 index[(t, know_mask, dom)] = v

@@ -6,23 +6,24 @@ Fixing one turns the game, from Adam's point of view, into a game against
 chance with a safety (for reachability) or co-Buchi (for Buchi) objective;
 the candidate is almost-surely winning exactly when Adam is not positively
 winning there.  That depends on supports only, so a candidate is folded by
-OR-ing bitmask rows of the knowledge arena's support tables, and no
-weighted arena is built while deciding.  The first successful candidate in
-canonical order is lowered to a finite-memory witness on the base arena.
+OR-ing bitmask rows of the knowledge arena's support tables; Adam's game
+carries no weighted arena (the tests fold exact weights with their oracle
+``dense_fold``), and Adam's witness is assembled only when a diagnostic
+reads it.  The first successful candidate in canonical order is lowered to
+a finite-memory witness on the base arena.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
 from itertools import islice, product
 from typing import Iterator
 
-from .bitset import bits, block_masks
+from .bitset import block_masks
 from .errors import NotClosed, ResourceLimit, ValidationError
 from .halfplayer import (
     DEFAULT_BELIEF_CAP,
@@ -39,7 +40,7 @@ from .knowledge import (
     lower_strategy,
     successors,
 )
-from .model import ADAM, Arena, Distribution, FiniteMemoryStrategy, Objective, validate_strategy
+from .model import ADAM, Arena, FiniteMemoryStrategy, Objective, validate_strategy
 
 DEFAULT_CANDIDATE_CAP = 10**7
 
@@ -54,21 +55,6 @@ class CandidateStrategy:
 
     strategy: KnowledgeOnlyStrategy
     index: int | None
-
-
-@dataclass(frozen=True)
-class AdversaryGame:
-    """The game Adam faces once Eve's candidate is fixed.
-
-    States are the knowledge-arena states with Eve's uniform move folded
-    into the transitions; Adam keeps his alphabet and observes the base
-    block of the real component, refined by final-membership.
-    """
-
-    game: OneHalfGame
-    ka: KnowledgeArena
-    candidate: CandidateStrategy
-    objective: Objective
 
 
 @dataclass(frozen=True)
@@ -108,37 +94,30 @@ def enumerate_candidates(
         yield CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
 
 
-def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy, objective: Objective) -> AdversaryGame:
+def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy) -> OneHalfGame:
     """Fold the candidate's uniform move into the knowledge arena.
 
-    The result is a game in which only Adam plays; his objective is the
-    complement of Eve's, i.e. safety against reachability and co-Buchi
-    against Buchi.  Playing uniformly over a set S of actions reaches the
-    union of the supports of the pairs (e, S), e in S, so the fold ORs
-    their ``post`` rows; the weighted arena is built only when read.
+    The result is the game Adam faces against chance: the knowledge-arena
+    states with Adam's alphabet and his base observation refined by
+    final-membership.  Playing uniformly over a set S of actions reaches
+    the union of the supports of the pairs (e, S), e in S, so the fold ORs
+    their ``post`` rows.  The game carries no weighted arena; the tests'
+    oracle ``dense_fold`` mixes the exact weights.
     """
-    if objective is Objective.REACHABILITY:
-        adversary_objective = Objective.SAFETY
-    elif objective is Objective.BUCHI:
-        adversary_objective = Objective.COBUCHI
-    else:
-        raise ValidationError(f"no decision procedure for objective {objective.value!r}")
-
     choice = cand.strategy.choice
     try:
         cmask_of = {know.mask: choice[know] for know in ka.knowledges}
     except KeyError as exc:
         raise ValidationError(f"candidate undefined for knowledge {exc.args[0].label(ka.base)}") from None
-    cmasks = [cmask_of[ks.know.mask] for ks in ka.kstates]
     dom_pairs = ka.dom_pairs
     post = []
-    for rows, cmask in zip(ka.post, cmasks):
-        first, *rest = dom_pairs[cmask]
+    for rows, ks in zip(ka.post, ka.kstates):
+        first, *rest = dom_pairs[cmask_of[ks.know.mask]]
         row = rows[first]
         for p in rest:
             row = tuple(x | y for x, y in zip(row, rows[p]))
         post.append(row)
-    game = OneHalfGame(
+    return OneHalfGame(
         protagonist=ADAM,
         states=ka.state_names,
         actions=ka.base.adam_actions,
@@ -146,34 +125,6 @@ def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy, objective: Object
         cells=ka.adam_cells,
         final_mask=ka.final_mask,
         init=0,
-        build_arena=partial(_folded_arena, ka, cmasks),
-    )
-    return AdversaryGame(game=game, ka=ka, candidate=cand, objective=adversary_objective)
-
-
-def _folded_arena(ka: KnowledgeArena, cmasks: list[int]) -> Arena:
-    """Adam's game with exact weights: at knowledge state u, Eve's pairs
-    (e, cmasks[u]) are mixed uniformly; Adam's partition is refined by final."""
-    kaa = ka.arena
-    transition: dict[tuple[int, int, int], Distribution] = {}
-    for u, cmask in enumerate(cmasks):
-        pairs = ka.dom_pairs[cmask]
-        share = Fraction(1, len(pairs))
-        for a in range(len(kaa.adam_actions)):
-            weights: dict[int, Fraction] = {}
-            for p in pairs:
-                for t, q in kaa.transition[(u, p, a)].items():
-                    weights[t] = weights.get(t, 0) + share * q
-            transition[(u, 0, a)] = Distribution(weights)
-    return Arena(
-        states=kaa.states,
-        init=kaa.init,
-        eve_actions=("*",),
-        adam_actions=kaa.adam_actions,
-        transition=transition,
-        eve_obs=(tuple(range(len(kaa.states))),),
-        adam_obs=tuple(tuple(bits(cell)) for cell in ka.adam_cells),
-        final=kaa.final,
     )
 
 
@@ -182,14 +133,27 @@ def check_candidate(
     cand: CandidateStrategy,
     objective: Objective,
     max_beliefs: int = DEFAULT_BELIEF_CAP,
-) -> tuple[bool, PositiveWinReport, AdversaryGame]:
-    """Returns (candidate almost-surely wins, Adam's report, adversary game)."""
-    adv = fix_candidate(ka, cand, objective)
+) -> tuple[bool, PositiveWinReport]:
+    """Returns (candidate almost-surely wins, Adam's report).
+
+    Adam's objective is the complement of Eve's: safety against
+    reachability, co-Buchi against Buchi; the candidate wins exactly when
+    Adam does not win it with positive probability from the initial state.
+    A ResourceLimit raised by Adam's belief graph reports the candidate's
+    index as the number of candidates checked before it.
+    """
     if objective is Objective.REACHABILITY:
-        rep = positive_safety(adv.game, max_beliefs)
+        positive = positive_safety
+    elif objective is Objective.BUCHI:
+        positive = positive_cobuchi
     else:
-        rep = positive_cobuchi(adv.game, max_beliefs)
-    return adv.game.init not in rep.winning_states, rep, adv
+        raise ValidationError(f"no decision procedure for objective {objective.value!r}")
+    game = fix_candidate(ka, cand)
+    try:
+        rep = positive(game, max_beliefs)
+    except ResourceLimit as exc:
+        raise ResourceLimit(str(exc), checked=cand.index) from None
+    return game.init not in rep.winning_states, rep
 
 
 def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinReport) -> dict:
@@ -219,8 +183,10 @@ def _worker_chunk(chunk: list[CandidateStrategy]):
     ka, objective, max_beliefs, debug = _WORKER_STATE["args"]
     out = []
     for cand in chunk:
-        wins, rep, _adv = check_candidate(ka, cand, objective, max_beliefs)
+        wins, rep = check_candidate(ka, cand, objective, max_beliefs)
         out.append((wins, _diag_entry(ka, cand, rep) if debug else None))
+        if wins:  # the candidates after a winner are not needed
+            break
     return out
 
 
@@ -272,6 +238,8 @@ def _decide(
     debug: bool,
 ) -> SolveReport:
     t0 = time.perf_counter()
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     ka = build_knowledge_arena(arena, max_beliefs)
     candidates = enumerate_candidates(ka, max_candidates)
     if threads > 1:
@@ -281,7 +249,7 @@ def _decide(
     checked = 0
     for cand in candidates:
         checked += 1
-        wins, rep, _adv = check_candidate(ka, cand, objective, max_beliefs)
+        wins, rep = check_candidate(ka, cand, objective, max_beliefs)
         if diagnostics is not None:
             diagnostics.append(_diag_entry(ka, cand, rep))
         if wins:
@@ -290,7 +258,9 @@ def _decide(
 
 
 def _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, debug, t0):
-    chunk_size = max(1, min(64, candidate_count(ka) // (threads * 4) or 1))
+    # a forking pool starts all its workers at the first submit
+    workers = min(threads, os.cpu_count() or 1)
+    chunk_size = max(1, min(64, candidate_count(ka) // (workers * 4) or 1))
     capped: list[ResourceLimit] = []
 
     def chunks():
@@ -313,19 +283,19 @@ def _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, deb
     checked = 0
     chunk_iter = chunks()
     with ProcessPoolExecutor(
-        max_workers=threads, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
+        max_workers=workers, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
     ) as pool:
         # keep a bounded window of in-flight chunks; results are consumed in
         # submission order so the least winning index is seen first
         pending = deque(
-            (chunk, pool.submit(_worker_chunk, chunk)) for chunk in islice(chunk_iter, threads * 2)
+            (chunk, pool.submit(_worker_chunk, chunk)) for chunk in islice(chunk_iter, workers * 2)
         )
         while pending:
             chunk, future = pending.popleft()
             for cand, (wins, diag) in zip(chunk, future.result()):
                 if diagnostics is not None:
                     diagnostics.append(diag)
-                if wins and winner is None:
+                if wins:  # a worker stops at its first winner
                     winner = cand
             checked += len(chunk)
             if winner is not None:
@@ -334,9 +304,7 @@ def _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, deb
                 pending.append((chunk, pool.submit(_worker_chunk, chunk)))
     if winner is not None:
         # the winner's report is recomputed here: workers return verdicts only
-        _wins, rep, _adv = check_candidate(ka, winner, objective, max_beliefs)
-        if diagnostics is not None:
-            diagnostics = [d for d in diagnostics if d["index"] <= winner.index]
+        _wins, rep = check_candidate(ka, winner, objective, max_beliefs)
         return _report(arena, ka, objective, winner, rep, winner.index + 1, t0, diagnostics)
     if capped:
         raise capped[0]

@@ -27,11 +27,12 @@ from stochgames import (
 from stochgames.cli import main
 from stochgames.evaluation import _Compiled, simulate_play
 from stochgames.gen import generate_arena, random_params
+from stochgames.halfplayer import OneHalfGame
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy
 from stochgames.solver import candidate_count, check_candidate
 
 from instances import coin_chain, cycle_arena, g1, g1_doc, g1_prime, g2
-from oracles import attractor_verdict, random_turn_based
+from oracles import attractor_verdict, dense_fold, random_turn_based
 from util import random_strategy
 
 CORPUS_MASTER_SEED = 2000
@@ -109,12 +110,13 @@ def test_criterion_3_internal_completeness_of_no(corpus_results):
             continue
         ka = build_knowledge_arena(arena)
         for cand in enumerate_candidates(ka, 100_000):
-            wins, adam_report, adv = check_candidate(ka, cand, objective)
+            wins, adam_report = check_candidate(ka, cand, objective)
             if wins or adam_report.witness is None:
                 failures.append((i, objective.value, cand.index, "missing witness"))
                 continue
-            trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adv.game.arena.eve_obs))
-            chain = build_chain(adv.game.arena, trivial, adam_report.witness)
+            adam_game = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM).arena
+            trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
+            chain = build_chain(adam_game, trivial, adam_report.witness)
             value = objective_probability(chain, objective)
             checked += 1
             if value >= 1:
@@ -211,9 +213,10 @@ def test_criterion_8_named_instances():
     assert rep2.verdict == "no"
     ka = build_knowledge_arena(arena2)
     for cand in enumerate_candidates(ka):
-        _wins, adam_report, adv = check_candidate(ka, cand, Objective.REACHABILITY)
-        trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adv.game.arena.eve_obs))
-        chain = build_chain(adv.game.arena, trivial, adam_report.witness)
+        _wins, adam_report = check_candidate(ka, cand, Objective.REACHABILITY)
+        adam_game = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM).arena
+        trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
+        chain = build_chain(adam_game, trivial, adam_report.witness)
         assert objective_probability(chain, Objective.REACHABILITY) < 1
     assert decide_almost_sure_buchi(arena2).verdict == "no"
 

@@ -122,6 +122,48 @@ def test_cli_solve_cap_exit_3(tmp_path, capsys):
     assert [r["outcome"] for r in records] == [f"resource-limit: {partial['error']}"]
 
 
+def _solve_partial(game, objective, max_beliefs, threads, out):
+    code = main([
+        "solve", "--game", str(game), "--objective", objective,
+        "--max-beliefs", str(max_beliefs), "--threads", str(threads), "--out", str(out),
+    ])
+    assert code == 3
+    return json.loads(out.read_text())
+
+
+def test_cli_solve_knowledge_cap_checks_no_candidate(tmp_path):
+    game = tmp_path / "g.json"
+    assert main([
+        "gen", "--states", "6", "--eve-blocks", "2", "--adam-blocks", "2",
+        "--density", "0.6", "--seed", "4", "--out", str(game),
+    ]) == 0
+    for threads in (1, 2):
+        partial = _solve_partial(game, "reach", 5, threads, tmp_path / f"partial{threads}.json")
+        assert partial["error"] == "knowledge arena exceeds 5 states"
+        assert partial["candidates_checked"] == 0
+
+
+def test_cli_solve_belief_cap_counts_finished_candidates(tmp_path):
+    game = tmp_path / "g.json"
+    game.write_text(serialize_game(generate_arena(random_params(4, max_states=5, max_blocks=3))))
+    for threads in (1, 2):
+        partial = _solve_partial(game, "reach", 12, threads, tmp_path / f"partial{threads}.json")
+        assert partial["error"] == "belief graph exceeds 12 nodes"
+        # candidates 0 and 1 lose; the third one's belief graph overflows
+        assert partial["candidates_checked"] == 2
+
+
+def test_cli_solve_bad_threads_exit_2(tmp_path, capsys):
+    game = tmp_path / "g1.json"
+    game.write_text(g1_doc())
+    assert main(["solve", "--game", str(game), "--objective", "reach", "--threads", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [r["outcome"] for r in _run_records(captured.err)] == [
+        "invalid-input: threads must be at least 1, got -3"
+    ]
+
+
 def _eval_g1_args(tmp_path):
     game = tmp_path / "g1.json"
     game.write_text(g1_doc())

@@ -7,8 +7,6 @@ from stochgames import (
     objective_probability,
     positive_cobuchi,
     positive_safety,
-    sure_cobuchi_beliefs,
-    sure_safety_beliefs,
 )
 from stochgames.halfplayer import OneHalfGame, build_belief_graph, refine_obs_by_final
 from stochgames.model import ADAM, EVE, Arena, FiniteMemoryStrategy, parse_game, validate_strategy
@@ -47,7 +45,7 @@ def test_sure_safety_absorbing_singleton():
         ["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]],
         lambda s, e, a: {s: 1},
     )
-    assert frozenset({0}) in sure_safety_beliefs(g)
+    assert frozenset({0}) in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_forced_hit_not_sure():
@@ -55,13 +53,13 @@ def test_sure_safety_forced_hit_not_sure():
         ["s", "f"], "s", ["f"], ["a", "b"], [["s"], ["f"]],
         lambda s, e, a: {"f": "1/2", "s": "1/2"} if s == "s" else {s: 1},
     )
-    assert frozenset({0}) not in sure_safety_beliefs(g)
+    assert frozenset({0}) not in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_g2_adam_protagonist():
     # G2 with Adam as protagonist: from s0, action y surely avoids f
     g = OneHalfGame.from_arena(g2(), ADAM)
-    assert frozenset({0}) in sure_safety_beliefs(g)
+    assert frozenset({0}) in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_downward_absorbing():
@@ -69,7 +67,7 @@ def test_sure_safety_downward_absorbing():
         arena = generate_arena(random_params(seed, max_actions=1))
         g = OneHalfGame.from_arena(arena, ADAM)
         graph = build_belief_graph(g)
-        sure = {sum(1 << s for s in b) for b in sure_safety_beliefs(g)}
+        sure = {sum(1 << s for s in b) for b in positive_safety(g).sure_beliefs}
         for b in sure:
             assert any(
                 all(c in sure for c in graph.succ[b][a]) for a in range(len(g.actions))
@@ -199,7 +197,7 @@ def test_belief_graph_deterministic_per_observation():
 
 def test_sure_cobuchi_loop_forever():
     g = eve_half(["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]], lambda s, e, a: {s: 1})
-    assert frozenset({0}) in sure_cobuchi_beliefs(g)
+    assert frozenset({0}) in positive_cobuchi(g).sure_beliefs
 
 
 def test_sure_cobuchi_forced_cycle_not_sure():
@@ -208,14 +206,14 @@ def test_sure_cobuchi_forced_cycle_not_sure():
         ["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]],
         lambda s, e, a: {"f": 1} if s == "s" else {"s": 1},
     )
-    assert frozenset({0}) not in sure_cobuchi_beliefs(g)
+    assert frozenset({0}) not in positive_cobuchi(g).sure_beliefs
     rep = positive_cobuchi(g)
     assert rep.winning_states == frozenset()
 
 
 def test_sure_cobuchi_g4_escape():
     g = OneHalfGame.from_arena(g4(), EVE)
-    sure = sure_cobuchi_beliefs(g)
+    sure = positive_cobuchi(g).sure_beliefs
     assert frozenset({0}) in sure  # u escapes after one final visit
     assert frozenset({1}) in sure
 

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import pickle
 from fractions import Fraction
 from itertools import islice
@@ -5,6 +7,7 @@ from itertools import islice
 import pytest
 
 from stochgames import (
+    ValidationError,
     Knowledge,
     NotClosed,
     Objective,
@@ -21,12 +24,14 @@ from stochgames import (
     positive_cobuchi,
     positive_safety,
     random_safe_strategy,
+    serialize_strategy,
     validate_strategy,
 )
+from stochgames import halfplayer, solver
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.gen import generate_arena, random_params
 from stochgames.halfplayer import OneHalfGame
-from stochgames.model import ADAM, parse_game
+from stochgames.model import ADAM, FiniteMemoryStrategy, parse_game
 from stochgames.solver import CandidateStrategy, candidate_count, check_candidate
 from stochgames.knowledge import KnowledgeOnlyStrategy
 from instances import cycle_arena, g1, g1_prime, g2, hidden_coin, make_doc
@@ -73,12 +78,15 @@ def test_fix_candidate_uniform_mixes():
     uniform = CandidateStrategy(
         strategy=KnowledgeOnlyStrategy({k: 0b11 for k in ka.knowledges}), index=None
     )
-    adv = fix_candidate(ka, uniform, Objective.REACHABILITY)
-    init = adv.game.arena.init
+    game = fix_candidate(ka, uniform)
+    dense = dense_fold(ka, uniform)
+    init = dense.init
+    assert game.init == init
     for a in range(2):
-        dist = adv.game.step(init, a)
+        dist = dense.transition[(init, 0, a)]
         reals = {ka.kstates[t].real: p for t, p in dist.items()}
         assert reals == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert game.post[init][a] == mask_of(dist.support)
 
 
 def test_fix_candidate_singleton_equals_slice():
@@ -87,13 +95,15 @@ def test_fix_candidate_singleton_equals_slice():
     point = CandidateStrategy(
         strategy=KnowledgeOnlyStrategy({k: 0b01 for k in ka.knowledges}), index=None
     )
-    adv = fix_candidate(ka, point, Objective.REACHABILITY)
+    game = fix_candidate(ka, point)
+    dense = dense_fold(ka, point)
     pair = ka.eve_pairs.index((0, 0b01))
     for u in range(len(ka.kstates)):
         if ka.kstates[u].dom not in (0, 0b01):
             continue
         for a in range(2):
-            assert adv.game.step(u, a) == ka.arena.transition[(u, pair, a)]
+            assert dense.transition[(u, 0, a)] == ka.arena.transition[(u, pair, a)]
+            assert game.post[u][a] == ka.post[u][pair][a]
 
 
 def test_fix_candidate_keeps_final_absorbing():
@@ -102,10 +112,13 @@ def test_fix_candidate_keeps_final_absorbing():
     uniform = CandidateStrategy(
         strategy=KnowledgeOnlyStrategy({k: 0b11 for k in ka.knowledges}), index=None
     )
-    adv = fix_candidate(ka, uniform, Objective.REACHABILITY)
-    for u in adv.game.arena.final:
+    game = fix_candidate(ka, uniform)
+    dense = dense_fold(ka, uniform)
+    assert game.final_mask == mask_of(dense.final) != 0
+    for u in dense.final:
         for a in range(2):
-            assert all(t in adv.game.arena.final for t in adv.game.step(u, a).support)
+            assert game.post[u][a] & ~game.final_mask == 0
+            assert all(t in dense.final for t in dense.transition[(u, 0, a)].support)
 
 
 def test_g1_reach_yes_with_uniform_witness():
@@ -202,12 +215,11 @@ def test_no_verdict_candidates_all_defeated_by_witness():
     arena = g2()
     ka = build_knowledge_arena(arena)
     for cand in enumerate_candidates(ka):
-        wins, rep, adv = check_candidate(ka, cand, Objective.REACHABILITY)
+        wins, rep = check_candidate(ka, cand, Objective.REACHABILITY)
         assert not wins and rep.witness is not None
-        from stochgames.model import FiniteMemoryStrategy
-
-        trivial = FiniteMemoryStrategy.constant("eve", "*", len(adv.game.arena.eve_obs))
-        chain = build_chain(adv.game.arena, trivial, rep.witness)
+        adam_game = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM).arena
+        trivial = FiniteMemoryStrategy.constant("eve", "*", len(adam_game.eve_obs))
+        chain = build_chain(adam_game, trivial, rep.witness)
         assert objective_probability(chain, Objective.REACHABILITY) < 1
 
 
@@ -279,9 +291,10 @@ def test_support_fold_matches_dense_fold():
 
         for objective, positive in objectives:
             for cand in cands:
-                wins, rep, adv = checked[(objective, cand.index)]
+                wins, rep = checked[(objective, cand.index)]
+                game = fix_candidate(ka, cand)
                 dense = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM)
-                assert (adv.game.post, adv.game.cells, adv.game.final_mask) == (
+                assert (game.post, game.cells, game.final_mask) == (
                     dense.post,
                     dense.cells,
                     dense.final_mask,
@@ -291,3 +304,71 @@ def test_support_fold_matches_dense_fold():
                 assert wins == (dense.init not in want.winning_states)
                 compared += 1
     assert compared > 1500
+
+
+# Adam's reports as computed by a separate fixpoint loop per objective with
+# an eagerly built witness; a rewrite of his side must not move any of them
+ADAM_REPORTS_DIGEST = "5c15a910178722fb15bbc95fb0f285f68d86a77a08036bbcdc86f258a66eac1a"
+
+
+def test_adam_reports_pinned():
+    digest = hashlib.sha256()
+    compared = 0
+    for seed in range(60):
+        ka = build_knowledge_arena(generate_arena(random_params(8000 + seed, max_states=5, max_blocks=3)))
+        for cand in islice(enumerate_candidates(ka), 20):
+            for objective in (Objective.REACHABILITY, Objective.BUCHI):
+                wins, rep = check_candidate(ka, cand, objective)
+                witness = None if rep.witness is None else serialize_strategy(rep.witness)
+                key = (
+                    wins,
+                    sorted(rep.winning_states),
+                    sorted(sorted(b) for b in rep.sure_beliefs),
+                    rep.iterations,
+                    witness,
+                )
+                digest.update(repr(key).encode())
+                compared += 1
+    assert compared == 672
+    assert digest.hexdigest() == ADAM_REPORTS_DIGEST
+
+
+def test_adam_witness_assembled_only_when_read(monkeypatch):
+    calls = []
+    assemble = halfplayer._assemble_witness
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(halfplayer, "_assemble_witness", counting)
+    for arena in (g1(), g1_prime(), g2(), hidden_coin()):
+        decide_almost_sure_reach(arena)
+        decide_almost_sure_buchi(arena)
+    assert calls == []
+    rep = decide_almost_sure_reach(g1(), debug=True)
+    losing = [d for d in rep.diagnostics if d["adam_positively_wins"]]
+    assert len(calls) == len(losing) == rep.candidates_checked - 1
+    assert all(d["adam_witness_memory"] for d in losing)
+
+
+def test_threads_below_one_rejected():
+    for threads in (0, -3):
+        with pytest.raises(ValidationError):
+            decide_almost_sure_reach(g1(), threads=threads)
+
+
+def test_pool_bounded_by_cpu_count(monkeypatch):
+    sizes = []
+
+    class NoPool:
+        def __init__(self, max_workers, **_kwargs):
+            sizes.append(max_workers)
+            raise RuntimeError("no worker processes in this test")
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", NoPool)
+    for cpus, threads in ((3, 5000), (3, 2), (None, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with pytest.raises(RuntimeError):
+            decide_almost_sure_reach(g1(), threads=threads)
+    assert sizes == [3, 2, 1]
