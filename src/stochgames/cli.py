@@ -1,8 +1,10 @@
 """Command-line front end: solve, eval, simulate, knowledge, gen.
 
 Every run writes its primary output to --out (atomically) or stdout and
-emits exactly one JSON run record on stderr echoing the full configuration.
-Exit codes: 0 solved/ok, 2 invalid input, 3 resource limit.
+emits exactly one JSON run record on stderr echoing the options it read;
+a usage error is invalid input and has its record too.  Each command takes
+only the options it reads.  Exit codes: 0 solved/ok, 2 invalid input, 3
+resource limit.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .solver import SolveReport, decide_almost_sure_buchi, decide_almost_sure_re
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+COMMANDS = ("solve", "eval", "simulate", "knowledge", "gen")
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -102,7 +105,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             arena,
             max_candidates=args.max_candidates,
             max_beliefs=args.max_beliefs,
-            threads=args.threads,
             debug=args.debug_candidates,
         )
     except ResourceLimit as exc:
@@ -202,27 +204,40 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--max-candidates", type=int, default=10**7, help="cap on enumerated candidates")
-    shared.add_argument("--max-beliefs", type=int, default=10**6, help="cap on materialized knowledge/belief states")
-    shared.add_argument("--threads", type=int, default=1, help="parallel candidate checks (deterministic result)")
-    shared.add_argument("--out", default=None, help="write primary output to this file (atomic)")
-    shared.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into invalid input, with its run record."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise GameError(message)
+
+
+def _option(*names, **kwargs) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    max_candidates = _option("--max-candidates", type=int, default=10**7, help="cap on enumerated candidates")
+    max_beliefs = _option("--max-beliefs", type=int, default=10**6, help="cap on materialized knowledge/belief states")
+    out = _option("--out", default=None, help="write primary output to this file (atomic)")
+    seed = _option("--seed", type=int, default=0, help="seed for randomized commands")
+
+    parser = _Parser(
         prog="stochgames",
         description="Almost-sure winning in concurrent stochastic games with imperfect information",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[shared], help="decide almost-sure winning and synthesize a witness")
+    p_solve = sub.add_parser(
+        "solve", parents=[max_candidates, max_beliefs, out], help="decide almost-sure winning and synthesize a witness"
+    )
     p_solve.add_argument("--game", required=True)
     p_solve.add_argument("--objective", choices=["reach", "buchi"], required=True)
     p_solve.add_argument("--debug-candidates", action="store_true", help="include per-candidate diagnostics")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_eval = sub.add_parser("eval", parents=[shared], help="exact objective probability of a strategy pair")
+    p_eval = sub.add_parser("eval", parents=[out], help="exact objective probability of a strategy pair")
     p_eval.add_argument("--game", required=True)
     p_eval.add_argument("--eve", required=True)
     p_eval.add_argument("--adam", required=True)
@@ -230,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--max-nodes", type=int, default=10**6, help="cap on product-chain nodes")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sim = sub.add_parser("simulate", parents=[shared], help="Monte Carlo estimate for a strategy pair")
+    p_sim = sub.add_parser("simulate", parents=[seed, out], help="Monte Carlo estimate for a strategy pair")
     p_sim.add_argument("--game", required=True)
     p_sim.add_argument("--eve", required=True)
     p_sim.add_argument("--adam", required=True)
@@ -239,12 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=int, default=1000)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_know = sub.add_parser("knowledge", parents=[shared], help="build the knowledge arena")
+    p_know = sub.add_parser("knowledge", parents=[max_beliefs, out], help="build the knowledge arena")
     p_know.add_argument("--game", required=True)
     p_know.add_argument("--dump", action="store_true", help="emit the knowledge arena as a game file")
     p_know.set_defaults(func=cmd_knowledge)
 
-    p_gen = sub.add_parser("gen", parents=[shared], help="generate a random game file")
+    p_gen = sub.add_parser("gen", parents=[seed, out], help="generate a random game file")
     p_gen.add_argument("--states", type=int, required=True)
     p_gen.add_argument("--eve-actions", type=int, default=2)
     p_gen.add_argument("--adam-actions", type=int, default=2)
@@ -258,10 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     t0 = time.perf_counter()
+    # a usage error leaves no parsed arguments to echo
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    config: dict = {}
     try:
+        args = _build_parser().parse_args(argv)
+        command, config = args.command, _config_echo(args)
         return args.func(args)
     except ResourceLimit as exc:
         kind, message, code = "resource-limit", str(exc), EXIT_RESOURCE
@@ -269,7 +288,7 @@ def main(argv=None) -> int:
         kind, message, code = "invalid-input", str(exc), EXIT_INVALID
     # a command that writes its own run record returns instead of raising
     print(f"error: {message}", file=sys.stderr)
-    _run_record(args.command, _config_echo(args), f"{kind}: {message}", t0)
+    _run_record(command, config, f"{kind}: {message}", t0)
     return code
 
 

@@ -98,8 +98,11 @@ def build_chain(
     mixture of the transition function under both moves.
 
     Raises ResourceLimit once the chain would exceed ``max_nodes`` nodes;
-    without a cap the chain is at most states x memory x memory.
+    without a cap the chain is at most states x memory x memory.  A cap
+    below 0 is invalid input.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValidationError(f"product chain cap must be at least 0, got {max_nodes}")
     ce = _Compiled(arena, eve, EVE)
     ca = _Compiled(arena, adam, ADAM)
     start = (arena.init, ce.init, ca.init)

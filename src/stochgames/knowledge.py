@@ -232,8 +232,11 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     support can never carry probability under a well-formed distribution, so
     dropping them keeps the transition function total without changing any
     strategy or any probability.  Knowledge states are numbered in order of
-    discovery, targets in the order of the base distributions.
+    discovery, targets in the order of the base distributions.  A cap below
+    0 is invalid input.
     """
+    if max_states < 0:
+        raise ValidationError(f"knowledge arena cap must be at least 0, got {max_states}")
     n_eve = len(arena.eve_actions)
     eve_block_masks = block_masks(arena.eve_obs)
     block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]

@@ -1,7 +1,9 @@
 """Decision procedures for almost-sure reachability and Buchi winning.
 
-The solver enumerates Eve's knowledge-only uniform strategies in canonical
-order; one enumeration feeds both the sequential and the pooled check.
+The solver checks Eve's knowledge-only uniform strategies in canonical
+order: one after another in the calling process, or, with ``threads`` above
+1, in chunks spread over a pool of worker processes running the same check
+loop.
 Fixing one turns the game, from Adam's point of view, into a game against
 chance with a safety (for reachability) or co-Buchi (for Buchi) objective;
 the candidate is almost-surely winning exactly when Adam is not positively
@@ -172,6 +174,16 @@ def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinRep
     }
 
 
+def _checks(ka, candidates, objective, max_beliefs, debug):
+    """(candidate, wins, Adam's report, diagnostic or None) of each of
+    ``candidates`` in order, up to and including the first winner."""
+    for cand in candidates:
+        wins, rep = check_candidate(ka, cand, objective, max_beliefs)
+        yield cand, wins, rep, _diag_entry(ka, cand, rep) if debug else None
+        if wins:
+            return
+
+
 _WORKER_STATE: dict = {}
 
 
@@ -181,52 +193,51 @@ def _worker_init(ka, objective, max_beliefs, debug):
 
 def _worker_chunk(chunk: list[CandidateStrategy]):
     ka, objective, max_beliefs, debug = _WORKER_STATE["args"]
-    out = []
-    for cand in chunk:
-        wins, rep = check_candidate(ka, cand, objective, max_beliefs)
-        out.append((wins, _diag_entry(ka, cand, rep) if debug else None))
-        if wins:  # the candidates after a winner are not needed
-            break
-    return out
+    return [(wins, diag) for _cand, wins, _rep, diag in _checks(ka, chunk, objective, max_beliefs, debug)]
 
 
-def _report(
-    arena: Arena,
-    ka: KnowledgeArena,
-    objective: Objective,
-    winner: CandidateStrategy | None,
-    winner_rep: PositiveWinReport | None,
-    checked: int,
-    t0: float,
-    diagnostics: list[dict] | None,
-) -> SolveReport:
-    witness = None
-    winning_knowledges: tuple[tuple[str, ...], ...] = ()
-    if winner is not None:
-        witness = lower_strategy(arena, winner.strategy)
-        validate_strategy(arena, "eve", witness)
-        assert winner_rep is not None
-        losing_for_adam = [
-            know
-            for know in ka.knowledges
-            if all(
-                u not in winner_rep.winning_states
-                for u, ks in enumerate(ka.kstates)
-                if ks.know == know
-            )
-        ]
-        winning_knowledges = tuple(
-            tuple(arena.states[s] for s in know.states) for know in losing_for_adam
+def _pooled_checks(ka, candidates, objective, max_beliefs, debug, threads):
+    """The checks of ``_checks``, run in chunks of consecutive candidates by
+    a pool of worker processes; the report is None, since workers return
+    verdicts and diagnostics only.  The enumeration's cap is raised only
+    after every candidate before it lost."""
+    # a forking pool starts all its workers at the first submit
+    workers = min(threads, os.cpu_count() or 1)
+    chunk_size = max(1, min(64, candidate_count(ka) // (workers * 4) or 1))
+    capped: list[ResourceLimit] = []
+
+    def chunks():
+        chunk = []
+        try:
+            for cand in candidates:
+                chunk.append(cand)
+                if len(chunk) == chunk_size:
+                    yield chunk
+                    chunk = []
+        except ResourceLimit as exc:
+            capped.append(exc)
+        if chunk:
+            yield chunk
+
+    chunk_iter = chunks()
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
+    ) as pool:
+        # keep a bounded window of in-flight chunks; results are consumed in
+        # submission order so the least winning index is seen first
+        pending = deque(
+            (chunk, pool.submit(_worker_chunk, chunk)) for chunk in islice(chunk_iter, workers * 2)
         )
-    return SolveReport(
-        verdict="yes" if winner is not None else "no",
-        objective=objective,
-        witness=witness,
-        witness_winning_knowledges=winning_knowledges,
-        candidates_checked=checked,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        diagnostics=tuple(diagnostics) if diagnostics is not None else None,
-    )
+        while pending:
+            chunk, future = pending.popleft()
+            for cand, (wins, diag) in zip(chunk, future.result()):
+                yield cand, wins, None, diag
+                if wins:
+                    return
+            for chunk in islice(chunk_iter, 1):
+                pending.append((chunk, pool.submit(_worker_chunk, chunk)))
+    if capped:
+        raise capped[0]
 
 
 def _decide(
@@ -240,75 +251,45 @@ def _decide(
     t0 = time.perf_counter()
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
+    if max_candidates < 0:
+        raise ValidationError(f"candidate cap must be at least 0, got {max_candidates}")
     ka = build_knowledge_arena(arena, max_beliefs)
     candidates = enumerate_candidates(ka, max_candidates)
     if threads > 1:
-        return _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, debug, t0)
-
+        checks = _pooled_checks(ka, candidates, objective, max_beliefs, debug, threads)
+    else:
+        checks = _checks(ka, candidates, objective, max_beliefs, debug)
     diagnostics: list[dict] | None = [] if debug else None
     checked = 0
-    for cand in candidates:
+    winner = rep = None
+    for cand, wins, cand_rep, diag in checks:
         checked += 1
-        wins, rep = check_candidate(ka, cand, objective, max_beliefs)
         if diagnostics is not None:
-            diagnostics.append(_diag_entry(ka, cand, rep))
+            diagnostics.append(diag)
         if wins:
-            return _report(arena, ka, objective, cand, rep, checked, t0, diagnostics)
-    return _report(arena, ka, objective, None, None, checked, t0, diagnostics)
-
-
-def _decide_parallel(arena, ka, objective, candidates, max_beliefs, threads, debug, t0):
-    # a forking pool starts all its workers at the first submit
-    workers = min(threads, os.cpu_count() or 1)
-    chunk_size = max(1, min(64, candidate_count(ka) // (workers * 4) or 1))
-    capped: list[ResourceLimit] = []
-
-    def chunks():
-        # the enumeration raises at the cap; the candidates before it are
-        # still checked, and the limit is reported only if none of them wins
-        chunk = []
-        try:
-            for cand in candidates:
-                chunk.append(cand)
-                if len(chunk) == chunk_size:
-                    yield chunk
-                    chunk = []
-        except ResourceLimit as exc:
-            capped.append(exc)
-        if chunk:
-            yield chunk
-
-    diagnostics = [] if debug else None
-    winner = None
-    checked = 0
-    chunk_iter = chunks()
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
-    ) as pool:
-        # keep a bounded window of in-flight chunks; results are consumed in
-        # submission order so the least winning index is seen first
-        pending = deque(
-            (chunk, pool.submit(_worker_chunk, chunk)) for chunk in islice(chunk_iter, workers * 2)
-        )
-        while pending:
-            chunk, future = pending.popleft()
-            for cand, (wins, diag) in zip(chunk, future.result()):
-                if diagnostics is not None:
-                    diagnostics.append(diag)
-                if wins:  # a worker stops at its first winner
-                    winner = cand
-            checked += len(chunk)
-            if winner is not None:
-                break
-            for chunk in islice(chunk_iter, 1):
-                pending.append((chunk, pool.submit(_worker_chunk, chunk)))
+            winner, rep = cand, cand_rep
+    witness = None
+    winning_knowledges: tuple[tuple[str, ...], ...] = ()
     if winner is not None:
-        # the winner's report is recomputed here: workers return verdicts only
-        _wins, rep = check_candidate(ka, winner, objective, max_beliefs)
-        return _report(arena, ka, objective, winner, rep, winner.index + 1, t0, diagnostics)
-    if capped:
-        raise capped[0]
-    return _report(arena, ka, objective, None, None, checked, t0, diagnostics)
+        if rep is None:  # a pooled check returns the verdict only
+            _wins, rep = check_candidate(ka, winner, objective, max_beliefs)
+        witness = lower_strategy(arena, winner.strategy)
+        validate_strategy(arena, "eve", witness)
+        # the witness wins from every knowledge none of whose states Adam
+        # wins positively
+        lost = {ka.kstates[u].know for u in rep.winning_states}
+        winning_knowledges = tuple(
+            tuple(arena.states[s] for s in know.states) for know in ka.knowledges if know not in lost
+        )
+    return SolveReport(
+        verdict="yes" if witness is not None else "no",
+        objective=objective,
+        witness=witness,
+        witness_winning_knowledges=winning_knowledges,
+        candidates_checked=checked,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        diagnostics=tuple(diagnostics) if diagnostics is not None else None,
+    )
 
 
 def decide_almost_sure_reach(
@@ -321,7 +302,9 @@ def decide_almost_sure_reach(
     """Does Eve have an almost-surely winning strategy for reachability?
 
     On "yes" the report carries the lowered finite-memory witness of the
-    canonically least successful candidate.
+    canonically least successful candidate.  ``threads`` above 1 checks
+    the candidates in a pool of at most one worker process per CPU, with
+    the same report; below 1 it is invalid input, as is a cap below 0.
     """
     return _decide(arena, Objective.REACHABILITY, max_candidates, max_beliefs, threads, debug)
 
@@ -333,7 +316,10 @@ def decide_almost_sure_buchi(
     threads: int = 1,
     debug: bool = False,
 ) -> SolveReport:
-    """Does Eve have an almost-surely winning strategy for Buchi?"""
+    """Does Eve have an almost-surely winning strategy for Buchi?
+
+    Same contract as ``decide_almost_sure_reach``, ``threads`` included.
+    """
     return _decide(arena, Objective.BUCHI, max_candidates, max_beliefs, threads, debug)
 
 

@@ -109,23 +109,24 @@ def test_cli_solve_cap_exit_3(tmp_path, capsys):
     game = tmp_path / "g1.json"
     game.write_text(g1_doc())
     out = tmp_path / "partial.json"
-    code = main([
-        "solve", "--game", str(game), "--objective", "reach",
-        "--max-candidates", "1", "--out", str(out),
-    ])
-    assert code == 3
-    partial = json.loads(out.read_text())
-    assert partial["verdict"] is None
-    assert partial["candidates_checked"] == 1
-    assert "error" in partial
-    records = _run_records(capsys.readouterr().err)
-    assert [r["outcome"] for r in records] == [f"resource-limit: {partial['error']}"]
+    for cap in (0, 1):
+        code = main([
+            "solve", "--game", str(game), "--objective", "reach",
+            "--max-candidates", str(cap), "--out", str(out),
+        ])
+        assert code == 3
+        partial = json.loads(out.read_text())
+        assert partial["verdict"] is None
+        assert partial["candidates_checked"] == cap
+        assert "error" in partial
+        records = _run_records(capsys.readouterr().err)
+        assert [r["outcome"] for r in records] == [f"resource-limit: {partial['error']}"]
 
 
-def _solve_partial(game, objective, max_beliefs, threads, out):
+def _solve_partial(game, objective, max_beliefs, out):
     code = main([
         "solve", "--game", str(game), "--objective", objective,
-        "--max-beliefs", str(max_beliefs), "--threads", str(threads), "--out", str(out),
+        "--max-beliefs", str(max_beliefs), "--out", str(out),
     ])
     assert code == 3
     return json.loads(out.read_text())
@@ -137,31 +138,72 @@ def test_cli_solve_knowledge_cap_checks_no_candidate(tmp_path):
         "gen", "--states", "6", "--eve-blocks", "2", "--adam-blocks", "2",
         "--density", "0.6", "--seed", "4", "--out", str(game),
     ]) == 0
-    for threads in (1, 2):
-        partial = _solve_partial(game, "reach", 5, threads, tmp_path / f"partial{threads}.json")
-        assert partial["error"] == "knowledge arena exceeds 5 states"
-        assert partial["candidates_checked"] == 0
+    partial = _solve_partial(game, "reach", 5, tmp_path / "partial.json")
+    assert partial["error"] == "knowledge arena exceeds 5 states"
+    assert partial["candidates_checked"] == 0
 
 
 def test_cli_solve_belief_cap_counts_finished_candidates(tmp_path):
     game = tmp_path / "g.json"
     game.write_text(serialize_game(generate_arena(random_params(4, max_states=5, max_blocks=3))))
-    for threads in (1, 2):
-        partial = _solve_partial(game, "reach", 12, threads, tmp_path / f"partial{threads}.json")
-        assert partial["error"] == "belief graph exceeds 12 nodes"
-        # candidates 0 and 1 lose; the third one's belief graph overflows
-        assert partial["candidates_checked"] == 2
+    partial = _solve_partial(game, "reach", 12, tmp_path / "partial.json")
+    assert partial["error"] == "belief graph exceeds 12 nodes"
+    # candidates 0 and 1 lose; the third one's belief graph overflows
+    assert partial["candidates_checked"] == 2
+
+
+def _invalid_input(args, capsys):
+    """Runs the CLI on bad input; returns the message of its one run record."""
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    records = _run_records(captured.err)
+    assert len(records) == 1
+    assert records[0]["command"] == args[0]
+    kind, _, message = records[0]["outcome"].partition(": ")
+    assert kind == "invalid-input"
+    assert f"error: {message}" in captured.err.splitlines()
+    return message
+
+
+def test_cli_usage_error_exit_2(tmp_path, capsys):
+    game = tmp_path / "g1.json"
+    game.write_text(g1_doc())
+    solve = ["solve", "--game", str(game), "--objective", "reach"]
+    assert _invalid_input(solve + ["--bogus", "1"], capsys) == "unrecognized arguments: --bogus 1"
+    assert _invalid_input(solve + ["--max-candidates", "x"], capsys) == (
+        "argument --max-candidates: invalid int value: 'x'"
+    )
 
 
 def test_cli_solve_bad_threads_exit_2(tmp_path, capsys):
+    # candidates are checked in one process; no command takes --threads
     game = tmp_path / "g1.json"
     game.write_text(g1_doc())
-    assert main(["solve", "--game", str(game), "--objective", "reach", "--threads", "-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert [r["outcome"] for r in _run_records(captured.err)] == [
-        "invalid-input: threads must be at least 1, got -3"
+    for args in (["solve", "--game", str(game), "--objective", "reach"], ["gen", "--states", "3"]):
+        assert _invalid_input(args + ["--threads", "2"], capsys) == "unrecognized arguments: --threads 2"
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--max-candidates" in capsys.readouterr().out
+
+
+def test_cli_negative_caps_exit_2(tmp_path, capsys):
+    game = tmp_path / "g1.json"
+    game.write_text(g1_doc())
+    solve = ["solve", "--game", str(game), "--objective", "reach"]
+    knowledge = ["knowledge", "--game", str(game)]
+    cases = [
+        (solve + ["--max-candidates", "-5"], "candidate cap must be at least 0, got -5"),
+        (solve + ["--max-beliefs", "-3"], "knowledge arena cap must be at least 0, got -3"),
+        (knowledge + ["--max-beliefs", "-1"], "knowledge arena cap must be at least 0, got -1"),
+        (_eval_g1_args(tmp_path) + ["--max-nodes", "-1"], "product chain cap must be at least 0, got -1"),
     ]
+    for args, message in cases:
+        assert _invalid_input(args, capsys) == message
 
 
 def _eval_g1_args(tmp_path):
@@ -266,3 +308,23 @@ def test_cli_knowledge_census_matches_module(tmp_path, capsys):
     ka = build_knowledge_arena(arena)
     kstates, knowledges, edges = ka.census
     assert census_line == f"census: knowledge_states={kstates} knowledges={knowledges} edges={edges}"
+
+
+def test_cli_config_echo_lists_options_read(tmp_path, capsys):
+    pair = _eval_g1_args(tmp_path)[1:]
+    game = pair[1]
+    runs = [
+        (["solve", "--game", game, "--objective", "reach"],
+         {"game", "objective", "debug_candidates", "max_candidates", "max_beliefs", "out"}),
+        (["eval", *pair], {"game", "eve", "adam", "objective", "max_nodes", "out"}),
+        (["simulate", *pair, "--samples", "10"],
+         {"game", "eve", "adam", "objective", "samples", "horizon", "seed", "out"}),
+        (["knowledge", "--game", game], {"game", "dump", "max_beliefs", "out"}),
+        (["gen", "--states", "3"],
+         {"states", "eve_actions", "adam_actions", "density", "eve_blocks", "adam_blocks", "final", "seed", "out"}),
+    ]
+    once_shared = {"max_candidates", "max_beliefs", "threads", "out", "seed"}
+    for args, keys in runs:
+        assert main(args) == 0
+        assert set(_run_records(capsys.readouterr().err)[-1]["config"]) == keys
+    assert sum(len(keys & once_shared) for _args, keys in runs) == 10

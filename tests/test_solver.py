@@ -1,6 +1,8 @@
 import hashlib
+import json
 import os
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -28,13 +30,14 @@ from stochgames import (
     validate_strategy,
 )
 from stochgames import halfplayer, solver
+from stochgames.cli import _report_dict
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.gen import generate_arena, random_params
 from stochgames.halfplayer import OneHalfGame
 from stochgames.model import ADAM, FiniteMemoryStrategy, parse_game
 from stochgames.solver import CandidateStrategy, candidate_count, check_candidate
 from stochgames.knowledge import KnowledgeOnlyStrategy
-from instances import cycle_arena, g1, g1_prime, g2, hidden_coin, make_doc
+from instances import coin_chain, cycle_arena, g1, g1_prime, g2, g3, g4, hidden_coin, make_doc
 from oracles import attractor_verdict, dense_fold, random_turn_based
 
 
@@ -194,13 +197,22 @@ def test_report_deterministic():
 
 def test_parallel_matches_sequential():
     for arena in (g1(), g2(), hidden_coin()):
-        seq = decide_almost_sure_reach(arena, threads=1)
-        par = decide_almost_sure_reach(arena, threads=2)
-        assert (seq.verdict, seq.candidates_checked, seq.witness) == (
-            par.verdict,
-            par.candidates_checked,
-            par.witness,
-        )
+        for decide in (decide_almost_sure_reach, decide_almost_sure_buchi):
+            seq = decide(arena, threads=1, debug=True)
+            par = decide(arena, threads=2, debug=True)
+            assert replace(par, elapsed_ms=0) == replace(seq, elapsed_ms=0)
+    # a cap reports the candidates finished before it, under either loop
+    belief_capped = generate_arena(random_params(4, max_states=5, max_blocks=3))
+    for decide, arena, caps in (
+        (decide_almost_sure_buchi, hidden_coin(), {"max_candidates": 2}),
+        (decide_almost_sure_reach, belief_capped, {"max_beliefs": 12}),
+    ):
+        limits = []
+        for threads in (1, 2):
+            with pytest.raises(ResourceLimit) as capped:
+                decide(arena, threads=threads, **caps)
+            limits.append((str(capped.value), capped.value.checked))
+        assert limits[0] == limits[1]
 
 
 def test_debug_diagnostics_cover_checked_candidates():
@@ -372,3 +384,24 @@ def test_pool_bounded_by_cpu_count(monkeypatch):
         with pytest.raises(RuntimeError):
             decide_almost_sure_reach(g1(), threads=threads)
     assert sizes == [3, 2, 1]
+
+
+SOLVE_REPORTS_DIGEST = "a723527c2b95cff1a0274d3de712042c44889063b16d1463703eb492a1213ac2"
+
+
+def test_solve_reports_pinned():
+    arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
+    arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(60)]
+    digest = hashlib.sha256()
+    verdicts = []
+    for arena in arenas:
+        for decide in (decide_almost_sure_reach, decide_almost_sure_buchi):
+            doc = _report_dict(decide(arena, max_candidates=10**4, debug=True), {})
+            del doc["elapsed_ms"]
+            verdicts.append(doc["verdict"])
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    with pytest.raises(ResourceLimit) as capped:
+        decide_almost_sure_buchi(hidden_coin(), max_candidates=2)
+    digest.update(repr((str(capped.value), capped.value.checked)).encode())
+    assert (verdicts.count("yes"), verdicts.count("no")) == (83, 51)
+    assert digest.hexdigest() == SOLVE_REPORTS_DIGEST
