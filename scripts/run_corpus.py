@@ -3,23 +3,28 @@
 
 For every game the solver runs for reachability and/or Buchi; each "yes"
 witness is re-evaluated against the fully informed best response, and the
-brute-force oracle is consulted where affordable.  A summary goes to stdout
-and per-game rows to --out as JSON lines.
+brute-force oracle of ``tests/oracles.py`` is consulted where affordable.
+A summary goes to stdout and per-game rows to --out as JSON lines.  Exits
+1 on an oracle disagreement or a "yes" witness that the best response does
+not certify, 0 otherwise.
 """
 
 import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-from stochgames import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from stochgames import (  # noqa: E402
     Objective,
     best_response_full_info,
-    brute_force_verdict,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
 )
-from stochgames.gen import generate_arena, random_params
+from stochgames.gen import generate_arena, random_params  # noqa: E402
+from oracles import brute_force_verdict  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -87,7 +92,7 @@ def main(argv=None) -> int:
         with open(args.out, "w") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
-    return 1 if disagreements else 0
+    return 1 if disagreements or unsound else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .evaluation import (
     EvalResult,
     ProductChain,
     best_response_full_info,
-    brute_force_verdict,
     buchi_probability,
     build_chain,
     monte_carlo,

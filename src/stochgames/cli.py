@@ -218,7 +218,7 @@ def _option(*names, **kwargs) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    max_candidates = _option("--max-candidates", type=int, default=10**7, help="cap on enumerated candidates")
+    max_candidates = _option("--max-candidates", type=int, default=10**7, help="cap on the canonical candidate position")
     max_beliefs = _option("--max-beliefs", type=int, default=10**6, help="cap on materialized knowledge/belief states")
     out = _option("--out", default=None, help="write primary output to this file (atomic)")
     seed = _option("--seed", type=int, default=0, help="seed for randomized commands")
@@ -234,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--game", required=True)
     p_solve.add_argument("--objective", choices=["reach", "buchi"], required=True)
-    p_solve.add_argument("--debug-candidates", action="store_true", help="include per-candidate diagnostics")
+    p_solve.add_argument("--debug-candidates", action="store_true", help="check every candidate, with one diagnostic each")
     p_solve.set_defaults(func=cmd_solve)
 
     p_eval = sub.add_parser("eval", parents=[out], help="exact objective probability of a strategy pair")

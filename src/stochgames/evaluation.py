@@ -11,14 +11,13 @@ components below it substituted.  The same pinning alone decides whether
 an objective holds almost surely.  Monte Carlo simulation gives an
 independent statistical cross-check and never decides anything.
 
-The module also hosts two adversary oracles.  The fully informed best
+The module also hosts an adversary oracle.  The fully informed best
 response (a sound over-approximation of any observation-constrained
 adversary) works on the adversary's decision process against Eve's
 strategy: the sure-safe region, the greatest set of non-final nodes in
 which the adversary can keep the play forever, settles both objectives,
 whose values are one minus the maximal probability of reaching that
-region, computed by policy iteration over the same exact solver.  The
-other oracle is a brute-force verdict for tiny games.
+region, computed by policy iteration over the same exact solver.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import ResourceLimit, ValidationError
 from .model import (
     ADAM,
     EVE,
     Arena,
-    Distribution,
     FiniteMemoryStrategy,
     Objective,
     validate_strategy,
@@ -565,75 +562,3 @@ def best_response_full_info(arena: Arena, eve: FiniteMemoryStrategy, objective: 
                 changed = True
     absorbing = mdp.final if objective is Objective.REACHABILITY else set()
     return EvalResult(probability=_ONE - _mdp_max_reach(mdp, safe, absorbing), method="exact")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force verdict for tiny games
-
-
-def _nonempty_subsets(items) -> list[tuple]:
-    items = list(items)
-    out = []
-    for mask in range(1, 1 << len(items)):
-        out.append(tuple(items[i] for i in range(len(items)) if mask >> i & 1))
-    return out
-
-
-def adam_uniform_strategies(arena: Arena, max_memory: int) -> Iterator[FiniteMemoryStrategy]:
-    """All of Adam's uniform finite-memory strategies up to the memory bound."""
-    from itertools import product
-
-    n_blocks = len(arena.adam_obs)
-    subsets = _nonempty_subsets(arena.adam_actions)
-    for m in range(1, max_memory + 1):
-        memory = tuple(f"m{i}" for i in range(m))
-        for moves in product(subsets, repeat=m):
-            for flat in product(range(m), repeat=m * n_blocks):
-                update = {
-                    memory[i]: {
-                        b: memory[flat[i * n_blocks + b]] for b in range(n_blocks)
-                    }
-                    for i in range(m)
-                }
-                yield FiniteMemoryStrategy(
-                    owner=ADAM,
-                    memory=memory,
-                    init_mem=memory[0],
-                    move={memory[i]: Distribution.uniform(moves[i]) for i in range(m)},
-                    update=update,
-                )
-
-
-def brute_force_verdict(
-    arena: Arena,
-    objective: Objective,
-    adam_memory: int = 2,
-    max_candidates: int = 10**5,
-) -> str:
-    """Independent yes/no/unknown oracle for tiny games.
-
-    Enumerates the same knowledge-only uniform candidates as the solver.
-    "yes" when some candidate survives the fully informed best response;
-    "no" when every candidate is refuted by an explicit observation-based
-    adversary within the memory bound; "unknown" otherwise.
-    """
-    from .knowledge import build_knowledge_arena, lower_strategy
-    from .solver import enumerate_candidates
-
-    ka = build_knowledge_arena(arena)
-    lowered = []
-    for cand in enumerate_candidates(ka, max_candidates):
-        low = lower_strategy(arena, cand.strategy)
-        if best_response_full_info(arena, low, objective).probability == 1:
-            return "yes"
-        lowered.append(low)
-    for low in lowered:
-        refuted = False
-        for adam in adam_uniform_strategies(arena, adam_memory):
-            chain = build_chain(arena, low, adam)
-            if not almost_sure(chain, objective):
-                refuted = True
-                break
-        if not refuted:
-            return "unknown"
-    return "no"

@@ -151,26 +151,72 @@ def build_belief_graph(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) ->
     return BeliefGraph(nodes=tuple(nodes), succ=succ, touching=touching)
 
 
+@dataclass(frozen=True, eq=False)
+class PositivePlay:
+    """The protagonist's positively winning play from the initial state.
+
+    He plays the actions ``path_actions`` along the states ``path`` of a
+    shortest path to a surely winning state, then, from that state's
+    singleton belief, the sure choice ``choice`` of each belief of
+    ``closure``: the beliefs that choice reaches, in discovery order.
+    """
+
+    game: OneHalfGame = field(repr=False)
+    graph: BeliefGraph = field(repr=False)
+    path: tuple[int, ...]
+    path_actions: tuple[int, ...]
+    closure: tuple[int, ...]
+    choice: Mapping[int, int]
+
+    @cached_property
+    def footprint(self) -> int:
+        """Mask of the states whose ``post`` rows the play reads: the states
+        of the path and of every belief of the closure.
+
+        Let another game have the same states, cells and final mask, and
+        the same ``post`` rows at the footprint's states.  Each edge of the
+        path is then an edge of that game, and the path avoids the same
+        final states.  A belief's successors under an action depend on the
+        rows of its own states only, so every belief of the closure has the
+        same successors under its choice there.  The closure is thus the
+        same graph, played by the same choice, and it stays surely winning.
+        So the play wins positively from the initial state of that game
+        too: the protagonist wins there, whatever its other rows are.
+        """
+        mask = 0
+        for s in self.path:
+            mask |= 1 << s
+        for b in self.closure:
+            mask |= b
+        return mask
+
+
 @dataclass(frozen=True)
 class PositiveWinReport:
     """Result of a positive-winning analysis.
 
-    ``witness`` is present exactly when the game's initial state is
-    positively winning; it plays a fixed action path to a surely winning
-    state, then follows the memoryless belief strategy of the sure region.
-    ``build_witness`` assembles it on first read.
+    ``play`` is present exactly when the game's initial state is
+    positively winning; ``build_play`` finds it on first read.  ``witness``
+    lowers it to a finite-memory strategy, and ``footprint`` gives the
+    states it reads, each on first read.
     """
 
     winning_states: frozenset[int]
     sure_beliefs: frozenset[frozenset[int]]
     iterations: int
-    build_witness: Callable[[], FiniteMemoryStrategy] | None = field(
-        default=None, repr=False, compare=False
-    )
+    build_play: Callable[[], PositivePlay] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def play(self) -> PositivePlay | None:
+        return None if self.build_play is None else self.build_play()
 
     @cached_property
     def witness(self) -> FiniteMemoryStrategy | None:
-        return None if self.build_witness is None else self.build_witness()
+        return None if self.play is None else _assemble_witness(self.play)
+
+    @property
+    def footprint(self) -> int | None:
+        return None if self.play is None else self.play.footprint
 
 
 def _first_action(graph: BeliefGraph, b: int, inside: set[int]) -> int | None:
@@ -272,36 +318,46 @@ def _belief_label(g: OneHalfGame, mask: int) -> str:
     return "b{" + ",".join(g.states[s] for s in bits(mask)) + "}"
 
 
-def _assemble_witness(
+def _positive_play(
     g: OneHalfGame,
     graph: BeliefGraph,
     sure_states: set[int],
     layers: Layers,
     through_final: bool,
-) -> FiniteMemoryStrategy:
+) -> PositivePlay:
     found = _winning_path(g, g.init, sure_states, through_final)
-    assert found is not None  # assembled only when the initial state wins
-    path_states, path_actions = found
+    assert found is not None  # found only when the initial state wins
+    path, path_actions = found
     # a belief that entered the region in round (z, y) moves into z if it
-    # can, and otherwise stays in y
-    sure_choice = {}
-    for z, y in layers:
-        for b in y - z:
-            a = _first_action(graph, b, z)
-            sure_choice[b] = _first_action(graph, b, y) if a is None else a
-
-    actions = g.actions
-    n_blocks = len(g.cells)
-    start_belief = 1 << path_states[-1]
-
-    # closure of the sure region under the chosen actions
-    closure = [start_belief]
-    seen = {start_belief}
+    # can, and otherwise stays in y; the rounds' y grow, so the first y
+    # holding a belief is its round
+    choice = {}
+    closure = [1 << path[-1]]
+    seen = set(closure)
     for b in closure:  # grows while it is walked
-        for c in graph.succ[b][sure_choice[b]]:
+        z, y = next((z, y) for z, y in layers if b in y)
+        a = _first_action(graph, b, z)
+        choice[b] = a = _first_action(graph, b, y) if a is None else a
+        for c in graph.succ[b][a]:
             if c not in seen:
                 seen.add(c)
                 closure.append(c)
+    return PositivePlay(
+        game=g,
+        graph=graph,
+        path=tuple(path),
+        path_actions=tuple(path_actions),
+        closure=tuple(closure),
+        choice=choice,
+    )
+
+
+def _assemble_witness(play: PositivePlay) -> FiniteMemoryStrategy:
+    g, graph = play.game, play.graph
+    path_actions, closure, sure_choice = play.path_actions, play.closure, play.choice
+    actions = g.actions
+    n_blocks = len(g.cells)
+    start_belief = closure[0]
 
     memory = [f"path{i}" for i in range(len(path_actions))]
     memory += [_belief_label(g, b) for b in closure]
@@ -364,8 +420,8 @@ def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> Positive
         winning_states=frozenset(winning),
         sure_beliefs=frozenset(frozenset(bits(b)) for b in sure),
         iterations=rounds,
-        build_witness=(
-            partial(_assemble_witness, g, graph, sure_states, layers, through_final)
+        build_play=(
+            partial(_positive_play, g, graph, sure_states, layers, through_final)
             if g.init in winning
             else None
         ),

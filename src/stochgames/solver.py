@@ -1,18 +1,26 @@
 """Decision procedures for almost-sure reachability and Buchi winning.
 
-The solver checks Eve's knowledge-only uniform strategies in canonical
-order: one after another in the calling process, or, with ``threads`` above
-1, in chunks spread over a pool of worker processes running the same check
-loop.
-Fixing one turns the game, from Adam's point of view, into a game against
-chance with a safety (for reachability) or co-Buchi (for Buchi) objective;
-the candidate is almost-surely winning exactly when Adam is not positively
-winning there.  That depends on supports only, so a candidate is folded by
-OR-ing bitmask rows of the knowledge arena's support tables; Adam's game
-carries no weighted arena (the tests fold exact weights with their oracle
-``dense_fold``), and Adam's witness is assembled only when a diagnostic
-reads it.  The first successful candidate in canonical order is lowered to
-a finite-memory witness on the base arena.
+The solver searches Eve's knowledge-only uniform strategies in canonical
+order for the least one that wins.  Fixing one turns the game, from Adam's
+point of view, into a game against chance with a safety (for
+reachability) or co-Buchi (for Buchi) objective; the candidate is
+almost-surely winning exactly when Adam is not positively winning there.
+That depends on supports only, so a candidate is folded by OR-ing bitmask
+rows of the knowledge arena's support tables; Adam's game carries no
+weighted arena (the tests fold exact weights with their oracle
+``dense_fold``).
+
+Adam refutes a losing candidate with a play that reads his game only at
+the knowledge states of its footprint, and the fold's row there depends
+only on the candidate's choice at their knowledges.  Every later candidate
+that makes the same choices at those knowledges loses to the same play, so
+the search jumps past all of them in one step, to the next canonical
+position that changes one of those choices.  A debug solve, which lists a
+diagnostic per candidate, and the pool of worker processes that
+``threads`` above 1 starts step through the candidates one by one.  All
+three give the same report, except where the belief cap stops a walk at a
+candidate the search skips.  The first successful candidate in canonical
+order is lowered to a finite-memory witness on the base arena.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator
 
-from .bitset import block_masks
+from .bitset import bits, block_masks
 from .errors import NotClosed, ResourceLimit, ValidationError
 from .halfplayer import (
     DEFAULT_BELIEF_CAP,
@@ -76,6 +84,10 @@ def candidate_count(ka: KnowledgeArena) -> int:
     return ((1 << k) - 1) ** len(ka.knowledges)
 
 
+def _cap_exceeded(max_candidates: int) -> ResourceLimit:
+    return ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
+
+
 def enumerate_candidates(
     ka: KnowledgeArena, max_candidates: int = DEFAULT_CANDIDATE_CAP
 ) -> Iterator[CandidateStrategy]:
@@ -89,9 +101,7 @@ def enumerate_candidates(
     masks = range(1, 1 << k)
     for index, assignment in enumerate(product(masks, repeat=len(ka.knowledges))):
         if index >= max_candidates:
-            raise ResourceLimit(
-                f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates
-            )
+            raise _cap_exceeded(max_candidates)
         choice = dict(zip(ka.knowledges, assignment))
         yield CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
 
@@ -142,7 +152,7 @@ def check_candidate(
     reachability, co-Buchi against Buchi; the candidate wins exactly when
     Adam does not win it with positive probability from the initial state.
     A ResourceLimit raised by Adam's belief graph reports the candidate's
-    index as the number of candidates checked before it.
+    index: the number of canonical positions decided before it.
     """
     if objective is Objective.REACHABILITY:
         positive = positive_safety
@@ -174,14 +184,62 @@ def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinRep
     }
 
 
-def _checks(ka, candidates, objective, max_beliefs, debug):
-    """(candidate, wins, Adam's report, diagnostic or None) of each of
-    ``candidates`` in order, up to and including the first winner."""
-    for cand in candidates:
+def _candidate_at(ka: KnowledgeArena, index: int) -> CandidateStrategy:
+    """The candidate at canonical position ``index``, as
+    ``enumerate_candidates`` orders them: the position's digits in base
+    2^k - 1, knowledge 0 the most significant, digit d choosing the action
+    set of bitmask d + 1."""
+    m = (1 << len(ka.base.eve_actions)) - 1
+    digits = []
+    rest = index
+    for _know in ka.knowledges:
+        rest, digit = divmod(rest, m)
+        digits.append(digit + 1)
+    choice = dict(zip(ka.knowledges, reversed(digits)))
+    return CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
+
+
+def _past_footprint(ka: KnowledgeArena, index: int, footprint: int, position: list[int]) -> int:
+    """The first canonical position after ``index`` whose candidate differs
+    from that at ``index`` on a knowledge of Adam's refutation's footprint.
+
+    The fold's row of a knowledge state u depends only on the candidate's
+    choice at u's knowledge, so a candidate that agrees with the loser on
+    the knowledges of the footprint's states folds to a game with the same
+    rows there; by ``PositivePlay.footprint`` Adam wins it positively too.
+    With j the last canonical position (``position[u]``, u a footprint
+    state) of those knowledges and m = 2^k - 1, the candidates up to the
+    next change of digit j agree with the loser on all of them.
+    """
+    m = (1 << len(ka.base.eve_actions)) - 1
+    j = max(position[u] for u in bits(footprint))
+    block = m ** (len(ka.knowledges) - 1 - j)
+    return (index // block + 1) * block
+
+
+def _checks(ka, objective, max_beliefs, debug, start, stop, skip):
+    """(candidate, wins, Adam's report, diagnostic or None) of the candidates
+    at canonical positions ``start`` to ``stop`` - 1, in order, up to and
+    including the first winner.
+
+    With ``skip``, a loss moves on past every candidate its refutation
+    already defeats (``_past_footprint``); otherwise to the next position.
+    """
+    position = None
+    index = start
+    while index < stop:
+        cand = _candidate_at(ka, index)
         wins, rep = check_candidate(ka, cand, objective, max_beliefs)
         yield cand, wins, rep, _diag_entry(ka, cand, rep) if debug else None
         if wins:
             return
+        if skip:
+            if position is None:  # canonical position of each state's knowledge
+                of = {know: j for j, know in enumerate(ka.knowledges)}
+                position = [of[ks.know] for ks in ka.kstates]
+            index = _past_footprint(ka, index, rep.footprint, position)
+        else:
+            index += 1
 
 
 _WORKER_STATE: dict = {}
@@ -193,7 +251,8 @@ def _worker_init(ka, objective, max_beliefs, debug):
 
 def _worker_chunk(chunk: list[CandidateStrategy]):
     ka, objective, max_beliefs, debug = _WORKER_STATE["args"]
-    return [(wins, diag) for _cand, wins, _rep, diag in _checks(ka, chunk, objective, max_beliefs, debug)]
+    checks = _checks(ka, objective, max_beliefs, debug, chunk[0].index, chunk[-1].index + 1, skip=False)
+    return [(wins, diag) for _cand, wins, _rep, diag in checks]
 
 
 def _pooled_checks(ka, candidates, objective, max_beliefs, debug, threads):
@@ -254,20 +313,22 @@ def _decide(
     if max_candidates < 0:
         raise ValidationError(f"candidate cap must be at least 0, got {max_candidates}")
     ka = build_knowledge_arena(arena, max_beliefs)
-    candidates = enumerate_candidates(ka, max_candidates)
+    count = candidate_count(ka)
     if threads > 1:
+        candidates = enumerate_candidates(ka, max_candidates)
         checks = _pooled_checks(ka, candidates, objective, max_beliefs, debug, threads)
     else:
-        checks = _checks(ka, candidates, objective, max_beliefs, debug)
+        stop = min(count, max_candidates)
+        checks = _checks(ka, objective, max_beliefs, debug, 0, stop, skip=not debug)
     diagnostics: list[dict] | None = [] if debug else None
-    checked = 0
     winner = rep = None
     for cand, wins, cand_rep, diag in checks:
-        checked += 1
         if diagnostics is not None:
             diagnostics.append(diag)
         if wins:
             winner, rep = cand, cand_rep
+    if winner is None and max_candidates < count:
+        raise _cap_exceeded(max_candidates)
     witness = None
     winning_knowledges: tuple[tuple[str, ...], ...] = ()
     if winner is not None:
@@ -286,7 +347,7 @@ def _decide(
         objective=objective,
         witness=witness,
         witness_winning_knowledges=winning_knowledges,
-        candidates_checked=checked,
+        candidates_checked=count if winner is None else winner.index + 1,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         diagnostics=tuple(diagnostics) if diagnostics is not None else None,
     )
@@ -302,9 +363,12 @@ def decide_almost_sure_reach(
     """Does Eve have an almost-surely winning strategy for reachability?
 
     On "yes" the report carries the lowered finite-memory witness of the
-    canonically least successful candidate.  ``threads`` above 1 checks
-    the candidates in a pool of at most one worker process per CPU, with
-    the same report; below 1 it is invalid input, as is a cap below 0.
+    canonically least successful candidate, and ``candidates_checked`` is
+    its index + 1; on "no" it is the candidate count.  ``threads`` above 1
+    checks the candidates one by one in a pool of at most one worker
+    process per CPU, with the same report, unless the belief cap strikes
+    at a candidate the sequential search skips; below 1 it is invalid
+    input, as is a cap below 0.
     """
     return _decide(arena, Objective.REACHABILITY, max_candidates, max_beliefs, threads, debug)
 

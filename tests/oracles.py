@@ -4,16 +4,32 @@ These deliberately avoid the package's own graph machinery: the attractor
 works on raw successor tables, the end-component check enumerates subsets,
 SCC cross-checks go through networkx, exact absorption probabilities
 come from one dense Gauss-Jordan solve, and a candidate is folded into
-Adam's game on exact weights rather than on support masks.
+Adam's game on exact weights rather than on support masks.  The
+brute-force verdict walks the flat candidate enumeration and judges each
+candidate on exact product chains, without Adam's belief graph.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 import networkx as nx
 
-from stochgames import Arena, Distribution, parse_game
+from stochgames import (
+    Arena,
+    Distribution,
+    FiniteMemoryStrategy,
+    Objective,
+    best_response_full_info,
+    build_chain,
+    build_knowledge_arena,
+    enumerate_candidates,
+    lower_strategy,
+    parse_game,
+)
+from stochgames.evaluation import almost_sure
+from stochgames.model import ADAM
 from instances import make_doc
 
 
@@ -238,3 +254,70 @@ def dense_fold(ka, cand) -> Arena:
         adam_obs=kaa.adam_obs,
         final=kaa.final,
     )
+
+
+# ---------------------------------------------------------------------------
+# Brute-force verdict for tiny games
+
+
+def _nonempty_subsets(items) -> list[tuple]:
+    items = list(items)
+    out = []
+    for mask in range(1, 1 << len(items)):
+        out.append(tuple(items[i] for i in range(len(items)) if mask >> i & 1))
+    return out
+
+
+def adam_uniform_strategies(arena: Arena, max_memory: int) -> Iterator[FiniteMemoryStrategy]:
+    """All of Adam's uniform finite-memory strategies up to the memory bound."""
+    n_blocks = len(arena.adam_obs)
+    subsets = _nonempty_subsets(arena.adam_actions)
+    for m in range(1, max_memory + 1):
+        memory = tuple(f"m{i}" for i in range(m))
+        for moves in product(subsets, repeat=m):
+            for flat in product(range(m), repeat=m * n_blocks):
+                update = {
+                    memory[i]: {
+                        b: memory[flat[i * n_blocks + b]] for b in range(n_blocks)
+                    }
+                    for i in range(m)
+                }
+                yield FiniteMemoryStrategy(
+                    owner=ADAM,
+                    memory=memory,
+                    init_mem=memory[0],
+                    move={memory[i]: Distribution.uniform(moves[i]) for i in range(m)},
+                    update=update,
+                )
+
+
+def brute_force_verdict(
+    arena: Arena,
+    objective: Objective,
+    adam_memory: int = 2,
+    max_candidates: int = 10**5,
+) -> str:
+    """Independent yes/no/unknown oracle for tiny games.
+
+    Enumerates the same knowledge-only uniform candidates as the solver.
+    "yes" when some candidate survives the fully informed best response;
+    "no" when every candidate is refuted by an explicit observation-based
+    adversary within the memory bound; "unknown" otherwise.
+    """
+    ka = build_knowledge_arena(arena)
+    lowered = []
+    for cand in enumerate_candidates(ka, max_candidates):
+        low = lower_strategy(arena, cand.strategy)
+        if best_response_full_info(arena, low, objective).probability == 1:
+            return "yes"
+        lowered.append(low)
+    for low in lowered:
+        refuted = False
+        for adam in adam_uniform_strategies(arena, adam_memory):
+            chain = build_chain(arena, low, adam)
+            if not almost_sure(chain, objective):
+                refuted = True
+                break
+        if not refuted:
+            return "unknown"
+    return "no"

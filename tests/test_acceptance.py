@@ -14,7 +14,6 @@ from stochgames import (
     best_response_full_info,
     build_chain,
     build_knowledge_arena,
-    brute_force_verdict,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
     enumerate_candidates,
@@ -32,7 +31,7 @@ from stochgames.model import ADAM, EVE, FiniteMemoryStrategy
 from stochgames.solver import candidate_count, check_candidate
 
 from instances import coin_chain, cycle_arena, g1, g1_doc, g1_prime, g2
-from oracles import attractor_verdict, dense_fold, random_turn_based
+from oracles import attractor_verdict, brute_force_verdict, dense_fold, random_turn_based
 from util import random_strategy
 
 CORPUS_MASTER_SEED = 2000

@@ -9,7 +9,6 @@ from stochgames import (
     Distribution,
     Objective,
     best_response_full_info,
-    brute_force_verdict,
     buchi_probability,
     build_chain,
     monte_carlo,
@@ -27,7 +26,7 @@ from stochgames.model import ADAM, EVE, FiniteMemoryStrategy, parse_game
 from stochgames.gen import GenParams, generate_arena, random_params
 
 from instances import coin_chain, g1, g1_prime, g2, hidden_coin, make_doc
-from oracles import dense_absorption_values, enumerate_policies, nx_bottom_sccs
+from oracles import brute_force_verdict, dense_absorption_values, enumerate_policies, nx_bottom_sccs
 from util import random_strategy
 
 

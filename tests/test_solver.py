@@ -17,7 +17,6 @@ from stochgames import (
     best_response_full_info,
     build_chain,
     build_knowledge_arena,
-    brute_force_verdict,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
     enumerate_candidates,
@@ -38,7 +37,7 @@ from stochgames.model import ADAM, FiniteMemoryStrategy, parse_game
 from stochgames.solver import CandidateStrategy, candidate_count, check_candidate
 from stochgames.knowledge import KnowledgeOnlyStrategy
 from instances import coin_chain, cycle_arena, g1, g1_prime, g2, g3, g4, hidden_coin, make_doc
-from oracles import attractor_verdict, dense_fold, random_turn_based
+from oracles import attractor_verdict, brute_force_verdict, dense_fold, random_turn_based
 
 
 def test_candidate_counts():
@@ -201,18 +200,29 @@ def test_parallel_matches_sequential():
             seq = decide(arena, threads=1, debug=True)
             par = decide(arena, threads=2, debug=True)
             assert replace(par, elapsed_ms=0) == replace(seq, elapsed_ms=0)
-    # a cap reports the candidates finished before it, under either loop
+    # a cap reports the canonical positions decided before it
+    limits = []
+    for threads in (1, 2):
+        with pytest.raises(ResourceLimit) as capped:
+            decide_almost_sure_buchi(hidden_coin(), threads=threads, max_candidates=2)
+        limits.append((str(capped.value), capped.value.checked))
+    assert limits == [("candidate enumeration exceeds cap of 2", 2)] * 2
+    # the search builds no belief graph for a candidate a refutation
+    # covers; the pool and a debug solve check every candidate
+    overflow = "belief graph exceeds 12 nodes"
     belief_capped = generate_arena(random_params(4, max_states=5, max_blocks=3))
-    for decide, arena, caps in (
-        (decide_almost_sure_buchi, hidden_coin(), {"max_candidates": 2}),
-        (decide_almost_sure_reach, belief_capped, {"max_beliefs": 12}),
+    rep = decide_almost_sure_reach(belief_capped, max_beliefs=12)
+    assert (rep.verdict, rep.candidates_checked) == ("yes", 28)
+    searched_overflow = generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3))
+    for arena, threads, debug, checked in (
+        (belief_capped, 2, False, 2),
+        (belief_capped, 1, True, 2),
+        (searched_overflow, 1, False, 27),
+        (searched_overflow, 2, False, 2),
     ):
-        limits = []
-        for threads in (1, 2):
-            with pytest.raises(ResourceLimit) as capped:
-                decide(arena, threads=threads, **caps)
-            limits.append((str(capped.value), capped.value.checked))
-        assert limits[0] == limits[1]
+        with pytest.raises(ResourceLimit) as capped:
+            decide_almost_sure_reach(arena, threads=threads, debug=debug, max_beliefs=12)
+        assert (str(capped.value), capped.value.checked) == (overflow, checked)
 
 
 def test_debug_diagnostics_cover_checked_candidates():
