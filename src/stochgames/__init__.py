@@ -47,7 +47,6 @@ from .model import (
     parse_strategy,
     serialize_game,
     serialize_strategy,
-    step_distribution,
     validate_strategy,
 )
 from .solver import (
@@ -55,7 +54,6 @@ from .solver import (
     SolveReport,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
-    enumerate_candidates,
     fix_candidate,
     random_safe_strategy,
 )

@@ -5,45 +5,27 @@ whichever player has a real alphabet; the other side has a single action, so
 the game is a partially observable Markov decision process.  Only supports
 matter, so a game is given by bitmask tables: the successor mask of every
 state and protagonist action, the final mask, and the protagonist's
-observation cells.  Only a game built from an arena keeps weights; Adam's
-game folded from a solver candidate has none (tests fold exact weights with
-their oracle ``dense_fold``).  Beliefs are the protagonist's knowledges over
-game states; every belief node is refined by final-membership so that
-"visits a final state" is a property of the node.  The refinement is
-realized once and for all by splitting the protagonist's observation
-partition along the final set into those cells, which can only strengthen
-the protagonist's information.
+observation cells; no game keeps weights (the tests build games from
+weighted arenas, and fold candidates on exact weights, with their
+oracles).  Beliefs are the protagonist's knowledges over game states;
+every belief node is refined by final-membership so that "visits a final
+state" is a property of the node.  The refinement is realized once and for
+all by splitting the protagonist's observation partition along the final
+set into those cells, which can only strengthen the protagonist's
+information.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Mapping
 
-from .bitset import bits, block_masks, mask_of, split_masks
-from .errors import ResourceLimit, ValidationError
-from .model import ADAM, EVE, Arena, Distribution, FiniteMemoryStrategy
+from .bitset import bits
+from .errors import ResourceLimit
+from .model import Distribution, FiniteMemoryStrategy
 
 DEFAULT_BELIEF_CAP = 10**6
-
-
-def refine_obs_by_final(arena: Arena, player: str) -> Arena:
-    """Split every observation block of ``player`` into its non-final and
-    final parts.  Idempotent; block order is preserved with the non-final
-    part first."""
-    blocks = tuple(
-        part
-        for block in arena.obs_blocks(player)
-        for part in (
-            tuple(s for s in block if s not in arena.final),
-            tuple(s for s in block if s in arena.final),
-        )
-        if part
-    )
-    if blocks == arena.obs_blocks(player):
-        return arena
-    return replace(arena, **{"eve_obs" if player == EVE else "adam_obs": blocks})
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +35,6 @@ class OneHalfGame:
     ``post[s][a]`` is the mask of the states reachable from s under the
     protagonist's action a; ``cells`` are the protagonist's observation
     blocks split by final-membership (non-final part first), as masks.
-    ``arena`` is the same game as an ``Arena`` with exact weights and the
-    refined partition when the game was built by :meth:`from_arena`, which
-    also checks the antagonist's alphabet, and None otherwise.
     """
 
     protagonist: str
@@ -65,34 +44,6 @@ class OneHalfGame:
     cells: tuple[int, ...]
     final_mask: int
     init: int
-    arena: Arena | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_arena(cls, arena: Arena, protagonist: str) -> "OneHalfGame":
-        if protagonist not in (EVE, ADAM):
-            raise ValidationError(f"protagonist must be 'eve' or 'adam', got {protagonist!r}")
-        antagonist_actions = arena.adam_actions if protagonist == EVE else arena.eve_actions
-        if len(antagonist_actions) != 1:
-            raise ValidationError("the antagonist of a 1½-player game must have a single action")
-        actions = arena.actions(protagonist)
-        key = (lambda s, a: (s, a, 0)) if protagonist == EVE else (lambda s, a: (s, 0, a))
-        final_mask = mask_of(arena.final)
-        return cls(
-            protagonist=protagonist,
-            states=arena.states,
-            actions=actions,
-            post=tuple(
-                tuple(
-                    mask_of(t for t, _q in arena.transition[key(s, a)].items())
-                    for a in range(len(actions))
-                )
-                for s in range(arena.n_states)
-            ),
-            cells=split_masks(block_masks(arena.obs_blocks(protagonist)), final_mask),
-            final_mask=final_mask,
-            init=arena.init,
-            arena=refine_obs_by_final(arena, protagonist),
-        )
 
     @cached_property
     def n(self) -> int:
@@ -101,11 +52,6 @@ class OneHalfGame:
     @cached_property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    def step(self, s: int, action: int) -> Distribution:
-        if self.protagonist == EVE:
-            return self.arena.transition[(s, action, 0)]
-        return self.arena.transition[(s, 0, action)]
 
     def belief_successors(self, belief: int, action: int) -> tuple[int, ...]:
         """Refined successor beliefs: intersection with each observation

@@ -327,38 +327,6 @@ def validate_strategy(arena: Arena, owner: str, strat: FiniteMemoryStrategy) -> 
                 raise ValidationError(f"update[{m!r}] keyed by unknown observation block {b}")
 
 
-def step_distribution(
-    arena: Arena, s: int, eve_dist: Distribution, adam_dist: Distribution
-) -> Distribution:
-    """One-step successor distribution from ``s`` under mixed actions.
-
-    ``eve_dist``/``adam_dist`` are distributions over action indices.  The
-    result is the exact rational mixture of the transition function over the
-    product of the two.
-    """
-    out: dict[int, Fraction] = {}
-    for e, pe in eve_dist.items():
-        for a, pa in adam_dist.items():
-            for t, q in arena.transition[(s, e, a)].items():
-                w = pe * pa * q
-                out[t] = out.get(t, Fraction(0)) + w
-    return Distribution(out)
-
-
-def is_play_prefix(arena: Arena, states: Iterable[int]) -> bool:
-    """True iff consecutive states are linked by a positive-probability step
-    under some action pair."""
-    seq = list(states)
-    for s, t in zip(seq, seq[1:]):
-        if not any(
-            t in arena.transition[(s, e, a)]
-            for e in range(len(arena.eve_actions))
-            for a in range(len(arena.adam_actions))
-        ):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # File format
 

@@ -15,11 +15,13 @@ the knowledge states of its footprint, and the fold's row there depends
 only on the candidate's choice at their knowledges.  Every later candidate
 that makes the same choices at those knowledges loses to the same play, so
 the search jumps past all of them in one step, to the next canonical
-position that changes one of those choices.  A debug solve, which lists a
-diagnostic per candidate, and the pool of worker processes that
-``threads`` above 1 starts step through the candidates one by one.  All
-three give the same report, except where the belief cap stops a walk at a
-candidate the search skips.  The first successful candidate in canonical
+position that changes one of those choices.  The search runs in one
+process or, with ``threads`` above 1, on consecutive index ranges in a
+pool of worker processes; a debug solve, which lists a diagnostic per
+candidate, steps through the candidates one by one either way.  All give
+the same report, except where the belief cap stops a walk at a candidate
+the search skips: a pooled search starts each range afresh, so the cap can
+strike at a range's start.  The first successful candidate in canonical
 order is lowered to a finite-memory witness on the base arena.
 """
 
@@ -30,8 +32,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterator
+from itertools import islice
 
 from .bitset import bits, block_masks
 from .errors import NotClosed, ResourceLimit, ValidationError
@@ -82,28 +83,6 @@ def candidate_count(ka: KnowledgeArena) -> int:
     """Closed form: (2^|eve actions| - 1) ** number of reachable knowledges."""
     k = len(ka.base.eve_actions)
     return ((1 << k) - 1) ** len(ka.knowledges)
-
-
-def _cap_exceeded(max_candidates: int) -> ResourceLimit:
-    return ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
-
-
-def enumerate_candidates(
-    ka: KnowledgeArena, max_candidates: int = DEFAULT_CANDIDATE_CAP
-) -> Iterator[CandidateStrategy]:
-    """Yield every map from reachable knowledges to non-empty action subsets.
-
-    Canonical lexicographic order: knowledges in construction order, subsets
-    by ascending bitmask.  Raises ResourceLimit when a candidate beyond the
-    cap is requested, so a prefix of the stream can still be consumed.
-    """
-    k = len(ka.base.eve_actions)
-    masks = range(1, 1 << k)
-    for index, assignment in enumerate(product(masks, repeat=len(ka.knowledges))):
-        if index >= max_candidates:
-            raise _cap_exceeded(max_candidates)
-        choice = dict(zip(ka.knowledges, assignment))
-        yield CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
 
 
 def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy) -> OneHalfGame:
@@ -185,10 +164,12 @@ def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinRep
 
 
 def _candidate_at(ka: KnowledgeArena, index: int) -> CandidateStrategy:
-    """The candidate at canonical position ``index``, as
-    ``enumerate_candidates`` orders them: the position's digits in base
-    2^k - 1, knowledge 0 the most significant, digit d choosing the action
-    set of bitmask d + 1."""
+    """The candidate at canonical position ``index``.
+
+    Canonical order is lexicographic: knowledges in construction order,
+    action sets by ascending bitmask.  So the position's digits in base
+    2^k - 1, knowledge 0 the most significant, choose the action sets: digit
+    d the set of bitmask d + 1."""
     m = (1 << len(ka.base.eve_actions)) - 1
     digits = []
     rest = index
@@ -217,29 +198,26 @@ def _past_footprint(ka: KnowledgeArena, index: int, footprint: int, position: li
     return (index // block + 1) * block
 
 
-def _checks(ka, objective, max_beliefs, debug, start, stop, skip):
-    """(candidate, wins, Adam's report, diagnostic or None) of the candidates
-    at canonical positions ``start`` to ``stop`` - 1, in order, up to and
+def _checks(ka, objective, max_beliefs, debug, start, stop):
+    """(index, wins, Adam's report, diagnostic or None) of the candidates at
+    canonical positions ``start`` to ``stop`` - 1, in order, up to and
     including the first winner.
 
-    With ``skip``, a loss moves on past every candidate its refutation
-    already defeats (``_past_footprint``); otherwise to the next position.
+    A loss moves on past every candidate its refutation already defeats
+    (``_past_footprint``); a debug walk, which lists every candidate, moves
+    to the next position.
     """
-    position = None
+    # canonical position of each state's knowledge
+    of = {know: j for j, know in enumerate(ka.knowledges)}
+    position = [of[ks.know] for ks in ka.kstates]
     index = start
     while index < stop:
         cand = _candidate_at(ka, index)
         wins, rep = check_candidate(ka, cand, objective, max_beliefs)
-        yield cand, wins, rep, _diag_entry(ka, cand, rep) if debug else None
+        yield index, wins, rep, _diag_entry(ka, cand, rep) if debug else None
         if wins:
             return
-        if skip:
-            if position is None:  # canonical position of each state's knowledge
-                of = {know: j for j, know in enumerate(ka.knowledges)}
-                position = [of[ks.know] for ks in ka.kstates]
-            index = _past_footprint(ka, index, rep.footprint, position)
-        else:
-            index += 1
+        index = index + 1 if debug else _past_footprint(ka, index, rep.footprint, position)
 
 
 _WORKER_STATE: dict = {}
@@ -249,54 +227,33 @@ def _worker_init(ka, objective, max_beliefs, debug):
     _WORKER_STATE["args"] = (ka, objective, max_beliefs, debug)
 
 
-def _worker_chunk(chunk: list[CandidateStrategy]):
-    ka, objective, max_beliefs, debug = _WORKER_STATE["args"]
-    checks = _checks(ka, objective, max_beliefs, debug, chunk[0].index, chunk[-1].index + 1, skip=False)
-    return [(wins, diag) for _cand, wins, _rep, diag in checks]
+def _worker_range(start: int, stop: int):
+    checks = _checks(*_WORKER_STATE["args"], start, stop)
+    return [(index, wins, diag) for index, wins, _rep, diag in checks]
 
 
-def _pooled_checks(ka, candidates, objective, max_beliefs, debug, threads):
-    """The checks of ``_checks``, run in chunks of consecutive candidates by
-    a pool of worker processes; the report is None, since workers return
-    verdicts and diagnostics only.  The enumeration's cap is raised only
-    after every candidate before it lost."""
+def _pooled_checks(ka, objective, max_beliefs, debug, threads, stop):
+    """The checks of ``_checks`` over positions 0 to ``stop`` - 1, run on
+    consecutive index ranges by a pool of worker processes; the report is
+    None, since workers return verdicts and diagnostics only.  Range sizes
+    depend on the inputs alone, not on the CPUs, so a belief cap that
+    strikes at a range's start does so on every machine."""
+    size = max(1, min(64, candidate_count(ka) // (threads * 4)))
+    ranges = ((lo, min(lo + size, stop)) for lo in range(0, stop, size))
     # a forking pool starts all its workers at the first submit
     workers = min(threads, os.cpu_count() or 1)
-    chunk_size = max(1, min(64, candidate_count(ka) // (workers * 4) or 1))
-    capped: list[ResourceLimit] = []
-
-    def chunks():
-        chunk = []
-        try:
-            for cand in candidates:
-                chunk.append(cand)
-                if len(chunk) == chunk_size:
-                    yield chunk
-                    chunk = []
-        except ResourceLimit as exc:
-            capped.append(exc)
-        if chunk:
-            yield chunk
-
-    chunk_iter = chunks()
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
     ) as pool:
-        # keep a bounded window of in-flight chunks; results are consumed in
+        # keep a bounded window of in-flight ranges; results are consumed in
         # submission order so the least winning index is seen first
-        pending = deque(
-            (chunk, pool.submit(_worker_chunk, chunk)) for chunk in islice(chunk_iter, workers * 2)
-        )
+        pending = deque(pool.submit(_worker_range, *r) for r in islice(ranges, workers * 2))
         while pending:
-            chunk, future = pending.popleft()
-            for cand, (wins, diag) in zip(chunk, future.result()):
-                yield cand, wins, None, diag
+            for index, wins, diag in pending.popleft().result():
+                yield index, wins, None, diag
                 if wins:
                     return
-            for chunk in islice(chunk_iter, 1):
-                pending.append((chunk, pool.submit(_worker_chunk, chunk)))
-    if capped:
-        raise capped[0]
+            pending.extend(pool.submit(_worker_range, *r) for r in islice(ranges, 1))
 
 
 def _decide(
@@ -314,21 +271,20 @@ def _decide(
         raise ValidationError(f"candidate cap must be at least 0, got {max_candidates}")
     ka = build_knowledge_arena(arena, max_beliefs)
     count = candidate_count(ka)
+    stop = min(count, max_candidates)
     if threads > 1:
-        candidates = enumerate_candidates(ka, max_candidates)
-        checks = _pooled_checks(ka, candidates, objective, max_beliefs, debug, threads)
+        checks = _pooled_checks(ka, objective, max_beliefs, debug, threads, stop)
     else:
-        stop = min(count, max_candidates)
-        checks = _checks(ka, objective, max_beliefs, debug, 0, stop, skip=not debug)
+        checks = _checks(ka, objective, max_beliefs, debug, 0, stop)
     diagnostics: list[dict] | None = [] if debug else None
     winner = rep = None
-    for cand, wins, cand_rep, diag in checks:
+    for index, wins, cand_rep, diag in checks:
         if diagnostics is not None:
             diagnostics.append(diag)
         if wins:
-            winner, rep = cand, cand_rep
+            winner, rep = _candidate_at(ka, index), cand_rep
     if winner is None and max_candidates < count:
-        raise _cap_exceeded(max_candidates)
+        raise ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
     witness = None
     winning_knowledges: tuple[tuple[str, ...], ...] = ()
     if winner is not None:
@@ -365,10 +321,11 @@ def decide_almost_sure_reach(
     On "yes" the report carries the lowered finite-memory witness of the
     canonically least successful candidate, and ``candidates_checked`` is
     its index + 1; on "no" it is the candidate count.  ``threads`` above 1
-    checks the candidates one by one in a pool of at most one worker
-    process per CPU, with the same report, unless the belief cap strikes
-    at a candidate the sequential search skips; below 1 it is invalid
-    input, as is a cap below 0.
+    runs the same search on consecutive index ranges in a pool of at most
+    one worker process per CPU, with the same report, unless the belief
+    cap strikes at a range's start, a candidate the sequential search
+    skips; below 1 it is invalid input, as is a cap below 0.  ``debug``
+    checks every candidate one by one and lists a diagnostic for each.
     """
     return _decide(arena, Objective.REACHABILITY, max_candidates, max_beliefs, threads, debug)
 

@@ -5,32 +5,146 @@ works on raw successor tables, the end-component check enumerates subsets,
 SCC cross-checks go through networkx, exact absorption probabilities
 come from one dense Gauss-Jordan solve, and a candidate is folded into
 Adam's game on exact weights rather than on support masks.  The
-brute-force verdict walks the flat candidate enumeration and judges each
-candidate on exact product chains, without Adam's belief graph.
+candidates are enumerated in product order, independently of the solver's
+positional ``_candidate_at``; the brute-force verdict walks that
+enumeration and judges each candidate on exact product chains, without
+Adam's belief graph.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import networkx as nx
 
 from stochgames import (
     Arena,
+    CandidateStrategy,
     Distribution,
     FiniteMemoryStrategy,
+    KnowledgeOnlyStrategy,
     Objective,
+    OneHalfGame,
+    ResourceLimit,
+    ValidationError,
     best_response_full_info,
     build_chain,
     build_knowledge_arena,
-    enumerate_candidates,
     lower_strategy,
     parse_game,
 )
+from stochgames.bitset import block_masks, mask_of, split_masks
 from stochgames.evaluation import almost_sure
-from stochgames.model import ADAM
+from stochgames.model import ADAM, EVE
 from instances import make_doc
+
+
+# ---------------------------------------------------------------------------
+# Steps and plays of an arena
+
+
+def step_distribution(
+    arena: Arena, s: int, eve_dist: Distribution, adam_dist: Distribution
+) -> Distribution:
+    """One-step successor distribution from ``s`` under mixed actions.
+
+    ``eve_dist``/``adam_dist`` are distributions over action indices.  The
+    result is the exact rational mixture of the transition function over the
+    product of the two.
+    """
+    out: dict[int, Fraction] = {}
+    for e, pe in eve_dist.items():
+        for a, pa in adam_dist.items():
+            for t, q in arena.transition[(s, e, a)].items():
+                w = pe * pa * q
+                out[t] = out.get(t, Fraction(0)) + w
+    return Distribution(out)
+
+
+def is_play_prefix(arena: Arena, states: Iterable[int]) -> bool:
+    """True iff consecutive states are linked by a positive-probability step
+    under some action pair."""
+    seq = list(states)
+    for s, t in zip(seq, seq[1:]):
+        if not any(
+            t in arena.transition[(s, e, a)]
+            for e in range(len(arena.eve_actions))
+            for a in range(len(arena.adam_actions))
+        ):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# One-and-a-half-player games from weighted arenas
+
+
+def refine_obs_by_final(arena: Arena, player: str) -> Arena:
+    """Split every observation block of ``player`` into its non-final and
+    final parts.  Idempotent; block order is preserved with the non-final
+    part first."""
+    blocks = tuple(
+        part
+        for block in arena.obs_blocks(player)
+        for part in (
+            tuple(s for s in block if s not in arena.final),
+            tuple(s for s in block if s in arena.final),
+        )
+        if part
+    )
+    if blocks == arena.obs_blocks(player):
+        return arena
+    return replace(arena, **{"eve_obs" if player == EVE else "adam_obs": blocks})
+
+
+def game_from_arena(arena: Arena, protagonist: str) -> tuple[OneHalfGame, Arena]:
+    """The protagonist's game against chance in ``arena``, whose antagonist
+    must have a single action, as support tables, together with the same
+    game as an ``Arena`` with exact weights and the protagonist's partition
+    refined by final-membership."""
+    if protagonist not in (EVE, ADAM):
+        raise ValidationError(f"protagonist must be 'eve' or 'adam', got {protagonist!r}")
+    antagonist_actions = arena.adam_actions if protagonist == EVE else arena.eve_actions
+    if len(antagonist_actions) != 1:
+        raise ValidationError("the antagonist of a 1½-player game must have a single action")
+    actions = arena.actions(protagonist)
+    key = (lambda s, a: (s, a, 0)) if protagonist == EVE else (lambda s, a: (s, 0, a))
+    final_mask = mask_of(arena.final)
+    game = OneHalfGame(
+        protagonist=protagonist,
+        states=arena.states,
+        actions=actions,
+        post=tuple(
+            tuple(mask_of(arena.transition[key(s, a)].support) for a in range(len(actions)))
+            for s in range(arena.n_states)
+        ),
+        cells=split_masks(block_masks(arena.obs_blocks(protagonist)), final_mask),
+        final_mask=final_mask,
+        init=arena.init,
+    )
+    return game, refine_obs_by_final(arena, protagonist)
+
+
+# ---------------------------------------------------------------------------
+# Candidates in product order
+
+
+def enumerate_candidates(ka, max_candidates: int = 10**7) -> Iterator[CandidateStrategy]:
+    """Yield every map from reachable knowledges to non-empty action subsets.
+
+    Canonical lexicographic order: knowledges in construction order, subsets
+    by ascending bitmask.  Raises ResourceLimit when a candidate beyond the
+    cap is requested, so a prefix of the stream can still be consumed.
+    """
+    k = len(ka.base.eve_actions)
+    masks = range(1, 1 << k)
+    for index, assignment in enumerate(product(masks, repeat=len(ka.knowledges))):
+        if index >= max_candidates:
+            raise ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
+        choice = dict(zip(ka.knowledges, assignment))
+        yield CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +206,19 @@ def _support(dist):
     return list(dist.support)
 
 
-def mdp_positive_safety(game) -> bool:
-    """Positive safety in a perfectly observed 1.5-player game: there is an
-    end component of non-final states reachable from init by a path of
-    non-final states.  End components are found by subset enumeration."""
-    arena = game.arena
+def mdp_positive_safety(arena: Arena) -> bool:
+    """Positive safety for Adam in a perfectly observed 1.5-player game,
+    whose Eve has a single action: there is an end component of non-final
+    states reachable from init by a path of non-final states.  End
+    components are found by subset enumeration."""
     n = arena.n_states
     nonfinal = [s for s in range(n) if s not in arena.final]
     if arena.init in arena.final:
         return False
-    n_actions = len(game.actions)
+    n_actions = len(arena.adam_actions)
 
     def succs(s, a):
-        return _support(game.step(s, a))
+        return _support(arena.transition[(s, 0, a)])
 
     ec_states = set()
     for mask in range(1, 1 << len(nonfinal)):

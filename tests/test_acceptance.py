@@ -16,7 +16,6 @@ from stochgames import (
     build_knowledge_arena,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
-    enumerate_candidates,
     knowledge_update,
     lift_strategy,
     adapt_adam_strategy,
@@ -26,12 +25,18 @@ from stochgames import (
 from stochgames.cli import main
 from stochgames.evaluation import _Compiled, simulate_play
 from stochgames.gen import generate_arena, random_params
-from stochgames.halfplayer import OneHalfGame
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy
 from stochgames.solver import candidate_count, check_candidate
 
 from instances import coin_chain, cycle_arena, g1, g1_doc, g1_prime, g2
-from oracles import attractor_verdict, brute_force_verdict, dense_fold, random_turn_based
+from oracles import (
+    attractor_verdict,
+    brute_force_verdict,
+    dense_fold,
+    enumerate_candidates,
+    game_from_arena,
+    random_turn_based,
+)
 from util import random_strategy
 
 CORPUS_MASTER_SEED = 2000
@@ -113,7 +118,7 @@ def test_criterion_3_internal_completeness_of_no(corpus_results):
             if wins or adam_report.witness is None:
                 failures.append((i, objective.value, cand.index, "missing witness"))
                 continue
-            adam_game = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM).arena
+            adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
             trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
             chain = build_chain(adam_game, trivial, adam_report.witness)
             value = objective_probability(chain, objective)
@@ -213,7 +218,7 @@ def test_criterion_8_named_instances():
     ka = build_knowledge_arena(arena2)
     for cand in enumerate_candidates(ka):
         _wins, adam_report = check_candidate(ka, cand, Objective.REACHABILITY)
-        adam_game = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM).arena
+        adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
         trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
         chain = build_chain(adam_game, trivial, adam_report.witness)
         assert objective_probability(chain, Objective.REACHABILITY) < 1

@@ -26,7 +26,13 @@ from stochgames.model import ADAM, EVE, FiniteMemoryStrategy, parse_game
 from stochgames.gen import GenParams, generate_arena, random_params
 
 from instances import coin_chain, g1, g1_prime, g2, hidden_coin, make_doc
-from oracles import brute_force_verdict, dense_absorption_values, enumerate_policies, nx_bottom_sccs
+from oracles import (
+    brute_force_verdict,
+    dense_absorption_values,
+    enumerate_policies,
+    is_play_prefix,
+    nx_bottom_sccs,
+)
 from util import random_strategy
 
 
@@ -410,6 +416,4 @@ def test_simulate_play_is_consistent():
     rng = random.Random(2)
     states = simulate_play(arena, uniform_eve(arena), constant_adam(arena, "x"), 25, rng)
     assert len(states) == 26
-    from stochgames.model import is_play_prefix
-
     assert is_play_prefix(arena, states)

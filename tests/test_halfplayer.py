@@ -8,12 +8,12 @@ from stochgames import (
     positive_cobuchi,
     positive_safety,
 )
-from stochgames.halfplayer import OneHalfGame, build_belief_graph, refine_obs_by_final
+from stochgames.halfplayer import OneHalfGame, build_belief_graph
 from stochgames.model import ADAM, EVE, Arena, FiniteMemoryStrategy, parse_game, validate_strategy
 from stochgames.gen import generate_arena, random_params
 
 from instances import g2, g4, make_doc
-from oracles import mdp_positive_safety
+from oracles import game_from_arena, mdp_positive_safety, refine_obs_by_final
 
 
 def half_doc(states, init, final, actions, obs, rule):
@@ -21,14 +21,14 @@ def half_doc(states, init, final, actions, obs, rule):
 
 
 def eve_half(states, init, final, actions, obs, rule) -> OneHalfGame:
-    return OneHalfGame.from_arena(parse_game(half_doc(states, init, final, actions, obs, rule)), EVE)
+    return game_from_arena(parse_game(half_doc(states, init, final, actions, obs, rule)), EVE)[0]
 
 
 def test_from_arena_requires_singleton_antagonist():
     arena = g2()  # eve has one action, adam has two
     with pytest.raises(ValidationError):
-        OneHalfGame.from_arena(arena, EVE)  # the antagonist would have two actions
-    assert OneHalfGame.from_arena(arena, ADAM).protagonist == ADAM
+        game_from_arena(arena, EVE)  # the antagonist would have two actions
+    assert game_from_arena(arena, ADAM)[0].protagonist == ADAM
 
 
 def test_refine_obs_by_final():
@@ -58,14 +58,14 @@ def test_sure_safety_forced_hit_not_sure():
 
 def test_sure_safety_g2_adam_protagonist():
     # G2 with Adam as protagonist: from s0, action y surely avoids f
-    g = OneHalfGame.from_arena(g2(), ADAM)
+    g, _ = game_from_arena(g2(), ADAM)
     assert frozenset({0}) in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_downward_absorbing():
     for seed in range(15):
         arena = generate_arena(random_params(seed, max_actions=1))
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, _ = game_from_arena(arena, ADAM)
         graph = build_belief_graph(g)
         sure = {sum(1 << s for s in b) for b in positive_safety(g).sure_beliefs}
         for b in sure:
@@ -94,13 +94,13 @@ def test_positive_safety_unreachable_island():
 
 
 def test_positive_safety_g2_fold():
-    g = OneHalfGame.from_arena(g2(), ADAM)
+    g, refined = game_from_arena(g2(), ADAM)
     rep = positive_safety(g)
-    assert g.arena.init in rep.winning_states
+    assert refined.init in rep.winning_states
     assert rep.witness is not None
-    validate_strategy(g.arena, ADAM, rep.witness)
-    trivial = FiniteMemoryStrategy.constant(EVE, "a", len(g.arena.eve_obs))
-    chain = build_chain(g.arena, trivial, rep.witness)
+    validate_strategy(refined, ADAM, rep.witness)
+    trivial = FiniteMemoryStrategy.constant(EVE, "a", len(refined.eve_obs))
+    chain = build_chain(refined, trivial, rep.witness)
     assert objective_probability(chain, Objective.SAFETY) > 0
 
 
@@ -110,7 +110,7 @@ def test_positive_safety_monotone_in_final():
         arena = generate_arena(params)
         if len(arena.final) == arena.n_states:
             continue
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, _ = game_from_arena(arena, ADAM)
         extra = next(s for s in range(arena.n_states) if s not in arena.final)
         bigger = Arena(
             states=arena.states,
@@ -122,7 +122,7 @@ def test_positive_safety_monotone_in_final():
             adam_obs=arena.adam_obs,
             final=arena.final | {extra},
         )
-        g_big = OneHalfGame.from_arena(bigger, ADAM)
+        g_big, _ = game_from_arena(bigger, ADAM)
         assert positive_safety(g_big).winning_states <= positive_safety(g).winning_states
         assert positive_cobuchi(g_big).winning_states <= positive_cobuchi(g).winning_states
 
@@ -146,9 +146,9 @@ def test_positive_safety_agrees_with_mdp_oracle():
             adam_obs=discrete,
             final=arena.final,
         )
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, refined = game_from_arena(arena, ADAM)
         got = arena.init in positive_safety(g).winning_states
-        want = mdp_positive_safety(g)
+        want = mdp_positive_safety(refined)
         disagreements += got != want
     assert disagreements == 0
 
@@ -156,19 +156,19 @@ def test_positive_safety_agrees_with_mdp_oracle():
 def test_positive_safety_witness_value_positive():
     for seed in range(40):
         arena = generate_arena(random_params(seed, max_actions=1))
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, refined = game_from_arena(arena, ADAM)
         rep = positive_safety(g)
         if rep.witness is None:
             continue
-        trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(g.arena.eve_obs))
-        chain = build_chain(g.arena, trivial, rep.witness)
+        trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(refined.eve_obs))
+        chain = build_chain(refined, trivial, rep.witness)
         assert objective_probability(chain, Objective.SAFETY) > 0
 
 
 def test_iteration_bound():
     for seed in range(20):
         arena = generate_arena(random_params(seed, max_actions=1))
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, _ = game_from_arena(arena, ADAM)
         graph = build_belief_graph(g)
         rep = positive_safety(g)
         assert rep.iterations <= len(graph.nodes) <= 2 ** arena.n_states
@@ -180,10 +180,10 @@ def test_belief_graph_deterministic_per_observation():
     # yields at most one successor
     for seed in range(10):
         arena = generate_arena(random_params(seed, max_actions=1))
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, refined = game_from_arena(arena, ADAM)
         graph = build_belief_graph(g)
-        block_masks = [sum(1 << s for s in block) for block in g.arena.obs_blocks(ADAM)]
-        final_mask = sum(1 << s for s in g.arena.final)
+        block_masks = [sum(1 << s for s in block) for block in refined.obs_blocks(ADAM)]
+        final_mask = sum(1 << s for s in refined.final)
         for b in graph.nodes:
             for row in graph.succ[b]:
                 cells = set()
@@ -212,19 +212,19 @@ def test_sure_cobuchi_forced_cycle_not_sure():
 
 
 def test_sure_cobuchi_g4_escape():
-    g = OneHalfGame.from_arena(g4(), EVE)
+    g, _ = game_from_arena(g4(), EVE)
     sure = positive_cobuchi(g).sure_beliefs
     assert frozenset({0}) in sure  # u escapes after one final visit
     assert frozenset({1}) in sure
 
 
 def test_positive_cobuchi_through_final():
-    g = OneHalfGame.from_arena(g4(), EVE)
+    g, refined = game_from_arena(g4(), EVE)
     rep = positive_cobuchi(g)
     assert rep.winning_states == frozenset({0, 1, 2})
     assert rep.witness is not None
-    trivial = FiniteMemoryStrategy.constant(ADAM, "x", len(g.arena.adam_obs))
-    chain = build_chain(g.arena, rep.witness, trivial)
+    trivial = FiniteMemoryStrategy.constant(ADAM, "x", len(refined.adam_obs))
+    chain = build_chain(refined, rep.witness, trivial)
     assert objective_probability(chain, Objective.COBUCHI) > 0
 
 
@@ -238,10 +238,10 @@ def test_positive_cobuchi_all_final_self_loops():
 def test_positive_cobuchi_witness_value_positive():
     for seed in range(40):
         arena = generate_arena(random_params(seed, max_actions=1))
-        g = OneHalfGame.from_arena(arena, ADAM)
+        g, refined = game_from_arena(arena, ADAM)
         rep = positive_cobuchi(g)
         if rep.witness is None:
             continue
-        trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(g.arena.eve_obs))
-        chain = build_chain(g.arena, trivial, rep.witness)
+        trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(refined.eve_obs))
+        chain = build_chain(refined, trivial, rep.witness)
         assert objective_probability(chain, Objective.COBUCHI) > 0

@@ -16,13 +16,13 @@ from stochgames import (
     parse_strategy,
     serialize_game,
     serialize_strategy,
-    step_distribution,
     validate_strategy,
 )
 from stochgames.gen import generate_arena, random_params
-from stochgames.model import FiniteMemoryStrategy, is_play_prefix
+from stochgames.model import FiniteMemoryStrategy
 
 from instances import g1, g1_doc, one_state_doc
+from oracles import is_play_prefix, step_distribution
 from util import random_strategy
 
 

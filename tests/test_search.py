@@ -4,9 +4,11 @@ A losing candidate's refutation reads Adam's folded game only at the
 states of its footprint; every candidate that agrees with the loser on the
 knowledges of those states loses too, so the search skips them.  These
 tests check that lemma on sampled completions, and that the search reports
-exactly what the one-by-one walk of a debug solve reports.
+exactly what the one-by-one walk of a debug solve reports, in one process
+and in the process pool.
 """
 
+import os
 import time
 from itertools import islice
 from dataclasses import replace
@@ -28,6 +30,7 @@ from stochgames.gen import generate_arena, random_params
 from stochgames.knowledge import KnowledgeOnlyStrategy
 from stochgames.solver import CandidateStrategy, _candidate_at, candidate_count, check_candidate
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin
+from oracles import enumerate_candidates
 
 OBJECTIVES = (Objective.REACHABILITY, Objective.BUCHI)
 DECIDERS = (decide_almost_sure_reach, decide_almost_sure_buchi)
@@ -93,7 +96,7 @@ def test_path_alone_is_no_footprint():
 def test_candidate_at_matches_enumeration():
     for seed in range(10):
         ka = build_knowledge_arena(generate_arena(random_params(seed, max_states=5, max_blocks=3)))
-        for cand in islice(solver.enumerate_candidates(ka), 200):
+        for cand in islice(enumerate_candidates(ka), 200):
             assert _candidate_at(ka, cand.index) == cand
 
 
@@ -116,6 +119,36 @@ def test_search_reports_equal_enumeration():
                 assert searched == _outcome(decide, arena, True, max_candidates=cap)
                 capped += isinstance(searched, tuple)
     assert capped > 0
+
+
+def test_pooled_search_reports_equal_sequential():
+    arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
+    arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(30)]
+    capped = 0
+    for arena in arenas:
+        for decide in DECIDERS:
+            for cap in (10**4, 27, 3):
+                searched = _outcome(decide, arena, False, max_candidates=cap)
+                assert searched == _outcome(decide, arena, False, max_candidates=cap, threads=2)
+                capped += isinstance(searched, tuple)
+    assert capped > 0
+
+
+def test_pooled_belief_cap_independent_of_cpus(monkeypatch):
+    """The pool's index ranges are sized by ``threads``, not by the CPUs, so
+    the belief cap strikes at the same range start on every machine."""
+    arenas = (
+        generate_arena(random_params(4, max_states=5, max_blocks=3)),
+        generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3)),
+    )
+    limits = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for arena in arenas:
+            with pytest.raises(ResourceLimit) as capped:
+                decide_almost_sure_reach(arena, threads=4, max_beliefs=12)
+            limits.append((str(capped.value), capped.value.checked))
+    assert limits == [("belief graph exceeds 12 nodes", 5)] * 6
 
 
 def test_search_checks_fewer_candidates(monkeypatch):

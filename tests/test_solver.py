@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import pickle
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -19,7 +22,6 @@ from stochgames import (
     build_knowledge_arena,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
-    enumerate_candidates,
     fix_candidate,
     objective_probability,
     positive_cobuchi,
@@ -32,12 +34,18 @@ from stochgames import halfplayer, solver
 from stochgames.cli import _report_dict
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.gen import generate_arena, random_params
-from stochgames.halfplayer import OneHalfGame
 from stochgames.model import ADAM, FiniteMemoryStrategy, parse_game
 from stochgames.solver import CandidateStrategy, candidate_count, check_candidate
 from stochgames.knowledge import KnowledgeOnlyStrategy
 from instances import coin_chain, cycle_arena, g1, g1_prime, g2, g3, g4, hidden_coin, make_doc
-from oracles import attractor_verdict, brute_force_verdict, dense_fold, random_turn_based
+from oracles import (
+    attractor_verdict,
+    brute_force_verdict,
+    dense_fold,
+    enumerate_candidates,
+    game_from_arena,
+    random_turn_based,
+)
 
 
 def test_candidate_counts():
@@ -208,17 +216,18 @@ def test_parallel_matches_sequential():
         limits.append((str(capped.value), capped.value.checked))
     assert limits == [("candidate enumeration exceeds cap of 2", 2)] * 2
     # the search builds no belief graph for a candidate a refutation
-    # covers; the pool and a debug solve check every candidate
+    # covers; the pool starts the search afresh at each range's start, and a
+    # debug solve checks every candidate
     overflow = "belief graph exceeds 12 nodes"
     belief_capped = generate_arena(random_params(4, max_states=5, max_blocks=3))
     rep = decide_almost_sure_reach(belief_capped, max_beliefs=12)
     assert (rep.verdict, rep.candidates_checked) == ("yes", 28)
     searched_overflow = generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3))
     for arena, threads, debug, checked in (
-        (belief_capped, 2, False, 2),
+        (belief_capped, 2, False, 20),
         (belief_capped, 1, True, 2),
         (searched_overflow, 1, False, 27),
-        (searched_overflow, 2, False, 2),
+        (searched_overflow, 2, False, 10),
     ):
         with pytest.raises(ResourceLimit) as capped:
             decide_almost_sure_reach(arena, threads=threads, debug=debug, max_beliefs=12)
@@ -239,7 +248,7 @@ def test_no_verdict_candidates_all_defeated_by_witness():
     for cand in enumerate_candidates(ka):
         wins, rep = check_candidate(ka, cand, Objective.REACHABILITY)
         assert not wins and rep.witness is not None
-        adam_game = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM).arena
+        adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
         trivial = FiniteMemoryStrategy.constant("eve", "*", len(adam_game.eve_obs))
         chain = build_chain(adam_game, trivial, rep.witness)
         assert objective_probability(chain, Objective.REACHABILITY) < 1
@@ -315,7 +324,7 @@ def test_support_fold_matches_dense_fold():
             for cand in cands:
                 wins, rep = checked[(objective, cand.index)]
                 game = fix_candidate(ka, cand)
-                dense = OneHalfGame.from_arena(dense_fold(ka, cand), ADAM)
+                dense, _ = game_from_arena(dense_fold(ka, cand), ADAM)
                 assert (game.post, game.cells, game.final_mask) == (
                     dense.post,
                     dense.cells,
@@ -394,6 +403,31 @@ def test_pool_bounded_by_cpu_count(monkeypatch):
         with pytest.raises(RuntimeError):
             decide_almost_sure_reach(g1(), threads=threads)
     assert sizes == [3, 2, 1]
+
+
+def test_crashed_worker_is_an_error(monkeypatch):
+    parent = os.getpid()
+    check = solver.check_candidate
+
+    def crashing(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return check(*args, **kwargs)
+
+    def hung(_signum, _frame):
+        raise TimeoutError("the pool hangs after a worker crashed")
+
+    monkeypatch.setattr(solver, "check_candidate", crashing)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BrokenProcessPool):
+            decide_almost_sure_reach(hidden_coin(), threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 5
 
 
 SOLVE_REPORTS_DIGEST = "a723527c2b95cff1a0274d3de712042c44889063b16d1463703eb492a1213ac2"
