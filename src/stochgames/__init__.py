@@ -5,7 +5,6 @@ evaluation oracles."""
 from .errors import (
     GameError,
     InconsistentObservation,
-    NotClosed,
     ResourceLimit,
     SchemaError,
     ValidationError,
@@ -50,12 +49,10 @@ from .model import (
     validate_strategy,
 )
 from .solver import (
-    CandidateStrategy,
     SolveReport,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
     fix_candidate,
-    random_safe_strategy,
 )
 
 __version__ = "0.1.0"

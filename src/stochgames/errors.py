@@ -17,10 +17,6 @@ class InconsistentObservation(GameError):
     """An observation cannot follow the current knowledge under the played domain."""
 
 
-class NotClosed(GameError):
-    """A knowledge set has no action keeping all successors inside the set."""
-
-
 class ResourceLimit(GameError):
     """A configured cap on materialized states or candidates was exceeded."""
 

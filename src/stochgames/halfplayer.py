@@ -141,6 +141,7 @@ class PositivePlay:
 class PositiveWinReport:
     """Result of a positive-winning analysis.
 
+    ``sure_beliefs`` are the surely winning beliefs, as state masks.
     ``play`` is present exactly when the game's initial state is
     positively winning; ``build_play`` finds it on first read.  ``witness``
     lowers it to a finite-memory strategy, and ``footprint`` gives the
@@ -148,7 +149,7 @@ class PositiveWinReport:
     """
 
     winning_states: frozenset[int]
-    sure_beliefs: frozenset[frozenset[int]]
+    sure_beliefs: frozenset[int]
     iterations: int
     build_play: Callable[[], PositivePlay] | None = field(default=None, repr=False, compare=False)
 
@@ -364,7 +365,7 @@ def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> Positive
 
     return PositiveWinReport(
         winning_states=frozenset(winning),
-        sure_beliefs=frozenset(frozenset(bits(b)) for b in sure),
+        sure_beliefs=frozenset(sure),
         iterations=rounds,
         build_play=(
             partial(_positive_play, g, graph, sure_states, layers, through_final)

@@ -93,23 +93,24 @@ class KnowledgeOnlyStrategy:
             if mask <= 0:
                 raise ValidationError(f"empty action set for knowledge {k}")
 
-    def action_names(self, k: Knowledge, arena: Arena) -> tuple[str, ...]:
-        return tuple(arena.eve_actions[i] for i in bits(self.choice[k]))
-
 
 @dataclass(frozen=True)
 class KnowledgeArena:
     """Arena over (real state, knowledge, last domain) triples, as support
     tables.
 
-    Knowledge state 0 is the initial one.  Eve's letters are the playable
-    (action, support) pairs ``eve_pairs``, grouped by support in ascending
-    order; Adam keeps his alphabet.  ``post[u][p][a]`` is the mask of the
-    knowledge states reachable from u under pair p and Adam action a;
+    Knowledge state 0 is the initial one.  ``post[u][s - 1][a]`` is the mask
+    of the knowledge states reachable from u when Eve plays uniformly over
+    the action set of bitmask s and Adam plays a: the next knowledge depends
+    on the support she played, not on the action drawn from it.
+    ``position[u]`` is the index of u's knowledge in ``knowledges``;
     ``final_mask`` marks the knowledge states whose real state is final;
     ``adam_cells`` are Adam's observation blocks (the base block of the real
     state) split by final-membership, as masks.  ``arena`` is the same game
-    as a full ``Arena`` with the base arena's weights, built on first use.
+    as a full ``Arena`` with the base arena's weights, built on first use:
+    Eve's letters there are the playable (action, support) pairs
+    ``eve_pairs``, grouped by support in ascending order; Adam keeps his
+    alphabet.
     """
 
     base: Arena
@@ -117,6 +118,7 @@ class KnowledgeArena:
     eve_pairs: tuple[tuple[int, int], ...]
     knowledges: tuple[Knowledge, ...]
     post: tuple[tuple[tuple[int, ...], ...], ...]
+    position: tuple[int, ...]
     final_mask: int
     adam_cells: tuple[int, ...]
     n_edges: int
@@ -128,14 +130,6 @@ class KnowledgeArena:
 
     def pair_name(self, action: int, dom: int) -> str:
         return f"{self.base.eve_actions[action]}|{_dom_label(self.base, dom)}"
-
-    @cached_property
-    def dom_pairs(self) -> tuple[tuple[int, ...], ...]:
-        """``dom_pairs[dom]``: indices of the pairs (e, dom), e in dom."""
-        out: list[list[int]] = [[] for _ in range(1 << len(self.base.eve_actions))]
-        for p, (_e, dom) in enumerate(self.eve_pairs):
-            out[dom].append(p)
-        return tuple(tuple(ps) for ps in out)
 
     @cached_property
     def state_names(self) -> tuple[str, ...]:
@@ -155,14 +149,19 @@ class KnowledgeArena:
     def arena(self) -> Arena:
         base = self.base
         kstates = self.kstates
+        eve_block_masks = block_masks(base.eve_obs)
+        index = {(ks.real, ks.know.mask, ks.dom): v for v, ks in enumerate(kstates)}
         transition: dict[tuple[int, int, int], Distribution] = {}
         for u, ks in enumerate(kstates):
-            for p, (e, _dom) in enumerate(self.eve_pairs):
-                for a, targets in enumerate(self.post[u][p]):
+            for p, (e, dom) in enumerate(self.eve_pairs):
+                after = successors(base.post, ks.know.mask, dom)
+                for a in range(len(base.adam_actions)):
                     dist = base.transition[(ks.real, e, a)]
-                    transition[(u, p, a)] = Distribution(
-                        {v: dist[kstates[v].real] for v in bits(targets)}
-                    )
+                    targets = {
+                        index[(t, after & eve_block_masks[base.eve_block_of[t]], dom)]: q
+                        for t, q in dist.items()
+                    }
+                    transition[(u, p, a)] = Distribution(dict(sorted(targets.items())))
         return Arena(
             states=self.state_names,
             init=0,
@@ -240,7 +239,7 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     n_eve = len(arena.eve_actions)
     eve_block_masks = block_masks(arena.eve_obs)
     block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]
-    adam = range(len(arena.adam_actions))
+    n_adam = len(arena.adam_actions)
     pairs = [(e, dom) for dom in range(1, 1 << n_eve) for e in bits(dom)]
 
     init_know = Knowledge(1 << arena.init)
@@ -256,13 +255,12 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
         rows = []
         for dom in range(1, 1 << n_eve):
             # the successor knowledge of a target depends only on the played
-            # domain and the target's block, not on the action pair
+            # domain and the target's block, not on the action drawn from it
             after = successors(arena.post, kmask, dom)
             bit_of: dict[int, int] = {}
+            row = [0] * n_adam
             for e in bits(dom):
-                row = []
-                for a in adam:
-                    m = 0
+                for a in range(n_adam):
                     for t, _q in arena.transition[(ks.real, e, a)].items():
                         bit = bit_of.get(t)
                         if bit is None:
@@ -276,19 +274,20 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
                                 kstates.append(KnowledgeState(real=t, know=know, dom=dom))
                                 index[(t, know_mask, dom)] = v
                             bit = bit_of[t] = 1 << v
-                        m |= bit
-                    row.append(m)
-                rows.append(tuple(row))
+                        row[a] |= bit
+            rows.append(tuple(row))
         n_edges += reduce(or_, chain.from_iterable(rows), 0).bit_count()
         post.append(tuple(rows))
 
     final_mask = mask_of(v for v, ks in enumerate(kstates) if ks.real in arena.final)
+    position_of = {mask: j for j, mask in enumerate(knowledges)}
     return KnowledgeArena(
         base=arena,
         kstates=tuple(kstates),
         eve_pairs=tuple(pairs),
         knowledges=tuple(knowledges.values()),
         post=tuple(post),
+        position=tuple(position_of[ks.know.mask] for ks in kstates),
         final_mask=final_mask,
         adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
         n_edges=n_edges,

@@ -195,16 +195,8 @@ class Arena:
         return len(self.states)
 
     @cached_property
-    def state_index(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.states)}
-
-    @cached_property
     def eve_action_index(self) -> Mapping[str, int]:
         return {name: i for i, name in enumerate(self.eve_actions)}
-
-    @cached_property
-    def adam_action_index(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.adam_actions)}
 
     @cached_property
     def eve_block_of(self) -> tuple[int, ...]:

@@ -1,14 +1,16 @@
 """Decision procedures for almost-sure reachability and Buchi winning.
 
 The solver searches Eve's knowledge-only uniform strategies in canonical
-order for the least one that wins.  Fixing one turns the game, from Adam's
-point of view, into a game against chance with a safety (for
-reachability) or co-Buchi (for Buchi) objective; the candidate is
-almost-surely winning exactly when Adam is not positively winning there.
-That depends on supports only, so a candidate is folded by OR-ing bitmask
-rows of the knowledge arena's support tables; Adam's game carries no
-weighted arena (the tests fold exact weights with their oracle
-``dense_fold``).
+order for the least one that wins.  A candidate is a tuple of action
+bitmasks, one per knowledge in ``ka.knowledges`` order.  Fixing one turns
+the game, from Adam's point of view, into a game against chance with a
+safety (for reachability) or co-Buchi (for Buchi) objective; the
+candidate is almost-surely winning exactly when Adam is not positively
+winning there.
+That depends on supports only, so a candidate is folded by looking up,
+at every knowledge state, the knowledge arena's support row of the action
+set chosen at its knowledge; Adam's game carries no weighted arena (the
+tests fold exact weights with their oracle ``dense_fold``).
 
 Adam refutes a losing candidate with a play that reads his game only at
 the knowledge states of its footprint, and the fold's row there depends
@@ -34,8 +36,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
-from .bitset import bits, block_masks
-from .errors import NotClosed, ResourceLimit, ValidationError
+from .bitset import bits
+from .errors import ResourceLimit, ValidationError
 from .halfplayer import (
     DEFAULT_BELIEF_CAP,
     OneHalfGame,
@@ -43,29 +45,10 @@ from .halfplayer import (
     positive_cobuchi,
     positive_safety,
 )
-from .knowledge import (
-    Knowledge,
-    KnowledgeArena,
-    KnowledgeOnlyStrategy,
-    build_knowledge_arena,
-    lower_strategy,
-    successors,
-)
+from .knowledge import KnowledgeArena, KnowledgeOnlyStrategy, build_knowledge_arena, lower_strategy
 from .model import ADAM, Arena, FiniteMemoryStrategy, Objective, validate_strategy
 
 DEFAULT_CANDIDATE_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class CandidateStrategy:
-    """A knowledge-only uniform strategy with its enumeration index.
-
-    ``index`` is the canonical position in the enumeration order, or None
-    for candidates built outside the enumeration (e.g. from a winning set).
-    """
-
-    strategy: KnowledgeOnlyStrategy
-    index: int | None
 
 
 @dataclass(frozen=True)
@@ -85,34 +68,28 @@ def candidate_count(ka: KnowledgeArena) -> int:
     return ((1 << k) - 1) ** len(ka.knowledges)
 
 
-def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy) -> OneHalfGame:
+def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
     """Fold the candidate's uniform move into the knowledge arena.
 
-    The result is the game Adam faces against chance: the knowledge-arena
-    states with Adam's alphabet and his base observation refined by
-    final-membership.  Playing uniformly over a set S of actions reaches
-    the union of the supports of the pairs (e, S), e in S, so the fold ORs
-    their ``post`` rows.  The game carries no weighted arena; the tests'
-    oracle ``dense_fold`` mixes the exact weights.
+    ``cand`` gives each knowledge of ``ka.knowledges``, in order, the
+    bitmask of the action set Eve plays uniformly there.  The result is the
+    game Adam faces against chance: the knowledge-arena states with Adam's
+    alphabet and his base observation refined by final-membership, where
+    each state's row is the support row of the set chosen at its knowledge.
+    The game carries no weighted arena; the tests' oracle ``dense_fold``
+    mixes the exact weights.  A tuple of the wrong length, or a mask outside
+    1 to 2^k - 1, is invalid input.
     """
-    choice = cand.strategy.choice
-    try:
-        cmask_of = {know.mask: choice[know] for know in ka.knowledges}
-    except KeyError as exc:
-        raise ValidationError(f"candidate undefined for knowledge {exc.args[0].label(ka.base)}") from None
-    dom_pairs = ka.dom_pairs
-    post = []
-    for rows, ks in zip(ka.post, ka.kstates):
-        first, *rest = dom_pairs[cmask_of[ks.know.mask]]
-        row = rows[first]
-        for p in rest:
-            row = tuple(x | y for x, y in zip(row, rows[p]))
-        post.append(row)
+    m = (1 << len(ka.base.eve_actions)) - 1
+    if len(cand) != len(ka.knowledges) or not 0 < min(cand) <= max(cand) <= m:
+        raise ValidationError(
+            f"candidate must give each of the {len(ka.knowledges)} knowledges an action set in 1..{m}"
+        )
     return OneHalfGame(
         protagonist=ADAM,
         states=ka.state_names,
         actions=ka.base.adam_actions,
-        post=tuple(post),
+        post=tuple(rows[cand[j] - 1] for rows, j in zip(ka.post, ka.position)),
         cells=ka.adam_cells,
         final_mask=ka.final_mask,
         init=0,
@@ -121,7 +98,7 @@ def fix_candidate(ka: KnowledgeArena, cand: CandidateStrategy) -> OneHalfGame:
 
 def check_candidate(
     ka: KnowledgeArena,
-    cand: CandidateStrategy,
+    cand: tuple[int, ...],
     objective: Objective,
     max_beliefs: int = DEFAULT_BELIEF_CAP,
 ) -> tuple[bool, PositiveWinReport]:
@@ -130,8 +107,6 @@ def check_candidate(
     Adam's objective is the complement of Eve's: safety against
     reachability, co-Buchi against Buchi; the candidate wins exactly when
     Adam does not win it with positive probability from the initial state.
-    A ResourceLimit raised by Adam's belief graph reports the candidate's
-    index: the number of canonical positions decided before it.
     """
     if objective is Objective.REACHABILITY:
         positive = positive_safety
@@ -140,20 +115,17 @@ def check_candidate(
     else:
         raise ValidationError(f"no decision procedure for objective {objective.value!r}")
     game = fix_candidate(ka, cand)
-    try:
-        rep = positive(game, max_beliefs)
-    except ResourceLimit as exc:
-        raise ResourceLimit(str(exc), checked=cand.index) from None
+    rep = positive(game, max_beliefs)
     return game.init not in rep.winning_states, rep
 
 
-def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinReport) -> dict:
+def _diag_entry(ka: KnowledgeArena, index: int, cand: tuple[int, ...], rep: PositiveWinReport) -> dict:
     base = ka.base
     return {
-        "index": cand.index,
+        "index": index,
         "assignment": {
-            know.label(base): list(cand.strategy.action_names(know, base))
-            for know in ka.knowledges
+            know.label(base): [base.eve_actions[i] for i in bits(mask)]
+            for know, mask in zip(ka.knowledges, cand)
         },
         "adam_positively_wins": 0 in rep.winning_states,  # knowledge state 0 is initial
         "adam_winning_states": len(rep.winning_states),
@@ -163,7 +135,7 @@ def _diag_entry(ka: KnowledgeArena, cand: CandidateStrategy, rep: PositiveWinRep
     }
 
 
-def _candidate_at(ka: KnowledgeArena, index: int) -> CandidateStrategy:
+def _candidate_at(ka: KnowledgeArena, index: int) -> tuple[int, ...]:
     """The candidate at canonical position ``index``.
 
     Canonical order is lexicographic: knowledges in construction order,
@@ -172,15 +144,13 @@ def _candidate_at(ka: KnowledgeArena, index: int) -> CandidateStrategy:
     d the set of bitmask d + 1."""
     m = (1 << len(ka.base.eve_actions)) - 1
     digits = []
-    rest = index
     for _know in ka.knowledges:
-        rest, digit = divmod(rest, m)
+        index, digit = divmod(index, m)
         digits.append(digit + 1)
-    choice = dict(zip(ka.knowledges, reversed(digits)))
-    return CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
+    return tuple(reversed(digits))
 
 
-def _past_footprint(ka: KnowledgeArena, index: int, footprint: int, position: list[int]) -> int:
+def _past_footprint(ka: KnowledgeArena, index: int, footprint: int) -> int:
     """The first canonical position after ``index`` whose candidate differs
     from that at ``index`` on a knowledge of Adam's refutation's footprint.
 
@@ -188,12 +158,12 @@ def _past_footprint(ka: KnowledgeArena, index: int, footprint: int, position: li
     choice at u's knowledge, so a candidate that agrees with the loser on
     the knowledges of the footprint's states folds to a game with the same
     rows there; by ``PositivePlay.footprint`` Adam wins it positively too.
-    With j the last canonical position (``position[u]``, u a footprint
+    With j the last canonical position (``ka.position[u]``, u a footprint
     state) of those knowledges and m = 2^k - 1, the candidates up to the
     next change of digit j agree with the loser on all of them.
     """
     m = (1 << len(ka.base.eve_actions)) - 1
-    j = max(position[u] for u in bits(footprint))
+    j = max(ka.position[u] for u in bits(footprint))
     block = m ** (len(ka.knowledges) - 1 - j)
     return (index // block + 1) * block
 
@@ -205,19 +175,21 @@ def _checks(ka, objective, max_beliefs, debug, start, stop):
 
     A loss moves on past every candidate its refutation already defeats
     (``_past_footprint``); a debug walk, which lists every candidate, moves
-    to the next position.
+    to the next position.  A ResourceLimit raised by Adam's belief graph
+    reports the candidate's index: the number of canonical positions
+    decided before it.
     """
-    # canonical position of each state's knowledge
-    of = {know: j for j, know in enumerate(ka.knowledges)}
-    position = [of[ks.know] for ks in ka.kstates]
     index = start
     while index < stop:
         cand = _candidate_at(ka, index)
-        wins, rep = check_candidate(ka, cand, objective, max_beliefs)
-        yield index, wins, rep, _diag_entry(ka, cand, rep) if debug else None
+        try:
+            wins, rep = check_candidate(ka, cand, objective, max_beliefs)
+        except ResourceLimit as exc:
+            raise ResourceLimit(str(exc), checked=index) from None
+        yield index, wins, rep, _diag_entry(ka, index, cand, rep) if debug else None
         if wins:
             return
-        index = index + 1 if debug else _past_footprint(ka, index, rep.footprint, position)
+        index = index + 1 if debug else _past_footprint(ka, index, rep.footprint)
 
 
 _WORKER_STATE: dict = {}
@@ -282,28 +254,31 @@ def _decide(
         if diagnostics is not None:
             diagnostics.append(diag)
         if wins:
-            winner, rep = _candidate_at(ka, index), cand_rep
+            winner, rep = index, cand_rep
     if winner is None and max_candidates < count:
         raise ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
     witness = None
     winning_knowledges: tuple[tuple[str, ...], ...] = ()
     if winner is not None:
+        cand = _candidate_at(ka, winner)
         if rep is None:  # a pooled check returns the verdict only
-            _wins, rep = check_candidate(ka, winner, objective, max_beliefs)
-        witness = lower_strategy(arena, winner.strategy)
+            _wins, rep = check_candidate(ka, cand, objective, max_beliefs)
+        witness = lower_strategy(arena, KnowledgeOnlyStrategy(dict(zip(ka.knowledges, cand))))
         validate_strategy(arena, "eve", witness)
         # the witness wins from every knowledge none of whose states Adam
         # wins positively
-        lost = {ka.kstates[u].know for u in rep.winning_states}
+        lost = {ka.position[u] for u in rep.winning_states}
         winning_knowledges = tuple(
-            tuple(arena.states[s] for s in know.states) for know in ka.knowledges if know not in lost
+            tuple(arena.states[s] for s in know.states)
+            for j, know in enumerate(ka.knowledges)
+            if j not in lost
         )
     return SolveReport(
         verdict="yes" if witness is not None else "no",
         objective=objective,
         witness=witness,
         witness_winning_knowledges=winning_knowledges,
-        candidates_checked=count if winner is None else winner.index + 1,
+        candidates_checked=count if winner is None else winner + 1,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         diagnostics=tuple(diagnostics) if diagnostics is not None else None,
     )
@@ -342,27 +317,3 @@ def decide_almost_sure_buchi(
     Same contract as ``decide_almost_sure_reach``, ``threads`` included.
     """
     return _decide(arena, Objective.BUCHI, max_candidates, max_beliefs, threads, debug)
-
-
-def random_safe_strategy(ka: KnowledgeArena, w) -> CandidateStrategy:
-    """Candidate that plays, at each knowledge of ``w``, uniformly over the
-    actions whose every consistent successor knowledge stays in ``w``.
-
-    An action is judged safe on its own: playing it as a point distribution
-    must keep every compatible observation inside ``w``.  Raises NotClosed
-    if some knowledge has no safe action.
-    """
-    base = ka.base
-    eve_block_masks = block_masks(base.eve_obs)
-    wset = {know.mask for know in w}
-    choice: dict[Knowledge, int] = {}
-    for know in w:
-        safe = 0
-        for e in range(len(base.eve_actions)):
-            after = successors(base.post, know.mask, 1 << e)
-            if all(not after & bm or after & bm in wset for bm in eve_block_masks):
-                safe |= 1 << e
-        if safe == 0:
-            raise NotClosed(f"knowledge {know.label(base)} has no safe action within w")
-        choice[know] = safe
-    return CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=None)

@@ -21,9 +21,9 @@ import networkx as nx
 
 from stochgames import (
     Arena,
-    CandidateStrategy,
     Distribution,
     FiniteMemoryStrategy,
+    GameError,
     KnowledgeOnlyStrategy,
     Objective,
     OneHalfGame,
@@ -37,6 +37,7 @@ from stochgames import (
 )
 from stochgames.bitset import block_masks, mask_of, split_masks
 from stochgames.evaluation import almost_sure
+from stochgames.knowledge import successors
 from stochgames.model import ADAM, EVE
 from instances import make_doc
 
@@ -131,8 +132,9 @@ def game_from_arena(arena: Arena, protagonist: str) -> tuple[OneHalfGame, Arena]
 # Candidates in product order
 
 
-def enumerate_candidates(ka, max_candidates: int = 10**7) -> Iterator[CandidateStrategy]:
-    """Yield every map from reachable knowledges to non-empty action subsets.
+def enumerate_candidates(ka, max_candidates: int = 10**7) -> Iterator[tuple[int, ...]]:
+    """Yield every tuple of non-empty action subsets (bitmasks), one per
+    reachable knowledge in ``ka.knowledges`` order.
 
     Canonical lexicographic order: knowledges in construction order, subsets
     by ascending bitmask.  Raises ResourceLimit when a candidate beyond the
@@ -140,11 +142,43 @@ def enumerate_candidates(ka, max_candidates: int = 10**7) -> Iterator[CandidateS
     """
     k = len(ka.base.eve_actions)
     masks = range(1, 1 << k)
-    for index, assignment in enumerate(product(masks, repeat=len(ka.knowledges))):
+    for index, cand in enumerate(product(masks, repeat=len(ka.knowledges))):
         if index >= max_candidates:
             raise ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
-        choice = dict(zip(ka.knowledges, assignment))
-        yield CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=index)
+        yield cand
+
+
+def knowledge_only(ka, cand) -> KnowledgeOnlyStrategy:
+    """The candidate as a strategy keyed by knowledge."""
+    return KnowledgeOnlyStrategy(dict(zip(ka.knowledges, cand)))
+
+
+class NotClosed(GameError):
+    """A knowledge set has no action keeping all successors inside the set."""
+
+
+def random_safe_strategy(ka, w) -> KnowledgeOnlyStrategy:
+    """Strategy that plays, at each knowledge of ``w``, uniformly over the
+    actions whose every consistent successor knowledge stays in ``w``.
+
+    An action is judged safe on its own: playing it as a point distribution
+    must keep every compatible observation inside ``w``.  Raises NotClosed
+    if some knowledge has no safe action.
+    """
+    base = ka.base
+    eve_block_masks = block_masks(base.eve_obs)
+    wset = {know.mask for know in w}
+    choice = {}
+    for know in w:
+        safe = 0
+        for e in range(len(base.eve_actions)):
+            after = successors(base.post, know.mask, 1 << e)
+            if all(not after & bm or after & bm in wset for bm in eve_block_masks):
+                safe |= 1 << e
+        if safe == 0:
+            raise NotClosed(f"knowledge {know.label(base)} has no safe action within w")
+        choice[know] = safe
+    return KnowledgeOnlyStrategy(choice)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +381,10 @@ def dense_fold(ka, cand) -> Arena:
     chosen set S, are mixed with weight 1/|S| each."""
     kaa = ka.arena
     pair_index = {pair: p for p, pair in enumerate(ka.eve_pairs)}
+    choice = knowledge_only(ka, cand).choice
     transition = {}
     for u, ks in enumerate(ka.kstates):
-        cmask = cand.strategy.choice[ks.know]
+        cmask = choice[ks.know]
         pairs = [pair_index[(e, cmask)] for e in range(len(ka.base.eve_actions)) if cmask >> e & 1]
         share = Fraction(1, len(pairs))
         for a in range(len(kaa.adam_actions)):
@@ -421,7 +456,7 @@ def brute_force_verdict(
     ka = build_knowledge_arena(arena)
     lowered = []
     for cand in enumerate_candidates(ka, max_candidates):
-        low = lower_strategy(arena, cand.strategy)
+        low = lower_strategy(arena, knowledge_only(ka, cand))
         if best_response_full_info(arena, low, objective).probability == 1:
             return "yes"
         lowered.append(low)

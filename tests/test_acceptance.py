@@ -113,10 +113,10 @@ def test_criterion_3_internal_completeness_of_no(corpus_results):
         if report.verdict != "no":
             continue
         ka = build_knowledge_arena(arena)
-        for cand in enumerate_candidates(ka, 100_000):
+        for index, cand in enumerate(enumerate_candidates(ka, 100_000)):
             wins, adam_report = check_candidate(ka, cand, objective)
             if wins or adam_report.witness is None:
-                failures.append((i, objective.value, cand.index, "missing witness"))
+                failures.append((i, objective.value, index, "missing witness"))
                 continue
             adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
             trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
@@ -124,7 +124,7 @@ def test_criterion_3_internal_completeness_of_no(corpus_results):
             value = objective_probability(chain, objective)
             checked += 1
             if value >= 1:
-                failures.append((i, objective.value, cand.index, str(value)))
+                failures.append((i, objective.value, index, str(value)))
     ok = not failures and checked > 0
     _verdictline(3, f"internal completeness of no ({checked} witnesses)", ok)
     assert failures == []

@@ -105,6 +105,18 @@ def test_cli_solve_missing_file_exit_2(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "none.json"), "--objective", "reach"]) == 2
 
 
+def test_cli_unwritable_out_exit_2(tmp_path, capsys):
+    existing = tmp_path / "dir"
+    existing.mkdir()
+    for out in (tmp_path / "missing" / "x.json", existing):
+        assert main(["gen", "--states", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        records = _run_records(captured.err)
+        assert len(records) == 1
+        assert records[0]["outcome"].startswith(f"invalid-input: cannot write output file {str(out)!r}")
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]  # no .tmp- file left behind
+
+
 def test_cli_solve_cap_exit_3(tmp_path, capsys):
     game = tmp_path / "g1.json"
     game.write_text(g1_doc())

@@ -45,7 +45,7 @@ def test_sure_safety_absorbing_singleton():
         ["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]],
         lambda s, e, a: {s: 1},
     )
-    assert frozenset({0}) in positive_safety(g).sure_beliefs
+    assert 1 in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_forced_hit_not_sure():
@@ -53,13 +53,13 @@ def test_sure_safety_forced_hit_not_sure():
         ["s", "f"], "s", ["f"], ["a", "b"], [["s"], ["f"]],
         lambda s, e, a: {"f": "1/2", "s": "1/2"} if s == "s" else {s: 1},
     )
-    assert frozenset({0}) not in positive_safety(g).sure_beliefs
+    assert 1 not in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_g2_adam_protagonist():
     # G2 with Adam as protagonist: from s0, action y surely avoids f
     g, _ = game_from_arena(g2(), ADAM)
-    assert frozenset({0}) in positive_safety(g).sure_beliefs
+    assert 1 in positive_safety(g).sure_beliefs
 
 
 def test_sure_safety_downward_absorbing():
@@ -67,7 +67,7 @@ def test_sure_safety_downward_absorbing():
         arena = generate_arena(random_params(seed, max_actions=1))
         g, _ = game_from_arena(arena, ADAM)
         graph = build_belief_graph(g)
-        sure = {sum(1 << s for s in b) for b in positive_safety(g).sure_beliefs}
+        sure = positive_safety(g).sure_beliefs
         for b in sure:
             assert any(
                 all(c in sure for c in graph.succ[b][a]) for a in range(len(g.actions))
@@ -197,7 +197,7 @@ def test_belief_graph_deterministic_per_observation():
 
 def test_sure_cobuchi_loop_forever():
     g = eve_half(["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]], lambda s, e, a: {s: 1})
-    assert frozenset({0}) in positive_cobuchi(g).sure_beliefs
+    assert 1 in positive_cobuchi(g).sure_beliefs
 
 
 def test_sure_cobuchi_forced_cycle_not_sure():
@@ -206,7 +206,7 @@ def test_sure_cobuchi_forced_cycle_not_sure():
         ["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]],
         lambda s, e, a: {"f": 1} if s == "s" else {"s": 1},
     )
-    assert frozenset({0}) not in positive_cobuchi(g).sure_beliefs
+    assert 1 not in positive_cobuchi(g).sure_beliefs
     rep = positive_cobuchi(g)
     assert rep.winning_states == frozenset()
 
@@ -214,8 +214,8 @@ def test_sure_cobuchi_forced_cycle_not_sure():
 def test_sure_cobuchi_g4_escape():
     g, _ = game_from_arena(g4(), EVE)
     sure = positive_cobuchi(g).sure_beliefs
-    assert frozenset({0}) in sure  # u escapes after one final visit
-    assert frozenset({1}) in sure
+    assert 0b01 in sure  # u escapes after one final visit
+    assert 0b10 in sure
 
 
 def test_positive_cobuchi_through_final():

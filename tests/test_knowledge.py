@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from stochgames import (
     lift_strategy,
     lower_strategy,
     objective_probability,
+    serialize_game,
     validate_strategy,
 )
 from stochgames.knowledge import KnowledgeOnlyStrategy
@@ -23,7 +26,7 @@ from stochgames.model import EVE, ADAM, Objective, parse_game
 from stochgames.evaluation import simulate_play, _Compiled
 from stochgames.gen import generate_arena, random_params
 
-from instances import g1, g3, one_state_doc
+from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin, one_state_doc
 from util import random_strategy
 
 
@@ -134,6 +137,23 @@ def test_census_counts():
     assert kstates == len(ka.kstates)
     assert knowledges == len(ka.knowledges) == 2
     assert edges > 0
+
+
+# knowledge states in discovery order, with their exact weighted arena; a
+# change to the build must not renumber or reweight any of them
+KNOWLEDGE_ARENAS_DIGEST = "2b7ad8ee9f069b3d7d68770ad59946c39ce89689fa195f0ca6b1f69627b6d3a1"
+
+
+def test_knowledge_arena_pinned():
+    arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
+    arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(60)]
+    arenas += [generate_arena(random_params(seed, max_states=4, max_actions=3)) for seed in range(20)]
+    digest = hashlib.sha256()
+    for arena in arenas:
+        ka = build_knowledge_arena(arena)
+        digest.update(json.dumps(ka.census).encode())
+        digest.update(serialize_game(ka.arena).encode())
+    assert digest.hexdigest() == KNOWLEDGE_ARENAS_DIGEST
 
 
 def test_resource_limit():

@@ -27,8 +27,7 @@ from stochgames import (
 from stochgames import solver
 from stochgames.bitset import bits
 from stochgames.gen import generate_arena, random_params
-from stochgames.knowledge import KnowledgeOnlyStrategy
-from stochgames.solver import CandidateStrategy, _candidate_at, candidate_count, check_candidate
+from stochgames.solver import _candidate_at, candidate_count, check_candidate
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin
 from oracles import enumerate_candidates
 
@@ -36,14 +35,13 @@ OBJECTIVES = (Objective.REACHABILITY, Objective.BUCHI)
 DECIDERS = (decide_almost_sure_reach, decide_almost_sure_buchi)
 
 
-def _completion(ka, cand, kept, data) -> CandidateStrategy:
+def _completion(ka, cand, kept, data) -> tuple[int, ...]:
     """``cand`` with a drawn action set at every knowledge outside ``kept``."""
     m = (1 << len(ka.base.eve_actions)) - 1
-    choice = {
-        know: mask if know in kept else data.draw(st.integers(1, m))
-        for know, mask in cand.strategy.choice.items()
-    }
-    return CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=None)
+    return tuple(
+        mask if know in kept else data.draw(st.integers(1, m))
+        for know, mask in zip(ka.knowledges, cand)
+    )
 
 
 def _losing(ka, objective, data):
@@ -82,12 +80,11 @@ def test_path_alone_is_no_footprint():
                 if wins:
                     continue
                 path = {ka.kstates[u].know for u in rep.play.path}
-                for know in ka.knowledges:
+                for j, know in enumerate(ka.knowledges):
                     if know in path:
                         continue
                     for mask in range(1, m + 1):
-                        choice = {**cand.strategy.choice, know: mask}
-                        other = CandidateStrategy(strategy=KnowledgeOnlyStrategy(choice), index=None)
+                        other = cand[:j] + (mask,) + cand[j + 1 :]
                         if check_candidate(ka, other, objective)[0]:
                             return
     pytest.fail("every completion agreeing on Adam's path lost")
@@ -96,8 +93,8 @@ def test_path_alone_is_no_footprint():
 def test_candidate_at_matches_enumeration():
     for seed in range(10):
         ka = build_knowledge_arena(generate_arena(random_params(seed, max_states=5, max_blocks=3)))
-        for cand in islice(enumerate_candidates(ka), 200):
-            assert _candidate_at(ka, cand.index) == cand
+        for index, cand in enumerate(islice(enumerate_candidates(ka), 200)):
+            assert _candidate_at(ka, index) == cand
 
 
 def _outcome(decide, arena, debug, **caps):
@@ -156,7 +153,7 @@ def test_search_checks_fewer_candidates(monkeypatch):
     check = solver.check_candidate
 
     def counting(*args, **kwargs):
-        calls.append(args[1].index)
+        calls.append(args[1])
         return check(*args, **kwargs)
 
     monkeypatch.setattr(solver, "check_candidate", counting)

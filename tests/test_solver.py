@@ -14,7 +14,6 @@ import pytest
 from stochgames import (
     ValidationError,
     Knowledge,
-    NotClosed,
     Objective,
     ResourceLimit,
     best_response_full_info,
@@ -26,7 +25,6 @@ from stochgames import (
     objective_probability,
     positive_cobuchi,
     positive_safety,
-    random_safe_strategy,
     serialize_strategy,
     validate_strategy,
 )
@@ -35,15 +33,16 @@ from stochgames.cli import _report_dict
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.gen import generate_arena, random_params
 from stochgames.model import ADAM, FiniteMemoryStrategy, parse_game
-from stochgames.solver import CandidateStrategy, candidate_count, check_candidate
-from stochgames.knowledge import KnowledgeOnlyStrategy
+from stochgames.solver import candidate_count, check_candidate
 from instances import coin_chain, cycle_arena, g1, g1_prime, g2, g3, g4, hidden_coin, make_doc
 from oracles import (
     attractor_verdict,
     brute_force_verdict,
     dense_fold,
+    NotClosed,
     enumerate_candidates,
     game_from_arena,
+    random_safe_strategy,
     random_turn_based,
 )
 
@@ -64,12 +63,11 @@ def test_candidate_counts():
 def test_candidate_order_canonical():
     ka = build_knowledge_arena(cycle_arena(2, 2))
     cands = list(enumerate_candidates(ka))
-    assert [c.index for c in cands] == list(range(9))
-    first = cands[0]
-    assert all(mask == 1 for mask in first.strategy.choice.values())
+    assert len(cands) == len(set(cands)) == 9
+    assert cands[0] == (1, 1)
     # last component varies fastest
-    assert [c.strategy.choice[ka.knowledges[1]] for c in cands[:3]] == [1, 2, 3]
-    assert all(c.strategy.choice[ka.knowledges[0]] == 1 for c in cands[:3])
+    assert [c[1] for c in cands[:3]] == [1, 2, 3]
+    assert all(c[0] == 1 for c in cands[:3])
 
 
 def test_enumeration_resource_limit():
@@ -78,16 +76,14 @@ def test_enumeration_resource_limit():
     got = []
     with pytest.raises(ResourceLimit):
         for cand in stream:
-            got.append(cand.index)
-    assert got == [0, 1, 2, 3, 4]
+            got.append(cand)
+    assert got == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2)]
 
 
 def test_fix_candidate_uniform_mixes():
     arena = g1()
     ka = build_knowledge_arena(arena)
-    uniform = CandidateStrategy(
-        strategy=KnowledgeOnlyStrategy({k: 0b11 for k in ka.knowledges}), index=None
-    )
+    uniform = (0b11,) * len(ka.knowledges)
     game = fix_candidate(ka, uniform)
     dense = dense_fold(ka, uniform)
     init = dense.init
@@ -102,9 +98,7 @@ def test_fix_candidate_uniform_mixes():
 def test_fix_candidate_singleton_equals_slice():
     arena = g1()
     ka = build_knowledge_arena(arena)
-    point = CandidateStrategy(
-        strategy=KnowledgeOnlyStrategy({k: 0b01 for k in ka.knowledges}), index=None
-    )
+    point = (0b01,) * len(ka.knowledges)
     game = fix_candidate(ka, point)
     dense = dense_fold(ka, point)
     pair = ka.eve_pairs.index((0, 0b01))
@@ -113,15 +107,13 @@ def test_fix_candidate_singleton_equals_slice():
             continue
         for a in range(2):
             assert dense.transition[(u, 0, a)] == ka.arena.transition[(u, pair, a)]
-            assert game.post[u][a] == ka.post[u][pair][a]
+            assert game.post[u][a] == ka.post[u][0b01 - 1][a]
 
 
 def test_fix_candidate_keeps_final_absorbing():
     arena = g1()
     ka = build_knowledge_arena(arena)
-    uniform = CandidateStrategy(
-        strategy=KnowledgeOnlyStrategy({k: 0b11 for k in ka.knowledges}), index=None
-    )
+    uniform = (0b11,) * len(ka.knowledges)
     game = fix_candidate(ka, uniform)
     dense = dense_fold(ka, uniform)
     assert game.final_mask == mask_of(dense.final) != 0
@@ -129,6 +121,17 @@ def test_fix_candidate_keeps_final_absorbing():
         for a in range(2):
             assert game.post[u][a] & ~game.final_mask == 0
             assert all(t in dense.final for t in dense.transition[(u, 0, a)].support)
+
+
+def test_fix_candidate_rejects_malformed():
+    for arena in (g1(), generate_arena(random_params(3, max_states=4, max_actions=3))):
+        ka = build_knowledge_arena(arena)
+        n, m = len(ka.knowledges), (1 << len(arena.eve_actions)) - 1
+        fine = (m,) * n
+        fix_candidate(ka, fine)
+        for bad in (fine[1:], fine + (1,), (0,) + fine[1:], fine[1:] + (m + 1,)):
+            with pytest.raises(ValidationError, match="candidate"):
+                fix_candidate(ka, bad)
 
 
 def test_g1_reach_yes_with_uniform_witness():
@@ -264,9 +267,8 @@ def test_degenerate_turn_based_matches_attractor():
 def test_random_safe_strategy_g1():
     arena = g1()
     ka = build_knowledge_arena(arena)
-    cand = random_safe_strategy(ka, ka.knowledges)
-    assert cand.index is None
-    assert cand.strategy.choice[Knowledge.of([0])] == 0b11  # both actions stay in w
+    strategy = random_safe_strategy(ka, ka.knowledges)
+    assert strategy.choice[Knowledge.of([0])] == 0b11  # both actions stay in w
 
 
 def test_random_safe_strategy_not_closed():
@@ -279,8 +281,8 @@ def test_random_safe_strategy_not_closed():
 def test_random_safe_strategy_no_traps():
     arena = cycle_arena(3, 2)
     ka = build_knowledge_arena(arena)
-    cand = random_safe_strategy(ka, ka.knowledges)
-    assert all(mask == 0b11 for mask in cand.strategy.choice.values())
+    strategy = random_safe_strategy(ka, ka.knowledges)
+    assert all(mask == 0b11 for mask in strategy.choice.values())
 
 
 def test_solver_resource_limit():
@@ -303,7 +305,7 @@ def test_support_fold_matches_dense_fold():
         ka = build_knowledge_arena(arena)
         cands = list(islice(enumerate_candidates(ka), 20))
         checked = {
-            (objective, cand.index): check_candidate(ka, cand, objective)
+            (objective, cand): check_candidate(ka, cand, objective)
             for objective, _positive in objectives
             for cand in cands
         }
@@ -315,14 +317,20 @@ def test_support_fold_matches_dense_fold():
         kaa = ka.arena
         assert len(pickle.dumps(ka)) > len(shipped)
         assert len(kaa.transition) == len(ka.kstates) * len(ka.eve_pairs) * len(arena.adam_actions)
+        # playing support s reaches the union of the pairs (e, s), e in s
+        union = {}
         for (u, p, a), dist in kaa.transition.items():
-            assert mask_of(dist.support) == ka.post[u][p][a]
+            key = (u, ka.eve_pairs[p][1], a)
+            union[key] = union.get(key, 0) | mask_of(dist.support)
+        assert len(union) == len(ka.kstates) * len(ka.post[0]) * len(arena.adam_actions)
+        for (u, s, a), mask in union.items():
+            assert mask == ka.post[u][s - 1][a]
         assert kaa.final == frozenset(bits(ka.final_mask))
         assert split_masks(block_masks(kaa.adam_obs), ka.final_mask) == ka.adam_cells
 
         for objective, positive in objectives:
             for cand in cands:
-                wins, rep = checked[(objective, cand.index)]
+                wins, rep = checked[(objective, cand)]
                 game = fix_candidate(ka, cand)
                 dense, _ = game_from_arena(dense_fold(ka, cand), ADAM)
                 assert (game.post, game.cells, game.final_mask) == (
@@ -354,7 +362,7 @@ def test_adam_reports_pinned():
                 key = (
                     wins,
                     sorted(rep.winning_states),
-                    sorted(sorted(b) for b in rep.sure_beliefs),
+                    sorted(sorted(bits(b)) for b in rep.sure_beliefs),
                     rep.iterations,
                     witness,
                 )
