@@ -115,18 +115,21 @@ class KnowledgeArena:
 
     base: Arena
     kstates: tuple[KnowledgeState, ...]
-    eve_pairs: tuple[tuple[int, int], ...]
     knowledges: tuple[Knowledge, ...]
     post: tuple[tuple[tuple[int, ...], ...], ...]
     position: tuple[int, ...]
     final_mask: int
     adam_cells: tuple[int, ...]
-    n_edges: int
 
-    @property
+    @cached_property
     def census(self) -> tuple[int, int, int]:
         """(knowledge states, distinct knowledges, support edges)."""
-        return (len(self.kstates), len(self.knowledges), self.n_edges)
+        edges = sum(reduce(or_, chain.from_iterable(rows), 0).bit_count() for rows in self.post)
+        return (len(self.kstates), len(self.knowledges), edges)
+
+    @cached_property
+    def eve_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((e, dom) for dom in range(1, 1 << len(self.base.eve_actions)) for e in bits(dom))
 
     def pair_name(self, action: int, dom: int) -> str:
         return f"{self.base.eve_actions[action]}|{_dom_label(self.base, dom)}"
@@ -134,16 +137,6 @@ class KnowledgeArena:
     @cached_property
     def state_names(self) -> tuple[str, ...]:
         return tuple(_kstate_name(self.base, ks) for ks in self.kstates)
-
-    @cached_property
-    def eve_block_info(self) -> tuple[tuple[Knowledge, int], ...]:
-        """(knowledge, domain) of each of Eve's observation blocks."""
-        return tuple((Knowledge(k), dom) for k, dom in _obs_groups(self.base, self.kstates, EVE))
-
-    @cached_property
-    def adam_block_base(self) -> tuple[int, ...]:
-        """Base observation block of each of Adam's observation blocks."""
-        return tuple(_obs_groups(self.base, self.kstates, ADAM))
 
     @cached_property
     def arena(self) -> Arena:
@@ -240,14 +233,12 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     eve_block_masks = block_masks(arena.eve_obs)
     block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]
     n_adam = len(arena.adam_actions)
-    pairs = [(e, dom) for dom in range(1, 1 << n_eve) for e in bits(dom)]
 
     init_know = Knowledge(1 << arena.init)
     kstates: list[KnowledgeState] = [KnowledgeState(real=arena.init, know=init_know, dom=0)]
     index: dict[tuple[int, int, int], int] = {(arena.init, init_know.mask, 0): 0}
     knowledges: dict[int, Knowledge] = {init_know.mask: init_know}
     post: list[tuple[tuple[int, ...], ...]] = []
-    n_edges = 0
 
     while len(post) < len(kstates):
         ks = kstates[len(post)]
@@ -276,7 +267,6 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
                             bit = bit_of[t] = 1 << v
                         row[a] |= bit
             rows.append(tuple(row))
-        n_edges += reduce(or_, chain.from_iterable(rows), 0).bit_count()
         post.append(tuple(rows))
 
     final_mask = mask_of(v for v, ks in enumerate(kstates) if ks.real in arena.final)
@@ -284,13 +274,11 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     return KnowledgeArena(
         base=arena,
         kstates=tuple(kstates),
-        eve_pairs=tuple(pairs),
         knowledges=tuple(knowledges.values()),
         post=tuple(post),
         position=tuple(position_of[ks.know.mask] for ks in kstates),
         final_mask=final_mask,
         adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
-        n_edges=n_edges,
     )
 
 
@@ -302,8 +290,6 @@ def lift_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> FiniteMemo
     updates are re-keyed through the knowledge-arena observation blocks.
     """
     base = ka.base
-    if strat.owner != EVE:
-        raise ValidationError("only Eve's strategies live on the knowledge arena")
     validate_strategy(base, EVE, strat)
 
     move = {}
@@ -313,13 +299,8 @@ def lift_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> FiniteMemo
             {ka.pair_name(base.eve_action_index[a], supp): p for a, p in dist.items()}
         )
 
-    base_block_of_ka = [
-        base.eve_block_of[next(bits(know.mask))] for know, _dom in ka.eve_block_info
-    ]
-    update = {
-        m: {kb: strat.update[m][base_block_of_ka[kb]] for kb in range(len(ka.eve_block_info))}
-        for m in strat.memory
-    }
+    base_block = [base.eve_block_of[next(bits(kmask))] for kmask, _dom in _obs_groups(base, ka.kstates, EVE)]
+    update = {m: {kb: strat.update[m][b] for kb, b in enumerate(base_block)} for m in strat.memory}
     return FiniteMemoryStrategy(
         owner=EVE, memory=strat.memory, init_mem=strat.init_mem, move=move, update=update
     )
@@ -331,13 +312,9 @@ def adapt_adam_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> Fini
     Adam observes exactly what he observes in the base arena, so this only
     translates block indices; moves and memory are untouched.
     """
-    if strat.owner != ADAM:
-        raise ValidationError("expected an Adam strategy")
     validate_strategy(ka.base, ADAM, strat)
-    update = {
-        m: {kb: strat.update[m][b] for kb, b in enumerate(ka.adam_block_base)}
-        for m in strat.memory
-    }
+    base_block = list(_obs_groups(ka.base, ka.kstates, ADAM))
+    update = {m: {kb: strat.update[m][b] for kb, b in enumerate(base_block)} for m in strat.memory}
     return FiniteMemoryStrategy(
         owner=ADAM, memory=strat.memory, init_mem=strat.init_mem, move=strat.move, update=update
     )

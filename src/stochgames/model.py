@@ -4,6 +4,12 @@ Also owns the JSON game/strategy file formats.  Probabilities are exact
 rationals end to end; nothing in this module ever rounds.  State and action
 ids are strings in files and dense integers internally, ordered by file
 order, so every enumeration downstream is canonical.
+
+Parsers translate and constructors validate: ``parse_game`` and
+``parse_strategy`` check a document's shape and resolve its names, while
+``Distribution``, ``Arena`` and ``FiniteMemoryStrategy`` own every semantic
+invariant, so objects built in code and parsed from files meet the same
+rules.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Mapping
 
 from .bitset import mask_of
@@ -38,7 +45,8 @@ _STRATEGY_KEYS = {"owner", "memory", "init", "move", "update"}
 def parse_probability(raw, where: str) -> Fraction:
     """Parse a probability written as an integer or a "num/den" string.
 
-    Floats are rejected: the file format is exact by design.
+    Floats are rejected: the file format is exact by design.  The range is
+    left to ``Distribution``: positive weights summing to 1 lie in [0,1].
     """
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise SchemaError(f"{where}: probability must be an integer or 'num/den' string, got {raw!r}")
@@ -46,8 +54,6 @@ def parse_probability(raw, where: str) -> Fraction:
         value = Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: cannot parse probability {raw!r}") from exc
-    if not 0 <= value <= 1:
-        raise ValidationError(f"{where}: probability {raw!r} lies outside [0,1]")
     return value
 
 
@@ -71,7 +77,9 @@ class Distribution:
         for elem, p in weights.items():
             p = Fraction(p)
             if p <= 0:
-                raise ValidationError(f"distribution weight for {elem!r} must be positive")
+                raise ValidationError(
+                    f"zero-weight or negative entry for {elem!r}; drop it or make it positive"
+                )
             w[elem] = p
             total += p
         if not w:
@@ -142,7 +150,8 @@ class Arena:
     ``transition`` is total: it maps every (state, eve action, adam action)
     triple to a distribution over state indices.  ``eve_obs``/``adam_obs``
     are partitions of the states into observation blocks; each player only
-    ever sees the index of the block the current state lies in.
+    ever sees the index of the block the current state lies in.  State and
+    action names are distinct.
     """
 
     states: tuple[str, ...]
@@ -164,31 +173,39 @@ class Arena:
             raise ValidationError("init is not a state index")
         if not self.eve_actions or not self.adam_actions:
             raise ValidationError("both players need at least one action")
+        for key, names in (("eve_actions", self.eve_actions), ("adam_actions", self.adam_actions)):
+            if len(set(names)) != len(names):
+                raise ValidationError(f"duplicate names in {key!r}")
         for f in self.final:
             if not 0 <= f < n:
                 raise ValidationError("final contains a non-state index")
-        for player, obs in ((EVE, self.eve_obs), (ADAM, self.adam_obs)):
+        for key, obs in (("eve_obs", self.eve_obs), ("adam_obs", self.adam_obs)):
             seen = set()
-            for block in obs:
+            for b, block in enumerate(obs):
                 if not block:
-                    raise ValidationError(f"{player} observation partition has an empty block")
+                    raise ValidationError(f"{key}[{b}] is an empty block, not a partition")
                 for s in block:
-                    if not 0 <= s < n or s in seen:
-                        raise ValidationError(f"{player} observation partition is not a partition")
+                    if not 0 <= s < n:
+                        raise ValidationError(f"{key}[{b}] holds the non-state index {s}")
+                    if s in seen:
+                        raise ValidationError(f"{key} lists state {self.states[s]!r} twice, not a partition")
                     seen.add(s)
             if len(seen) != n:
-                raise ValidationError(f"{player} observation partition does not cover all states")
-        expected = n * len(self.eve_actions) * len(self.adam_actions)
-        if len(self.transition) != expected:
-            raise ValidationError(
-                f"transition function not total: {len(self.transition)} entries, expected {expected}"
-            )
+                raise ValidationError(f"{key} does not cover all states, not a partition")
+        n_eve, n_adam = len(self.eve_actions), len(self.adam_actions)
         for (s, e, a), dist in self.transition.items():
-            if not (0 <= s < n and 0 <= e < len(self.eve_actions) and 0 <= a < len(self.adam_actions)):
+            if not (0 <= s < n and 0 <= e < n_eve and 0 <= a < n_adam):
                 raise ValidationError(f"transition key ({s},{e},{a}) out of range")
-            for t in dist.support:
+            for t, _q in dist.items():
                 if not 0 <= t < n:
                     raise ValidationError(f"transition from ({s},{e},{a}) targets a non-state index")
+        if len(self.transition) != n * n_eve * n_adam:
+            triples = product(range(n), range(n_eve), range(n_adam))
+            s, e, a = next(k for k in triples if k not in self.transition)
+            raise ValidationError(
+                "transition function not total: no entry for "
+                f"({self.states[s]},{self.eve_actions[e]},{self.adam_actions[a]})"
+            )
 
     @property
     def n_states(self) -> int:
@@ -350,20 +367,17 @@ def _string_list(doc: dict, key: str, what: str) -> list[str]:
 
 
 def parse_game(text: str) -> Arena:
-    """Parse and validate a game document.
+    """Translate a game document into an Arena.
 
-    Raises SchemaError for structural problems and ValidationError for
-    semantic ones (non-total transition function, bad distributions, broken
-    partitions, unknown ids).
+    Raises SchemaError for structural problems.  Raises ValidationError for
+    unknown names, a state listed twice in 'final', a triple listed twice in
+    'transitions', and every invariant that Distribution and Arena check
+    (non-total transition function, bad weights, broken partitions).
     """
     doc = _load_object(text, "game")
     _check_keys(doc, _GAME_KEYS, "game")
 
     states = _string_list(doc, "states", "game")
-    if not states:
-        raise ValidationError("game: 'states' must be non-empty")
-    if len(set(states)) != len(states):
-        raise ValidationError("game: duplicate state names")
     index = {name: i for i, name in enumerate(states)}
 
     def state_id(name, where):
@@ -379,43 +393,25 @@ def parse_game(text: str) -> Arena:
             raise ValidationError(f"game: final lists {name!r} twice")
         final.append(f)
 
-    actions = {}
-    for key in ("eve_actions", "adam_actions"):
-        acts = _string_list(doc, key, "game")
-        if not acts:
-            raise ValidationError(f"game: {key!r} must be non-empty")
-        if len(set(acts)) != len(acts):
-            raise ValidationError(f"game: duplicate names in {key!r}")
-        actions[key] = acts
+    eve_actions = _string_list(doc, "eve_actions", "game")
+    adam_actions = _string_list(doc, "adam_actions", "game")
 
     partitions = {}
     for key in ("eve_obs", "adam_obs"):
         raw = doc[key]
         if not isinstance(raw, list) or not all(isinstance(b, list) for b in raw):
             raise SchemaError(f"game: {key!r} must be an array of arrays")
-        blocks = []
-        seen = set()
-        for b, block in enumerate(raw):
-            if not block:
-                raise ValidationError(f"game: {key}[{b}] is an empty block, not a partition")
-            ids = []
-            for name in block:
-                s = state_id(name, f"game: {key}[{b}]")
-                if s in seen:
-                    raise ValidationError(f"game: {key} lists state {name!r} twice, not a partition")
-                seen.add(s)
-                ids.append(s)
-            blocks.append(tuple(sorted(ids)))
-        if len(seen) != len(states):
-            raise ValidationError(f"game: {key} does not cover all states, not a partition")
-        partitions[key] = tuple(blocks)
+        partitions[key] = tuple(
+            tuple(sorted(state_id(name, f"game: {key}[{b}]") for name in block))
+            for b, block in enumerate(raw)
+        )
 
     raw_transitions = doc["transitions"]
     if not isinstance(raw_transitions, list):
         raise SchemaError("game: 'transitions' must be an array")
     transition: dict[tuple[int, int, int], Distribution] = {}
-    eve_index = {a: i for i, a in enumerate(actions["eve_actions"])}
-    adam_index = {a: i for i, a in enumerate(actions["adam_actions"])}
+    eve_index = {a: i for i, a in enumerate(eve_actions)}
+    adam_index = {a: i for i, a in enumerate(adam_actions)}
     for k, entry in enumerate(raw_transitions):
         where = f"game: transitions[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"from", "eve", "adam", "to"}:
@@ -431,37 +427,27 @@ def parse_game(text: str) -> Arena:
         to = entry["to"]
         if not isinstance(to, dict) or not to:
             raise SchemaError(f"{where}: 'to' must be a non-empty object")
-        weights = {}
-        for name, raw in to.items():
-            t = state_id(name, where)
-            p = parse_probability(raw, f"{where}: to[{name!r}]")
-            if p == 0:
-                raise ValidationError(f"{where}: zero-weight entry for {name!r}; drop it or make it positive")
-            weights[t] = p
+        weights = {
+            state_id(name, where): parse_probability(raw, f"{where}: to[{name!r}]") for name, raw in to.items()
+        }
         try:
             transition[(s, e, a)] = Distribution(weights)
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
-    for s in range(len(states)):
-        for e in range(len(eve_index)):
-            for a in range(len(adam_index)):
-                if (s, e, a) not in transition:
-                    raise ValidationError(
-                        "game: transition function not total: no entry for "
-                        f"({states[s]},{actions['eve_actions'][e]},{actions['adam_actions'][a]})"
-                    )
-
-    return Arena(
-        states=tuple(states),
-        init=init,
-        eve_actions=tuple(actions["eve_actions"]),
-        adam_actions=tuple(actions["adam_actions"]),
-        transition=transition,
-        eve_obs=partitions["eve_obs"],
-        adam_obs=partitions["adam_obs"],
-        final=frozenset(final),
-    )
+    try:
+        return Arena(
+            states=tuple(states),
+            init=init,
+            eve_actions=tuple(eve_actions),
+            adam_actions=tuple(adam_actions),
+            transition=transition,
+            eve_obs=partitions["eve_obs"],
+            adam_obs=partitions["adam_obs"],
+            final=frozenset(final),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"game: {exc}") from exc
 
 
 def serialize_game(arena: Arena) -> str:
@@ -491,13 +477,11 @@ def serialize_game(arena: Arena) -> str:
 
 
 def parse_strategy(text: str) -> FiniteMemoryStrategy:
-    """Parse a strategy document.  Arena-dependent checks (action names,
-    block totality) are left to validate_strategy."""
+    """Translate a strategy document into a FiniteMemoryStrategy, which
+    checks its own invariants.  Arena-dependent checks (action names, block
+    totality) are left to validate_strategy."""
     doc = _load_object(text, "strategy")
     _check_keys(doc, _STRATEGY_KEYS, "strategy")
-    owner = doc["owner"]
-    if owner not in PLAYERS:
-        raise ValidationError(f"strategy: owner must be 'eve' or 'adam', got {owner!r}")
     memory = _string_list(doc, "memory", "strategy")
     raw_move = doc["move"]
     raw_update = doc["update"]
@@ -525,14 +509,12 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
         update[m] = parsed
     try:
         return FiniteMemoryStrategy(
-            owner=owner,
+            owner=doc["owner"],
             memory=tuple(memory),
             init_mem=doc["init"],
             move=move,
             update=update,
         )
-    except ValidationError:
-        raise
     except TypeError as exc:
         raise SchemaError(f"strategy: {exc}") from exc
 

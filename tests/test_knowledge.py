@@ -194,6 +194,15 @@ def test_lift_preserves_memory():
     assert lifted.init_mem == eve.init_mem
 
 
+@pytest.mark.parametrize("translate,owner,action", [(lift_strategy, ADAM, "x"), (adapt_adam_strategy, EVE, "a")])
+def test_translations_reject_the_other_players_strategy(translate, owner, action):
+    from stochgames.model import FiniteMemoryStrategy
+
+    ka = build_knowledge_arena(g1())
+    with pytest.raises(ValidationError, match="owned by"):
+        translate(ka, FiniteMemoryStrategy.constant(owner, action, n_blocks=2))
+
+
 def test_lower_constant_choice():
     arena = parse_game(one_state_doc())
     phi = KnowledgeOnlyStrategy({Knowledge.of([0]): 1})

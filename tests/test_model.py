@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -152,18 +154,20 @@ def _two_memory_strategy_doc() -> str:
     )
 
 
-def _parse_with_field(kind: str, path: tuple, value) -> None:
+def _parse_with_field(kind: str, path: tuple, value):
     """Parse a valid game or strategy document (the latter also validated
-    against g1) after setting the field at ``path`` to ``value``."""
+    against g1) after setting the field at ``path`` to ``value``; return
+    the parsed object."""
     doc = json.loads(g1_doc() if kind == "game" else _two_memory_strategy_doc())
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
     if kind == "game":
-        parse_game(json.dumps(doc))
-    else:
-        validate_strategy(g1(), "eve", parse_strategy(json.dumps(doc)))
+        return parse_game(json.dumps(doc))
+    strat = parse_strategy(json.dumps(doc))
+    validate_strategy(g1(), "eve", strat)
+    return strat
 
 
 @settings(max_examples=400, deadline=None)
@@ -190,6 +194,50 @@ def test_parsers_raise_only_game_errors(kind, data):
 def test_parsers_reject_unhashable_actions_and_non_ascii_block_keys(kind, path, value):
     with pytest.raises(GameError):
         _parse_with_field(kind, path, value)
+
+
+# One-field replacements: wrong types, out-of-range and zero weights, empty
+# and repeated blocks, duplicate names, and well-formed alternatives.
+REPLACEMENTS = [
+    None, True, 1.5, -1, 0, 1, 2, "", "zz", "0", "0/1", "-1/2", "1/2", "3/2", "1/0",
+    "s", "f", "a", "b", "x", "y", "m0", "m1",
+    [], [[]], ["s"], ["f"], ["s", "f"], ["f", "s"], ["s", "s"], ["s", "f", "s"],
+    ["a", "a"], ["a", "b", "a"], ["x", "x"], ["m0", "m0"], ["m1"],
+    [["s", "f"]], [["s"], ["s"]], [["s"], ["f"], []], [["s", "s"], ["f"]], [["f"], ["s"]],
+    {}, {"f": 1}, {"s": 1}, {"f": 0, "s": 1}, {"f": "1/2", "s": "1/2"}, {"f": "3/2", "s": "-1/2"},
+    {"f": 2}, {"a": 1}, {"b": "1/2", "a": "1/2"}, {"a": 0, "b": 1}, {"x": 1},
+    {"0": "m0", "1": "m0"}, {"0": "m1"}, {"0": "m0", "1": "m1", "2": "m0"}, {"0": "zz", "1": "m0"},
+    {"from": "s", "eve": "a", "adam": "x", "to": {"f": 1}},
+    {"from": "f", "eve": "b", "adam": "y", "to": {"s": 1}},
+]
+
+# Recorded before the parsers left the semantic checks to the constructors.
+MUTATION_OUTCOMES_DIGEST = "e7fbc2e6679cf2576283160ca9d49d7aa5d8e06a37b8a2cb4480ba2e4569807f"
+
+
+def test_single_field_mutation_outcomes_pinned():
+    """Each one-field replacement keeps its outcome: the same canonical
+    document when accepted, else the same exception class."""
+    digest = hashlib.sha256()
+    for kind in ("game", "strategy"):
+        doc = json.loads(g1_doc() if kind == "game" else _two_memory_strategy_doc())
+        for path in _field_paths(doc):
+            for value in REPLACEMENTS:
+                try:
+                    parsed = _parse_with_field(kind, path, value)
+                    outcome = serialize_game(parsed) if kind == "game" else serialize_strategy(parsed)
+                except GameError as exc:
+                    outcome = type(exc).__name__
+                digest.update(json.dumps([kind, path, value, outcome]).encode())
+    assert digest.hexdigest() == MUTATION_OUTCOMES_DIGEST
+
+
+@pytest.mark.parametrize("field", ["eve_actions", "adam_actions"])
+def test_arena_rejects_duplicate_action_names(field):
+    arena = g1()
+    name = getattr(arena, field)[0]
+    with pytest.raises(ValidationError, match="duplicate"):
+        dataclasses.replace(arena, **{field: (name, name)})
 
 
 def test_round_trip_named_instances():

@@ -25,3 +25,9 @@ def test_run_corpus_fails_on_uncertified_witness(monkeypatch, capsys):
     assert run_corpus.main(args + ["--skip-oracle"]) == 1
     out = capsys.readouterr().out
     assert "certified by best response: 0," in out and "oracle disagreements: 0" in out
+
+
+def test_mc_calibration_reports_coverage(capsys):
+    mc_calibration = _load("mc_calibration")
+    assert mc_calibration.main(["--seeds", "2", "--samples", "50"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("coverage: ")
