@@ -27,10 +27,7 @@ from .halfplayer import (
     positive_safety,
 )
 from .knowledge import (
-    Knowledge,
     KnowledgeArena,
-    KnowledgeOnlyStrategy,
-    KnowledgeState,
     adapt_adam_strategy,
     build_knowledge_arena,
     knowledge_update,

@@ -20,6 +20,11 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def label(names, mask: int) -> str:
+    """The members of ``mask`` by name, as ``{a,b}``."""
+    return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+
+
 def block_masks(blocks: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """One mask per block of a partition, in block order."""
     return tuple(mask_of(block) for block in blocks)

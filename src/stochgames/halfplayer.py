@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Mapping
 
-from .bitset import bits
+from .bitset import bits, label
 from .errors import ResourceLimit
 from .model import Distribution, FiniteMemoryStrategy
 
@@ -262,7 +262,7 @@ def _winning_path(
 
 
 def _belief_label(g: OneHalfGame, mask: int) -> str:
-    return "b{" + ",".join(g.states[s] for s in bits(mask)) + "}"
+    return "b" + label(g.states, mask)
 
 
 def _positive_play(

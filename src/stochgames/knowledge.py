@@ -7,10 +7,12 @@ both pieces of information explicit in the state, so that strategies over it
 may depend on knowledge alone; this module also provides the two strategy
 translations between the base arena and the knowledge arena.
 
-Knowledges are stored as bitmasks over the state index for O(1) set algebra
-and canonical hashing.  The knowledge arena itself is built as bitmask
-support tables, which is all the solver reads: whether a knowledge-only
-strategy wins almost surely depends on supports only.  Its exact
+A knowledge is a bitmask over the state index, and an action set a
+bitmask over Eve's actions, for O(1) set algebra and canonical hashing; a
+knowledge-only strategy is a mapping from knowledge masks to action masks.
+The knowledge arena itself is built as bitmask support tables, which is
+all the solver reads: whether a knowledge-only strategy wins almost surely
+depends on supports only.  Its exact
 ``Fraction``-weighted ``Arena`` is derived from the base arena on first
 access, for dumps and for evaluating lifted strategies.
 """
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .bitset import bits, block_masks, mask_of, split_masks
+from .bitset import bits, block_masks, label, mask_of, split_masks
 from .errors import InconsistentObservation, ResourceLimit, ValidationError
 from .model import ADAM, EVE, Arena, Distribution, FiniteMemoryStrategy, validate_strategy
 
@@ -31,79 +33,20 @@ DEFAULT_KNOWLEDGE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class Knowledge:
-    """Non-empty set of states the player considers possible."""
-
-    mask: int
-
-    def __post_init__(self):
-        if self.mask <= 0:
-            raise ValidationError("knowledge must be a non-empty state set")
-
-    @classmethod
-    def of(cls, states: Iterable[int]) -> "Knowledge":
-        return cls(mask_of(states))
-
-    @property
-    def states(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
-    def __contains__(self, s: int) -> bool:
-        return bool(self.mask >> s & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def issubset(self, other: "Knowledge") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def label(self, arena: Arena) -> str:
-        return "{" + ",".join(arena.states[s] for s in self.states) + "}"
-
-
-@dataclass(frozen=True)
-class KnowledgeState:
-    """Real state plus Eve's knowledge and the domain of her last move.
-
-    ``dom`` is a bitmask over Eve's actions; 0 is the distinguished empty
-    sentinel used only by the initial state, before Eve has played anything.
-    """
-
-    real: int
-    know: Knowledge
-    dom: int
-
-    def __post_init__(self):
-        if self.real not in self.know:
-            raise ValidationError("real state must belong to the knowledge")
-
-
-@dataclass(frozen=True)
-class KnowledgeOnlyStrategy:
-    """Strategy that looks at the current knowledge alone.
-
-    Maps each knowledge to a non-empty set of Eve's actions (bitmask); the
-    emitted distribution is uniform over that set.
-    """
-
-    choice: Mapping[Knowledge, int]
-
-    def __post_init__(self):
-        for k, mask in self.choice.items():
-            if mask <= 0:
-                raise ValidationError(f"empty action set for knowledge {k}")
-
-
-@dataclass(frozen=True)
 class KnowledgeArena:
     """Arena over (real state, knowledge, last domain) triples, as support
     tables.
 
-    Knowledge state 0 is the initial one.  ``post[u][s - 1][a]`` is the mask
+    In a knowledge state ``(real, know, dom)``, ``know`` is the mask of the
+    states Eve considers possible, which holds ``real``, and ``dom`` the
+    mask of the action set she last played; 0 is the distinguished empty
+    sentinel of the initial state, knowledge state 0, before she has played
+    anything.  ``post[u][s - 1][a]`` is the mask
     of the knowledge states reachable from u when Eve plays uniformly over
     the action set of bitmask s and Adam plays a: the next knowledge depends
     on the support she played, not on the action drawn from it.
-    ``position[u]`` is the index of u's knowledge in ``knowledges``;
+    ``knowledges`` are the distinct knowledge masks in order of discovery,
+    and ``position[u]`` is the index of u's knowledge among them;
     ``final_mask`` marks the knowledge states whose real state is final;
     ``adam_cells`` are Adam's observation blocks (the base block of the real
     state) split by final-membership, as masks.  ``arena`` is the same game
@@ -114,8 +57,8 @@ class KnowledgeArena:
     """
 
     base: Arena
-    kstates: tuple[KnowledgeState, ...]
-    knowledges: tuple[Knowledge, ...]
+    kstates: tuple[tuple[int, int, int], ...]
+    knowledges: tuple[int, ...]
     post: tuple[tuple[tuple[int, ...], ...], ...]
     position: tuple[int, ...]
     final_mask: int
@@ -132,24 +75,27 @@ class KnowledgeArena:
         return tuple((e, dom) for dom in range(1, 1 << len(self.base.eve_actions)) for e in bits(dom))
 
     def pair_name(self, action: int, dom: int) -> str:
-        return f"{self.base.eve_actions[action]}|{_dom_label(self.base, dom)}"
+        return f"{self.base.eve_actions[action]}|{label(self.base.eve_actions, dom)}"
 
     @cached_property
     def state_names(self) -> tuple[str, ...]:
-        return tuple(_kstate_name(self.base, ks) for ks in self.kstates)
+        states, actions = self.base.states, self.base.eve_actions
+        return tuple(
+            f"{states[real]}|{label(states, know)}|{label(actions, dom)}" for real, know, dom in self.kstates
+        )
 
     @cached_property
     def arena(self) -> Arena:
         base = self.base
         kstates = self.kstates
         eve_block_masks = block_masks(base.eve_obs)
-        index = {(ks.real, ks.know.mask, ks.dom): v for v, ks in enumerate(kstates)}
+        index = {ks: v for v, ks in enumerate(kstates)}
         transition: dict[tuple[int, int, int], Distribution] = {}
-        for u, ks in enumerate(kstates):
+        for u, (real, know, _dom) in enumerate(kstates):
             for p, (e, dom) in enumerate(self.eve_pairs):
-                after = successors(base.post, ks.know.mask, dom)
+                after = successors(base.post, know, dom)
                 for a in range(len(base.adam_actions)):
-                    dist = base.transition[(ks.real, e, a)]
+                    dist = base.transition[(real, e, a)]
                     targets = {
                         index[(t, after & eve_block_masks[base.eve_block_of[t]], dom)]: q
                         for t, q in dist.items()
@@ -172,18 +118,10 @@ def _obs_groups(base: Arena, kstates, player: str) -> dict:
     keyed by what the player sees, in order of first appearance: Eve sees
     (knowledge, domain), Adam the base block of the real state."""
     groups: dict = {}
-    for v, ks in enumerate(kstates):
-        key = (ks.know.mask, ks.dom) if player == EVE else base.adam_block_of[ks.real]
+    for v, (real, know, dom) in enumerate(kstates):
+        key = (know, dom) if player == EVE else base.adam_block_of[real]
         groups[key] = groups.get(key, 0) | 1 << v
     return groups
-
-
-def _dom_label(arena: Arena, dom: int) -> str:
-    return "{" + ",".join(arena.eve_actions[i] for i in bits(dom)) + "}"
-
-
-def _kstate_name(arena: Arena, ks: KnowledgeState) -> str:
-    return f"{arena.states[ks.real]}|{ks.know.label(arena)}|{_dom_label(arena, ks.dom)}"
 
 
 def successors(post, kmask: int, dom: int) -> int:
@@ -197,23 +135,25 @@ def successors(post, kmask: int, dom: int) -> int:
     return acc
 
 
-def knowledge_update(arena: Arena, k: Knowledge, obs_block: int, dom: Iterable[int]) -> Knowledge:
+def knowledge_update(arena: Arena, know: int, obs_block: int, dom: int) -> int:
     """New knowledge after observing block ``obs_block`` having played a
     distribution with support ``dom``.
 
-    Returns the set of states in the observed block that are reachable from
-    some state of ``k`` under some action of ``dom`` and any adam action.
-    Raises InconsistentObservation when that set is empty.
+    ``know`` is a state mask and ``dom`` an action mask.  Returns the mask
+    of the states in the observed block that are reachable from some state
+    of ``know`` under some action of ``dom`` and any adam action.  A
+    ``dom`` outside 1 to 2^k - 1 is invalid input; raises
+    InconsistentObservation when the result is empty.
     """
-    dom_mask = dom if isinstance(dom, int) else mask_of(dom)
-    if dom_mask == 0:
-        raise ValueError("dom must be non-empty")
-    result = successors(arena.post, k.mask, dom_mask) & mask_of(arena.eve_obs[obs_block])
+    m = (1 << len(arena.eve_actions)) - 1
+    if not 0 < dom <= m:
+        raise ValidationError(f"played domain must be an action set in 1..{m}")
+    result = successors(arena.post, know, dom) & mask_of(arena.eve_obs[obs_block])
     if result == 0:
         raise InconsistentObservation(
-            f"observation block {obs_block} cannot follow knowledge {k.label(arena)} under the played domain"
+            f"observation block {obs_block} cannot follow knowledge {label(arena.states, know)} under the played domain"
         )
-    return Knowledge(result)
+    return result
 
 
 def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP) -> KnowledgeArena:
@@ -234,15 +174,13 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]
     n_adam = len(arena.adam_actions)
 
-    init_know = Knowledge(1 << arena.init)
-    kstates: list[KnowledgeState] = [KnowledgeState(real=arena.init, know=init_know, dom=0)]
-    index: dict[tuple[int, int, int], int] = {(arena.init, init_know.mask, 0): 0}
-    knowledges: dict[int, Knowledge] = {init_know.mask: init_know}
+    kstates: list[tuple[int, int, int]] = [(arena.init, 1 << arena.init, 0)]
+    index: dict[tuple[int, int, int], int] = {kstates[0]: 0}
+    position_of: dict[int, int] = {1 << arena.init: 0}  # knowledge -> its index
     post: list[tuple[tuple[int, ...], ...]] = []
 
     while len(post) < len(kstates):
-        ks = kstates[len(post)]
-        kmask = ks.know.mask
+        real, kmask, _dom = kstates[len(post)]
         rows = []
         for dom in range(1, 1 << n_eve):
             # the successor knowledge of a target depends only on the played
@@ -252,31 +190,31 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
             row = [0] * n_adam
             for e in bits(dom):
                 for a in range(n_adam):
-                    for t, _q in arena.transition[(ks.real, e, a)].items():
+                    for t, _q in arena.transition[(real, e, a)].items():
                         bit = bit_of.get(t)
                         if bit is None:
-                            know_mask = after & block_mask_of[t]
-                            v = index.get((t, know_mask, dom))
+                            know = after & block_mask_of[t]
+                            ks = (t, know, dom)
+                            v = index.get(ks)
                             if v is None:
                                 v = len(kstates)
                                 if v >= max_states:
                                     raise ResourceLimit(f"knowledge arena exceeds {max_states} states")
-                                know = knowledges.setdefault(know_mask, Knowledge(know_mask))
-                                kstates.append(KnowledgeState(real=t, know=know, dom=dom))
-                                index[(t, know_mask, dom)] = v
+                                position_of.setdefault(know, len(position_of))
+                                kstates.append(ks)
+                                index[ks] = v
                             bit = bit_of[t] = 1 << v
                         row[a] |= bit
             rows.append(tuple(row))
         post.append(tuple(rows))
 
-    final_mask = mask_of(v for v, ks in enumerate(kstates) if ks.real in arena.final)
-    position_of = {mask: j for j, mask in enumerate(knowledges)}
+    final_mask = mask_of(v for v, (t, _know, _dom) in enumerate(kstates) if t in arena.final)
     return KnowledgeArena(
         base=arena,
         kstates=tuple(kstates),
-        knowledges=tuple(knowledges.values()),
+        knowledges=tuple(position_of),
         post=tuple(post),
-        position=tuple(position_of[ks.know.mask] for ks in kstates),
+        position=tuple(position_of[know] for _t, know, _dom in kstates),
         final_mask=final_mask,
         adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
     )
@@ -320,55 +258,56 @@ def adapt_adam_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> Fini
     )
 
 
-def lower_strategy(arena: Arena, phi: KnowledgeOnlyStrategy) -> FiniteMemoryStrategy:
+def lower_strategy(arena: Arena, choice: Mapping[int, int]) -> FiniteMemoryStrategy:
     """Turn a knowledge-only strategy into a transducer on the base arena.
 
-    The memory is the set of reachable (knowledge, domain) pairs; the update
-    applies the knowledge update on the fly and the move is uniform over the
-    chosen action set of the current knowledge.
+    ``choice`` maps knowledge masks to the mask of the action set Eve plays
+    uniformly there.  An action set outside 1 to 2^k - 1 is invalid input,
+    and so is a knowledge the strategy reaches without one.  The memory is
+    the set of reachable (knowledge, domain) mask pairs; the update applies
+    the knowledge update on the fly and the move is uniform over the chosen
+    action set of the current knowledge.
     """
+    m = (1 << len(arena.eve_actions)) - 1
+    if not all(0 < acts <= m for acts in choice.values()):
+        raise ValidationError(f"knowledge-only strategy must choose action sets in 1..{m}")
     eve_block_masks = block_masks(arena.eve_obs)
 
-    initial = (Knowledge(1 << arena.init), 0)
-    mems: list[tuple[Knowledge, int]] = [initial]
+    initial = (1 << arena.init, 0)
+    mems: list[tuple[int, int]] = [initial]
     seen = {initial}
-    update_raw: dict[tuple[Knowledge, int], dict[int, tuple[Knowledge, int]]] = {}
+    update_raw: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     for mem in mems:  # grows while it is walked: breadth-first order
         know, _dom = mem
-        if know not in phi.choice:
-            raise ValidationError(f"knowledge-only strategy undefined for knowledge {know.label(arena)}")
-        played = phi.choice[know]
-        after = successors(arena.post, know.mask, played)
+        if know not in choice:
+            raise ValidationError(
+                f"knowledge-only strategy undefined for knowledge {label(arena.states, know)}"
+            )
+        played = choice[know]
+        after = successors(arena.post, know, played)
         row = {}
         for b, block_mask in enumerate(eve_block_masks):
             result = after & block_mask
             if result == 0:
                 row[b] = mem  # observation impossible under this strategy
                 continue
-            succ = (Knowledge(result), played)
+            succ = (result, played)
             row[b] = succ
             if succ not in seen:
                 seen.add(succ)
                 mems.append(succ)
         update_raw[mem] = row
 
-    def name(mem: tuple[Knowledge, int]) -> str:
-        know, dom = mem
-        return f"{know.label(arena)}|{_dom_label(arena, dom)}"
-
-    move = {
-        name(mem): Distribution.uniform(
-            arena.eve_actions[i] for i in bits(phi.choice[mem[0]])
-        )
-        for mem in mems
-    }
-    update = {
-        name(mem): {b: name(target) for b, target in update_raw[mem].items()} for mem in mems
+    names = {
+        (know, dom): f"{label(arena.states, know)}|{label(arena.eve_actions, dom)}" for know, dom in mems
     }
     return FiniteMemoryStrategy(
         owner=EVE,
-        memory=tuple(name(mem) for mem in mems),
-        init_mem=name(initial),
-        move=move,
-        update=update,
+        memory=tuple(names.values()),
+        init_mem=names[initial],
+        move={
+            name: Distribution.uniform(arena.eve_actions[i] for i in bits(choice[know]))
+            for (know, _dom), name in names.items()
+        },
+        update={names[mem]: {b: names[t] for b, t in row.items()} for mem, row in update_raw.items()},
     )

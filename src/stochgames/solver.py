@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
-from .bitset import bits
+from .bitset import bits, label
 from .errors import ResourceLimit, ValidationError
 from .halfplayer import (
     DEFAULT_BELIEF_CAP,
@@ -45,7 +45,7 @@ from .halfplayer import (
     positive_cobuchi,
     positive_safety,
 )
-from .knowledge import KnowledgeArena, KnowledgeOnlyStrategy, build_knowledge_arena, lower_strategy
+from .knowledge import KnowledgeArena, build_knowledge_arena, lower_strategy
 from .model import ADAM, Arena, FiniteMemoryStrategy, Objective, validate_strategy
 
 DEFAULT_CANDIDATE_CAP = 10**7
@@ -124,7 +124,7 @@ def _diag_entry(ka: KnowledgeArena, index: int, cand: tuple[int, ...], rep: Posi
     return {
         "index": index,
         "assignment": {
-            know.label(base): [base.eve_actions[i] for i in bits(mask)]
+            label(base.states, know): [base.eve_actions[i] for i in bits(mask)]
             for know, mask in zip(ka.knowledges, cand)
         },
         "adam_positively_wins": 0 in rep.winning_states,  # knowledge state 0 is initial
@@ -236,6 +236,9 @@ def _decide(
     threads: int,
     debug: bool,
 ) -> SolveReport:
+    """Search the candidates and, on "yes", lower the winner: its action
+    masks, keyed by the knowledge masks of ``ka.knowledges``, are the
+    knowledge-only strategy ``lower_strategy`` turns into the witness."""
     t0 = time.perf_counter()
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
@@ -263,13 +266,13 @@ def _decide(
         cand = _candidate_at(ka, winner)
         if rep is None:  # a pooled check returns the verdict only
             _wins, rep = check_candidate(ka, cand, objective, max_beliefs)
-        witness = lower_strategy(arena, KnowledgeOnlyStrategy(dict(zip(ka.knowledges, cand))))
+        witness = lower_strategy(arena, dict(zip(ka.knowledges, cand)))
         validate_strategy(arena, "eve", witness)
         # the witness wins from every knowledge none of whose states Adam
         # wins positively
         lost = {ka.position[u] for u in rep.winning_states}
         winning_knowledges = tuple(
-            tuple(arena.states[s] for s in know.states)
+            tuple(arena.states[s] for s in bits(know))
             for j, know in enumerate(ka.knowledges)
             if j not in lost
         )

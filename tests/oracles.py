@@ -24,7 +24,6 @@ from stochgames import (
     Distribution,
     FiniteMemoryStrategy,
     GameError,
-    KnowledgeOnlyStrategy,
     Objective,
     OneHalfGame,
     ResourceLimit,
@@ -35,7 +34,7 @@ from stochgames import (
     lower_strategy,
     parse_game,
 )
-from stochgames.bitset import block_masks, mask_of, split_masks
+from stochgames.bitset import block_masks, label, mask_of, split_masks
 from stochgames.evaluation import almost_sure
 from stochgames.knowledge import successors
 from stochgames.model import ADAM, EVE
@@ -148,18 +147,18 @@ def enumerate_candidates(ka, max_candidates: int = 10**7) -> Iterator[tuple[int,
         yield cand
 
 
-def knowledge_only(ka, cand) -> KnowledgeOnlyStrategy:
-    """The candidate as a strategy keyed by knowledge."""
-    return KnowledgeOnlyStrategy(dict(zip(ka.knowledges, cand)))
+def knowledge_only(ka, cand) -> dict[int, int]:
+    """The candidate as a strategy: action masks keyed by knowledge mask."""
+    return dict(zip(ka.knowledges, cand))
 
 
 class NotClosed(GameError):
     """A knowledge set has no action keeping all successors inside the set."""
 
 
-def random_safe_strategy(ka, w) -> KnowledgeOnlyStrategy:
-    """Strategy that plays, at each knowledge of ``w``, uniformly over the
-    actions whose every consistent successor knowledge stays in ``w``.
+def random_safe_strategy(ka, w) -> dict[int, int]:
+    """Strategy that plays, at each knowledge mask of ``w``, uniformly over
+    the actions whose every consistent successor knowledge stays in ``w``.
 
     An action is judged safe on its own: playing it as a point distribution
     must keep every compatible observation inside ``w``.  Raises NotClosed
@@ -167,18 +166,18 @@ def random_safe_strategy(ka, w) -> KnowledgeOnlyStrategy:
     """
     base = ka.base
     eve_block_masks = block_masks(base.eve_obs)
-    wset = {know.mask for know in w}
+    wset = set(w)
     choice = {}
     for know in w:
         safe = 0
         for e in range(len(base.eve_actions)):
-            after = successors(base.post, know.mask, 1 << e)
+            after = successors(base.post, know, 1 << e)
             if all(not after & bm or after & bm in wset for bm in eve_block_masks):
                 safe |= 1 << e
         if safe == 0:
-            raise NotClosed(f"knowledge {know.label(base)} has no safe action within w")
+            raise NotClosed(f"knowledge {label(base.states, know)} has no safe action within w")
         choice[know] = safe
-    return KnowledgeOnlyStrategy(choice)
+    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +380,10 @@ def dense_fold(ka, cand) -> Arena:
     chosen set S, are mixed with weight 1/|S| each."""
     kaa = ka.arena
     pair_index = {pair: p for p, pair in enumerate(ka.eve_pairs)}
-    choice = knowledge_only(ka, cand).choice
+    choice = knowledge_only(ka, cand)
     transition = {}
-    for u, ks in enumerate(ka.kstates):
-        cmask = choice[ks.know]
+    for u, (_real, know, _dom) in enumerate(ka.kstates):
+        cmask = choice[know]
         pairs = [pair_index[(e, cmask)] for e in range(len(ka.base.eve_actions)) if cmask >> e & 1]
         share = Fraction(1, len(pairs))
         for a in range(len(kaa.adam_actions)):

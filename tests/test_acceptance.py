@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from stochgames import (
-    Knowledge,
     Objective,
     best_response_full_info,
     build_chain,
@@ -22,6 +21,7 @@ from stochgames import (
     monte_carlo,
     objective_probability,
 )
+from stochgames.bitset import mask_of
 from stochgames.cli import main
 from stochgames.evaluation import _Compiled, simulate_play
 from stochgames.gen import generate_arena, random_params
@@ -177,13 +177,13 @@ def test_criterion_6_knowledge_accuracy():
         for _ in range(100):
             plays += 1
             states = simulate_play(arena, eve, adam, horizon=12, rng=rng)
-            know = Knowledge.of([arena.init])
+            know = mask_of([arena.init])
             mem = ce.init
             for t in states[1:]:
-                dom = [e for e, _p in ce.move[mem]]
+                dom = mask_of(e for e, _p in ce.move[mem])
                 know = knowledge_update(arena, know, arena.eve_block_of[t], dom)
                 mem = ce.update[mem][arena.eve_block_of[t]]
-                if t not in know:
+                if not know >> t & 1:
                     violations += 1
     ok = plays >= 10_000 and violations == 0
     _verdictline(6, f"knowledge accuracy over {plays} plays", ok)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from stochgames import (
     InconsistentObservation,
-    Knowledge,
     ResourceLimit,
     ValidationError,
     adapt_adam_strategy,
@@ -21,7 +20,7 @@ from stochgames import (
     serialize_game,
     validate_strategy,
 )
-from stochgames.knowledge import KnowledgeOnlyStrategy
+from stochgames.bitset import bits, mask_of
 from stochgames.model import EVE, ADAM, Objective, parse_game
 from stochgames.evaluation import simulate_play, _Compiled
 from stochgames.gen import generate_arena, random_params
@@ -32,25 +31,25 @@ from util import random_strategy
 
 def test_update_absorbing_identity():
     arena = parse_game(one_state_doc())
-    k = Knowledge.of([0])
-    assert knowledge_update(arena, k, 0, [0]) == k
+    k = mask_of([0])
+    assert knowledge_update(arena, k, 0, mask_of([0])) == k
 
 
 def test_update_g3_blind_pair():
     arena = g3()
-    out = knowledge_update(arena, Knowledge.of([0]), 1, [0])
-    assert set(out.states) == {1, 2}
+    out = knowledge_update(arena, mask_of([0]), 1, mask_of([0]))
+    assert out == mask_of([1, 2])
 
 
 def test_update_g3_inconsistent():
     arena = g3()
     with pytest.raises(InconsistentObservation):
-        knowledge_update(arena, Knowledge.of([0]), 0, [0])
+        knowledge_update(arena, mask_of([0]), 0, mask_of([0]))
 
 
 def test_update_requires_domain():
-    with pytest.raises(ValueError):
-        knowledge_update(g3(), Knowledge.of([0]), 0, [])
+    with pytest.raises(ValidationError, match="action set"):
+        knowledge_update(g3(), mask_of([0]), 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,15 +60,16 @@ def test_update_monotone_in_knowledge(seed, data):
     small_states = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     extra = data.draw(st.sets(st.integers(0, n - 1)))
     dom = data.draw(st.sets(st.integers(0, len(arena.eve_actions) - 1), min_size=1))
-    small = Knowledge.of(small_states)
-    big = Knowledge.of(small_states | extra)
+    dom = mask_of(dom)
+    small = mask_of(small_states)
+    big = mask_of(small_states | extra)
     for block in range(len(arena.eve_obs)):
         try:
             out_small = knowledge_update(arena, small, block, dom)
         except InconsistentObservation:
             continue
         out_big = knowledge_update(arena, big, block, dom)
-        assert out_small.issubset(out_big)
+        assert out_small & ~out_big == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,24 +81,24 @@ def test_tracked_knowledge_contains_real_state(seed, strat_seed):
     adam = random_strategy(arena, ADAM, rng)
     states = simulate_play(arena, eve, adam, horizon=12, rng=rng)
     ce = _Compiled(arena, eve, EVE)
-    know = Knowledge.of([arena.init])
+    know = mask_of([arena.init])
     mem = ce.init
     for t in states[1:]:
-        dom = [e for e, _p in ce.move[mem]]
+        dom = mask_of(e for e, _p in ce.move[mem])
         know = knowledge_update(arena, know, arena.eve_block_of[t], dom)
         mem = ce.update[mem][arena.eve_block_of[t]]
-        assert t in know
+        assert know >> t & 1
 
 
 def test_perfect_information_collapses_to_singletons():
     arena = g1()  # discrete partitions
     ka = build_knowledge_arena(arena)
-    assert all(len(ks.know) == 1 for ks in ka.kstates)
+    assert all(know.bit_count() == 1 for _real, know, _dom in ka.kstates)
 
 
 def test_g3_reaches_blind_pair():
     ka = build_knowledge_arena(g3())
-    assert any(set(k.states) == {1, 2} for k in ka.knowledges)
+    assert mask_of([1, 2]) in ka.knowledges
 
 
 def test_one_state_arena_kstates():
@@ -106,16 +106,19 @@ def test_one_state_arena_kstates():
     ka = build_knowledge_arena(arena)
     # the initial sentinel plus one state per played domain ({a} only here)
     assert len(ka.kstates) == 2
-    assert ka.kstates[0].dom == 0
+    _real, _know, dom = ka.kstates[0]
+    assert dom == 0
 
 
 def test_observation_consistency():
     for seed in range(20):
         arena = generate_arena(random_params(seed))
         ka = build_knowledge_arena(arena)
-        for ks in ka.kstates:
-            blocks = {arena.eve_block_of[s] for s in ks.know.states}
+        for u, (real, know, dom) in enumerate(ka.kstates):
+            blocks = {arena.eve_block_of[s] for s in bits(know)}
             assert len(blocks) == 1
+            assert know >> real & 1
+            assert u == 0 or dom != 0
 
 
 def test_delta_support_projection():
@@ -124,11 +127,12 @@ def test_delta_support_projection():
         ka = build_knowledge_arena(arena)
         for (u, p, a), dist in ka.arena.transition.items():
             e, _dom = ka.eve_pairs[p]
-            reals = {ka.kstates[t].real for t in dist.support}
-            expected = set(arena.transition[(ka.kstates[u].real, e, a)].support)
+            real = ka.kstates[u][0]
+            reals = {ka.kstates[t][0] for t in dist.support}
+            expected = set(arena.transition[(real, e, a)].support)
             assert reals == expected
             for t, q in dist.items():
-                assert q == arena.transition[(ka.kstates[u].real, e, a)][ka.kstates[t].real]
+                assert q == arena.transition[(real, e, a)][ka.kstates[t][0]]
 
 
 def test_census_counts():
@@ -205,16 +209,14 @@ def test_translations_reject_the_other_players_strategy(translate, owner, action
 
 def test_lower_constant_choice():
     arena = parse_game(one_state_doc())
-    phi = KnowledgeOnlyStrategy({Knowledge.of([0]): 1})
-    strat = lower_strategy(arena, phi)
+    strat = lower_strategy(arena, {mask_of([0]): 1})
     validate_strategy(arena, EVE, strat)
     assert all(list(dist.support) == ["a"] for dist in strat.move.values())
 
 
 def test_lower_g1_memory_is_reachable_pairs():
     arena = g1()
-    phi = KnowledgeOnlyStrategy({Knowledge.of([0]): 0b11, Knowledge.of([1]): 0b01})
-    strat = lower_strategy(arena, phi)
+    strat = lower_strategy(arena, {mask_of([0]): 0b11, mask_of([1]): 0b01})
     validate_strategy(arena, EVE, strat)
     # ({s},-), ({s},{a,b}), ({f},{a,b}), ({f},{a})
     assert len(strat.memory) == 4
@@ -222,9 +224,11 @@ def test_lower_g1_memory_is_reachable_pairs():
 
 def test_lower_requires_total_choice():
     arena = g1()
-    phi = KnowledgeOnlyStrategy({Knowledge.of([0]): 0b11})
     with pytest.raises(ValidationError, match="undefined"):
-        lower_strategy(arena, phi)
+        lower_strategy(arena, {mask_of([0]): 0b11})
+    for outside in (0, 0b100):
+        with pytest.raises(ValidationError, match="action sets in 1..3"):
+            lower_strategy(arena, {mask_of([0]): outside, mask_of([1]): 0b01})
 
 
 def test_lower_then_lift_same_play_distribution():
@@ -235,7 +239,7 @@ def test_lower_then_lift_same_play_distribution():
         choice = {
             k: rng.randrange(1, 1 << len(arena.eve_actions)) for k in ka.knowledges
         }
-        lowered = lower_strategy(arena, KnowledgeOnlyStrategy(choice))
+        lowered = lower_strategy(arena, choice)
         lifted = lift_strategy(ka, lowered)
         adam = adapt_adam_strategy(ka, random_strategy(arena, ADAM, rng))
         base_adam = random_strategy(arena, ADAM, rng)

@@ -1,15 +1,20 @@
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from stochgames import EvalResult
+import stochgames
+from stochgames import EvalResult, knowledge, solver
+from instances import g1
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -31,3 +36,30 @@ def test_mc_calibration_reports_coverage(capsys):
     mc_calibration = _load("mc_calibration")
     assert mc_calibration.main(["--seeds", "2", "--samples", "50"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("coverage: ")
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """The benchmark's tracer wraps library functions where their callers
+    look them up; a refactor that unbinds one of those names fails here."""
+    tracing = _load("tracing", ROOT / "perfbench")
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        report = tracer.run_op("g1", "solve", lambda: stochgames.decide_almost_sure_reach(g1()))
+    finally:
+        tracer.uninstall()
+    assert report.verdict == "yes"
+    assert solver.lower_strategy is knowledge.lower_strategy  # unwrapped again
+    spans = {s.name for s in tracer.spans}
+    assert {
+        "model.arena_init",
+        "model.validate_strategy",
+        "knowledge.build",
+        "knowledge.lower",
+        "solver.decide",
+        "solver.check",
+        "solver.fold",
+        "halfplayer.positive",
+    } <= spans
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["knowledge.kstates"] > 0 and metrics["knowledge.witness_memory"] > 0

@@ -61,7 +61,7 @@ def test_footprint_refutes_every_agreeing_completion(seed, objective, data):
         return
     cand, rep = found
     assert rep.footprint & 1  # knowledge state 0, the initial one, is read
-    kept = {ka.kstates[u].know for u in bits(rep.footprint)}
+    kept = {ka.knowledges[ka.position[u]] for u in bits(rep.footprint)}
     for _ in range(4):
         wins, _rep = check_candidate(ka, _completion(ka, cand, kept, data), objective)
         assert not wins
@@ -79,7 +79,7 @@ def test_path_alone_is_no_footprint():
                 wins, rep = check_candidate(ka, cand, objective)
                 if wins:
                     continue
-                path = {ka.kstates[u].know for u in rep.play.path}
+                path = {ka.knowledges[ka.position[u]] for u in rep.play.path}
                 for j, know in enumerate(ka.knowledges):
                     if know in path:
                         continue

@@ -13,7 +13,6 @@ import pytest
 
 from stochgames import (
     ValidationError,
-    Knowledge,
     Objective,
     ResourceLimit,
     best_response_full_info,
@@ -90,7 +89,7 @@ def test_fix_candidate_uniform_mixes():
     assert game.init == init
     for a in range(2):
         dist = dense.transition[(init, 0, a)]
-        reals = {ka.kstates[t].real: p for t, p in dist.items()}
+        reals = {ka.kstates[t][0]: p for t, p in dist.items()}  # (real, know, dom)
         assert reals == {0: Fraction(1, 2), 1: Fraction(1, 2)}
         assert game.post[init][a] == mask_of(dist.support)
 
@@ -102,8 +101,8 @@ def test_fix_candidate_singleton_equals_slice():
     game = fix_candidate(ka, point)
     dense = dense_fold(ka, point)
     pair = ka.eve_pairs.index((0, 0b01))
-    for u in range(len(ka.kstates)):
-        if ka.kstates[u].dom not in (0, 0b01):
+    for u, (_real, _know, dom) in enumerate(ka.kstates):
+        if dom not in (0, 0b01):
             continue
         for a in range(2):
             assert dense.transition[(u, 0, a)] == ka.arena.transition[(u, pair, a)]
@@ -268,21 +267,21 @@ def test_random_safe_strategy_g1():
     arena = g1()
     ka = build_knowledge_arena(arena)
     strategy = random_safe_strategy(ka, ka.knowledges)
-    assert strategy.choice[Knowledge.of([0])] == 0b11  # both actions stay in w
+    assert strategy[mask_of([0])] == 0b11  # both actions stay in w
 
 
 def test_random_safe_strategy_not_closed():
     arena = g1()
     ka = build_knowledge_arena(arena)
     with pytest.raises(NotClosed):
-        random_safe_strategy(ka, [Knowledge.of([0])])  # successors escape to {f}
+        random_safe_strategy(ka, [mask_of([0])])  # successors escape to {f}
 
 
 def test_random_safe_strategy_no_traps():
     arena = cycle_arena(3, 2)
     ka = build_knowledge_arena(arena)
     strategy = random_safe_strategy(ka, ka.knowledges)
-    assert all(mask == 0b11 for mask in strategy.choice.values())
+    assert all(mask == 0b11 for mask in strategy.values())
 
 
 def test_solver_resource_limit():
