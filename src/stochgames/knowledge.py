@@ -142,9 +142,15 @@ def knowledge_update(arena: Arena, know: int, obs_block: int, dom: int) -> int:
     ``know`` is a state mask and ``dom`` an action mask.  Returns the mask
     of the states in the observed block that are reachable from some state
     of ``know`` under some action of ``dom`` and any adam action.  A
-    ``dom`` outside 1 to 2^k - 1 is invalid input; raises
-    InconsistentObservation when the result is empty.
+    ``know`` that is not a non-empty set of the arena's states, an
+    ``obs_block`` that is not one of Eve's blocks, or a ``dom`` outside 1
+    to 2^k - 1 is invalid input; raises InconsistentObservation when the
+    result is empty.
     """
+    if not 0 < know < 1 << arena.n_states:
+        raise ValidationError(f"knowledge must be a non-empty set of the {arena.n_states} states")
+    if not 0 <= obs_block < len(arena.eve_obs):
+        raise ValidationError(f"observation block must be one of Eve's {len(arena.eve_obs)} blocks")
     m = (1 << len(arena.eve_actions)) - 1
     if not 0 < dom <= m:
         raise ValidationError(f"played domain must be an action set in 1..{m}")

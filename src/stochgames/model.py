@@ -433,6 +433,12 @@ def parse_game(text: str) -> Arena:
         try:
             transition[(s, e, a)] = Distribution(weights)
         except ValidationError as exc:
+            # Distribution saw state indices; the same check keyed by the
+            # names gives the error that names the state
+            try:
+                Distribution(dict(zip(to, weights.values())))
+            except ValidationError as named:
+                exc = named
             raise ValidationError(f"{where}: {exc}") from exc
 
     try:

@@ -17,14 +17,20 @@ the knowledge states of its footprint, and the fold's row there depends
 only on the candidate's choice at their knowledges.  Every later candidate
 that makes the same choices at those knowledges loses to the same play, so
 the search jumps past all of them in one step, to the next canonical
-position that changes one of those choices.  The search runs in one
-process or, with ``threads`` above 1, on consecutive index ranges in a
-pool of worker processes; a debug solve, which lists a diagnostic per
-candidate, steps through the candidates one by one either way.  All give
-the same report, except where the belief cap stops a walk at a candidate
-the search skips: a pooled search starts each range afresh, so the cap can
-strike at a range's start.  The first successful candidate in canonical
-order is lowered to a finite-memory witness on the base arena.
+position that changes one of those choices.  After the first refutation
+that leaves positions to check, a sequential search runs ``_refuted``
+once: a greatest fixpoint over the knowledge states that keeps every
+state a winning candidate reaches, and so proves "no" when it drops the
+initial state; the search then stops with the report a search without a
+winner gives, caps included.  The search runs in one process or, with
+``threads`` above 1, on consecutive index ranges in a pool of worker
+processes; a debug solve, which lists a diagnostic per candidate, steps
+through the candidates one by one either way.  All give the same report,
+except where the belief cap stops a walk at a candidate the search skips
+or never reaches after a proof: a pooled search starts each range afresh,
+so the cap can strike at a range's start.  The first successful candidate
+in canonical order is lowered to a finite-memory witness on the base
+arena.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import or_
 
-from .bitset import bits, label
+from .bitset import bits, label, mask_of
 from .errors import ResourceLimit, ValidationError
 from .halfplayer import (
     DEFAULT_BELIEF_CAP,
@@ -168,16 +176,80 @@ def _past_footprint(ka: KnowledgeArena, index: int, footprint: int) -> int:
     return (index // block + 1) * block
 
 
-def _checks(ka, objective, max_beliefs, debug, start, stop):
+def _refuted(ka: KnowledgeArena, objective: Objective, max_beliefs: int) -> bool:
+    """True only when no candidate wins: a greatest fixpoint over the
+    knowledge states that keeps every state a winner reaches.
+
+    X starts as all knowledge states; under reachability the final ones
+    are never removed, since a play that reaches one has won.  Each round
+    (a) removes, until none is left, every removable state u with no
+    support s whose rows ``ka.post[u][s - 1]`` all lie inside X, and then
+    (b) folds the union game, where the row of a state of X is the union
+    of the rows of its supports that stay inside X and the row of any
+    other state is empty, and removes every removable u whose singleton
+    belief Adam surely wins there.  It returns True once the initial state
+    0 leaves X, and False when a round removes nothing or the union game's
+    belief graph exceeds ``max_beliefs``: the proof is then inconclusive,
+    not an error.
+
+    Sound because X keeps every state a winning candidate c reaches (under
+    reachability, through non-final states only).  (a) keeps it: the
+    support c plays at such a state keeps all its rows among the states c
+    reaches.  (b) keeps it: at the states c reaches, c's fold plays rows
+    that stay inside X, so subsets of the union rows.  Tracking his
+    union-game belief, which then always holds the true state, Adam plays
+    a sure union-game strategy from u in c's fold too, and wins surely;
+    had c reached u, he would win c's fold positively from state 0, and
+    ``check_candidate`` would refute c.
+    """
+    reach = objective is Objective.REACHABILITY
+    positive = positive_safety if reach else positive_cobuchi
+    removable = ~ka.final_mask if reach else -1
+    empty = (0,) * len(ka.base.adam_actions)
+    x = (1 << len(ka.post)) - 1
+    while x & 1:
+        union = [empty] * len(ka.post)
+        drop = 0
+        for u in bits(x):  # (a)
+            inside = [rows for rows in ka.post[u] if not any(r & ~x for r in rows)]
+            if inside:
+                union[u] = tuple(reduce(or_, column) for column in zip(*inside))
+            else:
+                drop |= 1 << u
+        drop &= removable
+        if not drop:  # (b), once (a) removes nothing
+            game = OneHalfGame(
+                protagonist=ADAM,
+                states=ka.state_names,
+                actions=ka.base.adam_actions,
+                post=tuple(union),
+                cells=ka.adam_cells,
+                final_mask=ka.final_mask,
+                init=0,
+            )
+            try:
+                sure = positive(game, max_beliefs).sure_beliefs
+            except ResourceLimit:
+                return False
+            drop = mask_of(u for u in bits(x & removable) if 1 << u in sure)
+            if not drop:
+                return False
+        x &= ~drop
+    return True
+
+
+def _checks(ka, objective, max_beliefs, debug, start, stop, refute=False):
     """(index, wins, Adam's report, diagnostic or None) of the candidates at
     canonical positions ``start`` to ``stop`` - 1, in order, up to and
     including the first winner.
 
     A loss moves on past every candidate its refutation already defeats
     (``_past_footprint``); a debug walk, which lists every candidate, moves
-    to the next position.  A ResourceLimit raised by Adam's belief graph
-    reports the candidate's index: the number of canonical positions
-    decided before it.
+    to the next position.  With ``refute``, the first loss that leaves
+    positions to check runs ``_refuted`` once, and the checks end there
+    when it proves that none of them wins.  A ResourceLimit raised by
+    Adam's belief graph reports the candidate's index: the number of
+    canonical positions decided before it.
     """
     index = start
     while index < stop:
@@ -190,6 +262,10 @@ def _checks(ka, objective, max_beliefs, debug, start, stop):
         if wins:
             return
         index = index + 1 if debug else _past_footprint(ka, index, rep.footprint)
+        if refute and index < stop:
+            if _refuted(ka, objective, max_beliefs):
+                return
+            refute = False
 
 
 _WORKER_STATE: dict = {}
@@ -250,7 +326,7 @@ def _decide(
     if threads > 1:
         checks = _pooled_checks(ka, objective, max_beliefs, debug, threads, stop)
     else:
-        checks = _checks(ka, objective, max_beliefs, debug, 0, stop)
+        checks = _checks(ka, objective, max_beliefs, debug, 0, stop, refute=not debug)
     diagnostics: list[dict] | None = [] if debug else None
     winner = rep = None
     for index, wins, cand_rep, diag in checks:
@@ -298,12 +374,15 @@ def decide_almost_sure_reach(
 
     On "yes" the report carries the lowered finite-memory witness of the
     canonically least successful candidate, and ``candidates_checked`` is
-    its index + 1; on "no" it is the candidate count.  ``threads`` above 1
-    runs the same search on consecutive index ranges in a pool of at most
-    one worker process per CPU, with the same report, unless the belief
-    cap strikes at a range's start, a candidate the sequential search
-    skips; below 1 it is invalid input, as is a cap below 0.  ``debug``
-    checks every candidate one by one and lists a diagnostic for each.
+    its index + 1; on "no" it is the candidate count, also where a
+    fixpoint over the knowledge states proved "no" without visiting every
+    candidate (a "no" proven past ``max_candidates`` still hits the cap).
+    ``threads`` above 1 runs the same search on consecutive index ranges
+    in a pool of at most one worker process per CPU, with the same report,
+    unless the belief cap strikes at a range's start, a candidate the
+    sequential search skips; below 1 it is invalid input, as is a cap
+    below 0.  ``debug`` checks every candidate one by one and lists a
+    diagnostic for each.
     """
     return _decide(arena, Objective.REACHABILITY, max_candidates, max_beliefs, threads, debug)
 
@@ -317,6 +396,7 @@ def decide_almost_sure_buchi(
 ) -> SolveReport:
     """Does Eve have an almost-surely winning strategy for Buchi?
 
-    Same contract as ``decide_almost_sure_reach``, ``threads`` included.
+    Same contract as ``decide_almost_sure_reach``, ``threads`` included:
+    "no" may be proven without visiting every candidate.
     """
     return _decide(arena, Objective.BUCHI, max_candidates, max_beliefs, threads, debug)

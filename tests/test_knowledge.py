@@ -50,6 +50,12 @@ def test_update_g3_inconsistent():
 def test_update_requires_domain():
     with pytest.raises(ValidationError, match="action set"):
         knowledge_update(g3(), mask_of([0]), 0, 0)
+    for know in (0, 1 << 10, -1):
+        with pytest.raises(ValidationError, match="knowledge"):
+            knowledge_update(g3(), know, 0, 1)
+    for block in (-1, 2, 7):
+        with pytest.raises(ValidationError, match="observation block"):
+            knowledge_update(g3(), mask_of([0]), block, 1)
 
 
 @settings(max_examples=40, deadline=None)

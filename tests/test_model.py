@@ -60,8 +60,9 @@ def test_duplicate_transition_rejected():
 def test_zero_weight_rejected():
     doc = json.loads(g1_doc())
     doc["transitions"][0]["to"] = {"f": 1, "s": 0}
-    with pytest.raises(ValidationError, match="zero-weight"):
+    with pytest.raises(ValidationError, match="zero-weight") as rejected:
         parse_game(json.dumps(doc))
+    assert "transitions[0]: zero-weight or negative entry for 's';" in str(rejected.value)
 
 
 def test_bad_sum_rejected():

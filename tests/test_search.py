@@ -5,7 +5,9 @@ states of its footprint; every candidate that agrees with the loser on the
 knowledges of those states loses too, so the search skips them.  These
 tests check that lemma on sampled completions, and that the search reports
 exactly what the one-by-one walk of a debug solve reports, in one process
-and in the process pool.
+and in the process pool.  They also check that the knowledge-state
+fixpoint ``_refuted``, which ends a search early, proves "no" only where
+every candidate loses.
 """
 
 import os
@@ -27,7 +29,7 @@ from stochgames import (
 from stochgames import solver
 from stochgames.bitset import bits
 from stochgames.gen import generate_arena, random_params
-from stochgames.solver import _candidate_at, candidate_count, check_candidate
+from stochgames.solver import _candidate_at, _refuted, candidate_count, check_candidate
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin
 from oracles import enumerate_candidates
 
@@ -179,3 +181,61 @@ def test_search_reaches_beyond_enumeration(monkeypatch):
     assert len(calls) == 2310
     # enumeration would check all 823,544 positions, at about 2 ms each
     assert elapsed < 60
+
+
+def _counting_checks(monkeypatch) -> list:
+    calls = []
+    check = solver.check_candidate
+    monkeypatch.setattr(solver, "check_candidate", lambda *a, **k: calls.append(1) or check(*a, **k))
+    return calls
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6))
+def test_refuted_only_when_every_candidate_loses(seed):
+    ka = build_knowledge_arena(generate_arena(random_params(seed, max_states=5, max_blocks=3)))
+    if candidate_count(ka) > 200:
+        return
+    for objective in OBJECTIVES:
+        if _refuted(ka, objective, 10**6):
+            assert not any(check_candidate(ka, cand, objective)[0] for cand in enumerate_candidates(ka))
+
+
+def test_refuted_proves_corpus_noes():
+    """On this corpus the fixpoint proves every "no" of either objective, so
+    none is left to the search."""
+    left = {objective: [] for objective in OBJECTIVES}
+    noes = 0
+    for seed in range(300):
+        arena = generate_arena(random_params(seed, max_states=5, max_blocks=3))
+        ka = build_knowledge_arena(arena)
+        for objective, decide in zip(OBJECTIVES, DECIDERS):
+            refuted = _refuted(ka, objective, 10**6)
+            if decide(arena).verdict == "yes":
+                assert not refuted
+            else:
+                noes += 1
+                if not refuted:
+                    left[objective].append(seed)
+    assert noes == 214
+    assert left == {Objective.REACHABILITY: [], Objective.BUCHI: []}
+
+
+def test_refuted_ends_search_at_scale(monkeypatch):
+    calls = _counting_checks(monkeypatch)
+    arena = generate_arena(random_params(103, max_states=6, max_actions=3, max_blocks=3))
+    for decide in DECIDERS:
+        calls.clear()
+        rep = decide(arena)
+        # the search alone needs 6,771 Adam checks for reachability
+        assert (rep.verdict, rep.candidates_checked) == ("no", 823543)
+        assert len(calls) == 1
+
+
+def test_search_continues_past_inconclusive_fixpoint(monkeypatch):
+    calls = _counting_checks(monkeypatch)
+    arena = generate_arena(random_params(1933, max_states=5, max_blocks=3))
+    assert not _refuted(build_knowledge_arena(arena), Objective.BUCHI, 10**6)
+    rep = decide_almost_sure_buchi(arena)
+    assert (rep.verdict, rep.candidates_checked) == ("no", 27)
+    assert len(calls) == 15
