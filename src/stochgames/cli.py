@@ -3,8 +3,9 @@
 Every run writes its primary output to --out (atomically) or stdout and
 emits exactly one JSON run record on stderr echoing the options it read;
 a usage error is invalid input and has its record too.  Each command takes
-only the options it reads.  Exit codes: 0 solved/ok, 2 invalid input, 3
-resource limit.
+only the options it reads and returns its output, outcome and exit code;
+``main`` alone writes the output and the run record.  Exit codes: 0
+solved/ok, 2 invalid input, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 from .errors import GameError, ResourceLimit
 from .evaluation import (
@@ -24,6 +26,7 @@ from .evaluation import (
     objective_probability,
 )
 from .gen import GenParams, generate_arena
+from .halfplayer import DEFAULT_BELIEF_CAP
 from .knowledge import build_knowledge_arena
 from .model import (
     Objective,
@@ -33,7 +36,7 @@ from .model import (
     serialize_game,
     serialize_strategy,
 )
-from .solver import SolveReport, decide_almost_sure_buchi, decide_almost_sure_reach
+from .solver import DEFAULT_CANDIDATE_CAP, SolveReport, decide_almost_sure_buchi, decide_almost_sure_reach
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -98,7 +101,17 @@ def _report_dict(report: SolveReport, config: dict) -> dict:
     return doc
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+class _Done(NamedTuple):
+    """A command's primary output (None for none), run-record outcome, exit
+    code, and a stderr line to print between the output and the record."""
+
+    text: str | None
+    outcome: str
+    code: int = EXIT_OK
+    note: str | None = None
+
+
+def cmd_solve(args: argparse.Namespace) -> _Done:
     t0 = time.perf_counter()
     config = _config_echo(args)
     arena = parse_game(_read(args.game, "game"))
@@ -111,22 +124,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             debug=args.debug_candidates,
         )
     except ResourceLimit as exc:
-        partial = {
-            "verdict": None,
-            "objective": args.objective,
-            "witness": None,
-            "witness_winning_knowledges": [],
-            "candidates_checked": exc.checked or 0,
-            "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-            "config": config,
-            "error": str(exc),
-        }
-        _write_output(json.dumps(partial, indent=2) + "\n", args.out)
-        _run_record("solve", config, f"resource-limit: {exc}", t0)
-        return EXIT_RESOURCE
-    _write_output(json.dumps(_report_dict(report, config), indent=2) + "\n", args.out)
-    _run_record("solve", config, f"verdict={report.verdict}", t0)
-    return EXIT_OK
+        elapsed_ms = int((time.perf_counter() - t0) * 1000)
+        partial = SolveReport(None, Objective.from_name(args.objective), None, (), exc.checked or 0, elapsed_ms)
+        doc = {**_report_dict(partial, config), "error": str(exc)}
+        return _Done(json.dumps(doc, indent=2) + "\n", f"resource-limit: {exc}", EXIT_RESOURCE)
+    return _Done(json.dumps(_report_dict(report, config), indent=2) + "\n", f"verdict={report.verdict}")
 
 
 def _load_pair(args):
@@ -136,31 +138,23 @@ def _load_pair(args):
     return arena, eve, adam
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _config_echo(args)
+def cmd_eval(args: argparse.Namespace) -> _Done:
     arena, eve, adam = _load_pair(args)
     objective = Objective.from_name(args.objective)
     chain = build_chain(arena, eve, adam, max_nodes=args.max_nodes)
-    value = objective_probability(chain, objective)
-    _write_output(
-        json.dumps({"probability": format_probability(value), "method": "exact"}) + "\n",
-        args.out,
-    )
-    _run_record("eval", config, f"probability={format_probability(value)}", t0)
-    return EXIT_OK
+    value = format_probability(objective_probability(chain, objective))
+    return _Done(json.dumps({"probability": value, "method": "exact"}) + "\n", f"probability={value}")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _config_echo(args)
+def cmd_simulate(args: argparse.Namespace) -> _Done:
     arena, eve, adam = _load_pair(args)
     objective = Objective.from_name(args.objective)
     result = monte_carlo(
         arena, eve, adam, objective, samples=args.samples, horizon=args.horizon, seed=args.seed
     )
+    estimate = format_probability(result.probability)
     record = {
-        "probability": format_probability(result.probability),
+        "probability": estimate,
         "method": result.method,
         "samples": result.samples,
         "half_width": result.half_width,
@@ -170,27 +164,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "horizon": args.horizon,
         "window": max(1, args.horizon // 10),
     }
-    _write_output(json.dumps(record, indent=2) + "\n", args.out)
-    _run_record("simulate", config, f"estimate={format_probability(result.probability)}", t0)
-    return EXIT_OK
+    return _Done(json.dumps(record, indent=2) + "\n", f"estimate={estimate}")
 
 
-def cmd_knowledge(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _config_echo(args)
+def cmd_knowledge(args: argparse.Namespace) -> _Done:
     arena = parse_game(_read(args.game, "game"))
     ka = build_knowledge_arena(arena, max_states=args.max_beliefs)
     kstates, knowledges, edges = ka.census
-    if args.dump:
-        _write_output(serialize_game(ka.arena), args.out)
-    print(f"census: knowledge_states={kstates} knowledges={knowledges} edges={edges}", file=sys.stderr)
-    _run_record("knowledge", config, f"knowledge_states={kstates}", t0)
-    return EXIT_OK
+    return _Done(
+        serialize_game(ka.arena) if args.dump else None,
+        f"knowledge_states={kstates}",
+        note=f"census: knowledge_states={kstates} knowledges={knowledges} edges={edges}",
+    )
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    config = _config_echo(args)
+def cmd_gen(args: argparse.Namespace) -> _Done:
     params = GenParams(
         state_count=args.states,
         eve_action_count=args.eve_actions,
@@ -201,10 +189,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         final_count=args.final,
         seed=args.seed,
     )
-    arena = generate_arena(params)
-    _write_output(serialize_game(arena), args.out)
-    _run_record("gen", config, f"states={args.states}", t0)
-    return EXIT_OK
+    return _Done(serialize_game(generate_arena(params)), f"states={args.states}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,8 +206,12 @@ def _option(*names, **kwargs) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    max_candidates = _option("--max-candidates", type=int, default=10**7, help="cap on the canonical candidate position")
-    max_beliefs = _option("--max-beliefs", type=int, default=10**6, help="cap on materialized knowledge/belief states")
+    max_candidates = _option(
+        "--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP, help="cap on the canonical candidate position"
+    )
+    max_beliefs = _option(
+        "--max-beliefs", type=int, default=DEFAULT_BELIEF_CAP, help="cap on materialized knowledge/belief states"
+    )
     out = _option("--out", default=None, help="write primary output to this file (atomic)")
     seed = _option("--seed", type=int, default=0, help="seed for randomized commands")
 
@@ -284,15 +273,17 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         command, config = args.command, _config_echo(args)
-        return args.func(args)
+        done = args.func(args)
+        if done.text is not None:
+            _write_output(done.text, args.out)
     except ResourceLimit as exc:
-        kind, message, code = "resource-limit", str(exc), EXIT_RESOURCE
+        done = _Done(None, f"resource-limit: {exc}", EXIT_RESOURCE, f"error: {exc}")
     except GameError as exc:
-        kind, message, code = "invalid-input", str(exc), EXIT_INVALID
-    # a command that writes its own run record returns instead of raising
-    print(f"error: {message}", file=sys.stderr)
-    _run_record(command, config, f"{kind}: {message}", t0)
-    return code
+        done = _Done(None, f"invalid-input: {exc}", EXIT_INVALID, f"error: {exc}")
+    if done.note is not None:
+        print(done.note, file=sys.stderr)
+    _run_record(command, config, done.outcome, t0)
+    return done.code
 
 
 if __name__ == "__main__":

@@ -2,14 +2,16 @@
 
 A pair of finite-memory strategies induces a finite Markov chain over
 (state, eve memory, adam memory) triples; objective probabilities are
-computed on it exactly, in rational arithmetic.  Graph analysis pins every
-node of value 0 (no path to the targets) or 1 (no path to a value-0 node
-that avoids the targets); the remaining nodes are solved one strongly
-connected component at a time in reverse topological order, each block by
-fraction-free integer (Bareiss) elimination with the values of the
-components below it substituted.  The same pinning alone decides whether
-an objective holds almost surely.  Monte Carlo simulation gives an
-independent statistical cross-check and never decides anything.
+computed on it exactly, in rational arithmetic.  Each is the probability
+(or one minus it) of hitting the targets ``_targets`` chooses, computed
+by ``_hit_probability``, which alone takes the 0/1 shortcuts.  Graph
+analysis pins every node of value 0 (no path to the targets) or 1 (no
+path to a value-0 node that avoids the targets); the remaining nodes are
+solved one strongly connected component at a time in reverse topological
+order, each block by fraction-free integer (Bareiss) elimination with the
+values of the components below it substituted.  The same pinning alone
+decides whether an objective holds almost surely.  Monte Carlo simulation
+gives an independent statistical cross-check and never decides anything.
 
 The module also hosts an adversary oracle.  The fully informed best
 response (a sound over-approximation of any observation-constrained
@@ -41,6 +43,11 @@ GENERATOR_ID = "python-random-mt19937"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# objectives that hold with the probability of hitting their targets (the
+# others with one minus it), and objectives read on the tail of a play
+_HIT = (Objective.REACHABILITY, Objective.BUCHI)
+_TAIL = (Objective.BUCHI, Objective.COBUCHI)
 
 
 class _Compiled:
@@ -301,14 +308,11 @@ def _solve_component(comp: list[int], edges, values: list[Fraction]) -> None:
         values[u] = Fraction(num, den)
 
 
-def reach_probability(chain: ProductChain) -> Fraction:
-    """Exact probability of reaching the final node set from the initial node."""
-    if chain.init in chain.final:
-        return _ONE
-    return absorption_values(chain.edges, set(chain.final))[chain.init]
-
-
-def _buchi_targets(chain: ProductChain) -> set[int]:
+def _targets(chain: ProductChain, objective: Objective) -> set[int]:
+    """The nodes whose hitting probability settles ``objective``: the final
+    nodes, or for Buchi and co-Buchi the bottom SCCs holding one."""
+    if objective not in _TAIL:
+        return set(chain.final)
     targets: set[int] = set()
     for comp in bottom_sccs(chain.edges):
         if any(v in chain.final for v in comp):
@@ -316,37 +320,37 @@ def _buchi_targets(chain: ProductChain) -> set[int]:
     return targets
 
 
-def buchi_probability(chain: ProductChain) -> Fraction:
-    """Exact probability of visiting final nodes infinitely often: the
-    probability of reaching a bottom SCC that contains a final node."""
-    targets = _buchi_targets(chain)
-    if not targets:
-        return _ZERO
+def _hit_probability(chain: ProductChain, targets: set[int]) -> Fraction:
+    """Exact probability of hitting ``targets`` from the initial node."""
     if chain.init in targets:
         return _ONE
+    if not targets:
+        return _ZERO
     return absorption_values(chain.edges, targets)[chain.init]
 
 
+def reach_probability(chain: ProductChain) -> Fraction:
+    """Exact probability of reaching the final node set from the initial node."""
+    return _hit_probability(chain, _targets(chain, Objective.REACHABILITY))
+
+
+def buchi_probability(chain: ProductChain) -> Fraction:
+    """Exact probability of visiting final nodes infinitely often: the
+    probability of reaching a bottom SCC that contains a final node."""
+    return _hit_probability(chain, _targets(chain, Objective.BUCHI))
+
+
 def objective_probability(chain: ProductChain, objective: Objective) -> Fraction:
-    if objective is Objective.REACHABILITY:
-        return reach_probability(chain)
-    if objective is Objective.SAFETY:
-        return _ONE - reach_probability(chain)
-    if objective is Objective.BUCHI:
-        return buchi_probability(chain)
-    return _ONE - buchi_probability(chain)
+    p = _hit_probability(chain, _targets(chain, objective))
+    return p if objective in _HIT else _ONE - p
 
 
 def almost_sure(chain: ProductChain, objective: Objective) -> bool:
     """Qualitative check that the objective probability is exactly 1, read
     off the 0/1 pinning: reach and Buchi hold almost surely iff the initial
     node is pinned to 1, safety and co-Buchi iff it is pinned to 0."""
-    if objective in (Objective.REACHABILITY, Objective.SAFETY):
-        targets = set(chain.final)
-    else:
-        targets = _buchi_targets(chain)
-    zero, below = _pin(chain.edges, targets)
-    if objective in (Objective.REACHABILITY, Objective.BUCHI):
+    zero, below = _pin(chain.edges, _targets(chain, objective))
+    if objective in _HIT:
         return chain.init not in below
     return chain.init in zero
 
@@ -433,19 +437,11 @@ def monte_carlo(
         raise ValidationError("horizon must be >= 1")
     play = _sampler(arena, eve, adam)
     rng = random.Random(seed)
-    window = max(1, horizon // 10)
+    start = -max(1, horizon // 10) if objective in _TAIL else 0
+    hit = objective in _HIT
     hits = 0
     for _ in range(samples):
-        states = play(horizon, rng)
-        if objective is Objective.REACHABILITY:
-            ok = any(s in arena.final for s in states)
-        elif objective is Objective.SAFETY:
-            ok = not any(s in arena.final for s in states)
-        elif objective is Objective.BUCHI:
-            ok = any(s in arena.final for s in states[-window:])
-        else:
-            ok = not any(s in arena.final for s in states[-window:])
-        hits += ok
+        hits += any(s in arena.final for s in play(horizon, rng)[start:]) == hit
     p_hat = Fraction(hits, samples)
     half_width = 1.96 * (float(p_hat) * (1.0 - float(p_hat)) / samples) ** 0.5
     return EvalResult(
@@ -453,7 +449,7 @@ def monte_carlo(
         method="monte_carlo",
         samples=samples,
         half_width=half_width,
-        approximate=objective in (Objective.BUCHI, Objective.COBUCHI),
+        approximate=objective in _TAIL,
     )
 
 

@@ -107,7 +107,6 @@ def random_params(
     max_states: int = 4,
     max_actions: int = 2,
     max_blocks: int = 2,
-    min_final: int = 1,
 ) -> GenParams:
     """Parameters for a desk-scale random game, themselves drawn from ``seed``."""
     rng = random.Random(seed)
@@ -119,6 +118,6 @@ def random_params(
         transition_density=rng.choice([0.3, 0.5, 0.8, 1.0]),
         eve_blocks=rng.randint(1, min(max_blocks, n)),
         adam_blocks=rng.randint(1, min(max_blocks, n)),
-        final_count=rng.randint(min_final, max(min_final, n - 1)),
+        final_count=rng.randint(1, n - 1),
         seed=rng.randrange(2**32),
     )

@@ -253,6 +253,14 @@ class Arena:
         return self.eve_block_of if player == EVE else self.adam_block_of
 
 
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class FiniteMemoryStrategy:
     """Observation-based strategy implemented by a finite transducer.
@@ -261,6 +269,7 @@ class FiniteMemoryStrategy:
     names; ``update`` maps (memory, observation block index) to the next
     memory.  The first move is taken from the initial memory without
     observing anything; updates consume the block of each subsequent state.
+    Memory names are hashable, and so is every value that names one.
     """
 
     owner: str
@@ -272,10 +281,11 @@ class FiniteMemoryStrategy:
     def __post_init__(self):
         if self.owner not in PLAYERS:
             raise ValidationError(f"strategy owner must be one of {PLAYERS}, got {self.owner!r}")
-        if not self.memory or len(set(self.memory)) != len(self.memory):
+        names = self.memory
+        if not names or not all(map(_hashable, names)) or len(set(names)) != len(names):
             raise ValidationError("strategy memory must be a non-empty list of unique names")
-        mems = set(self.memory)
-        if self.init_mem not in mems:
+        mems = set(names)
+        if not _hashable(self.init_mem) or self.init_mem not in mems:
             raise ValidationError(f"init memory {self.init_mem!r} is not in the memory set")
         if set(self.move) != mems:
             raise ValidationError("move must be defined for exactly the memory set")
@@ -285,19 +295,13 @@ class FiniteMemoryStrategy:
             for b, target in row.items():
                 if not isinstance(b, int) or b < 0:
                     raise ValidationError(f"update[{m!r}] keyed by invalid block index {b!r}")
-                if target not in mems:
+                if not _hashable(target) or target not in mems:
                     raise ValidationError(f"update[{m!r}][{b}] targets unknown memory {target!r}")
 
     @classmethod
-    def constant(cls, owner: str, action: str, n_blocks: int, name: str = "m0") -> "FiniteMemoryStrategy":
+    def constant(cls, owner: str, action: str, n_blocks: int) -> "FiniteMemoryStrategy":
         """Memoryless strategy that always plays a single action."""
-        return cls(
-            owner=owner,
-            memory=(name,),
-            init_mem=name,
-            move={name: Distribution.point(action)},
-            update={name: {b: name for b in range(n_blocks)}},
-        )
+        return cls.memoryless_uniform(owner, (action,), n_blocks)
 
     @classmethod
     def memoryless_uniform(cls, owner: str, actions: Iterable[str], n_blocks: int) -> "FiniteMemoryStrategy":
@@ -513,16 +517,16 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
                 raise SchemaError(f"strategy: update[{m!r}] block key {b!r} is not an index")
             parsed[int(b)] = target
         update[m] = parsed
-    try:
-        return FiniteMemoryStrategy(
-            owner=doc["owner"],
-            memory=tuple(memory),
-            init_mem=doc["init"],
-            move=move,
-            update=update,
-        )
-    except TypeError as exc:
-        raise SchemaError(f"strategy: {exc}") from exc
+    names = [doc["init"], *(target for row in update.values() for target in row.values())]
+    if any(isinstance(name, (list, dict)) for name in names):
+        raise SchemaError("strategy: 'init' and update targets must name a memory, not hold an array or object")
+    return FiniteMemoryStrategy(
+        owner=doc["owner"],
+        memory=tuple(memory),
+        init_mem=doc["init"],
+        move=move,
+        update=update,
+    )
 
 
 def serialize_strategy(strat: FiniteMemoryStrategy) -> str:

@@ -10,7 +10,9 @@ winning there.
 That depends on supports only, so a candidate is folded by looking up,
 at every knowledge state, the knowledge arena's support row of the action
 set chosen at its knowledge; Adam's game carries no weighted arena (the
-tests fold exact weights with their oracle ``dense_fold``).
+tests fold exact weights with their oracle ``dense_fold``).  Folds and
+the proof of "no" build Adam's game with ``_adam_game`` and pick Adam's
+analysis with ``_adam_positive``.
 
 Adam refutes a losing candidate with a play that reads his game only at
 the knowledge states of its footprint, and the fold's row there depends
@@ -61,7 +63,7 @@ DEFAULT_CANDIDATE_CAP = 10**7
 
 @dataclass(frozen=True)
 class SolveReport:
-    verdict: str
+    verdict: str | None  # None only in the partial report the CLI writes after a cap
     objective: Objective
     witness: FiniteMemoryStrategy | None
     witness_winning_knowledges: tuple[tuple[str, ...], ...]
@@ -80,11 +82,10 @@ def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
     """Fold the candidate's uniform move into the knowledge arena.
 
     ``cand`` gives each knowledge of ``ka.knowledges``, in order, the
-    bitmask of the action set Eve plays uniformly there.  The result is the
-    game Adam faces against chance: the knowledge-arena states with Adam's
-    alphabet and his base observation refined by final-membership, where
-    each state's row is the support row of the set chosen at its knowledge.
-    The game carries no weighted arena; the tests' oracle ``dense_fold``
+    bitmask of the action set Eve plays uniformly there.  The result is
+    Adam's game against chance (``_adam_game``) in which each state's row
+    is the support row of the set chosen at its knowledge.  The game
+    carries no weighted arena; the tests' oracle ``dense_fold``
     mixes the exact weights.  A tuple of the wrong length, or a mask outside
     1 to 2^k - 1, is invalid input.
     """
@@ -93,15 +94,32 @@ def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
         raise ValidationError(
             f"candidate must give each of the {len(ka.knowledges)} knowledges an action set in 1..{m}"
         )
+    return _adam_game(ka, tuple(rows[cand[j] - 1] for rows, j in zip(ka.post, ka.position)))
+
+
+def _adam_game(ka: KnowledgeArena, post: tuple[tuple[int, ...], ...]) -> OneHalfGame:
+    """Adam's game against chance on the knowledge states, ``post[u]`` the
+    row of state u, with his observation refined by final-membership."""
     return OneHalfGame(
         protagonist=ADAM,
         states=ka.state_names,
         actions=ka.base.adam_actions,
-        post=tuple(rows[cand[j] - 1] for rows, j in zip(ka.post, ka.position)),
+        post=post,
         cells=ka.adam_cells,
         final_mask=ka.final_mask,
         init=0,
     )
+
+
+def _adam_positive(objective: Objective):
+    """Adam's positive analysis against Eve's ``objective``: safety against
+    reachability, co-Buchi against Buchi.  The names are read when called,
+    so a wrapper bound in this module sees every call."""
+    if objective is Objective.REACHABILITY:
+        return positive_safety
+    if objective is Objective.BUCHI:
+        return positive_cobuchi
+    raise ValidationError(f"no decision procedure for objective {objective.value!r}")
 
 
 def check_candidate(
@@ -112,16 +130,10 @@ def check_candidate(
 ) -> tuple[bool, PositiveWinReport]:
     """Returns (candidate almost-surely wins, Adam's report).
 
-    Adam's objective is the complement of Eve's: safety against
-    reachability, co-Buchi against Buchi; the candidate wins exactly when
-    Adam does not win it with positive probability from the initial state.
+    The candidate wins exactly when Adam does not win its fold with
+    positive probability from the initial state.
     """
-    if objective is Objective.REACHABILITY:
-        positive = positive_safety
-    elif objective is Objective.BUCHI:
-        positive = positive_cobuchi
-    else:
-        raise ValidationError(f"no decision procedure for objective {objective.value!r}")
+    positive = _adam_positive(objective)
     game = fix_candidate(ka, cand)
     rep = positive(game, max_beliefs)
     return game.init not in rep.winning_states, rep
@@ -203,7 +215,7 @@ def _refuted(ka: KnowledgeArena, objective: Objective, max_beliefs: int) -> bool
     ``check_candidate`` would refute c.
     """
     reach = objective is Objective.REACHABILITY
-    positive = positive_safety if reach else positive_cobuchi
+    positive = _adam_positive(objective)
     removable = ~ka.final_mask if reach else -1
     empty = (0,) * len(ka.base.adam_actions)
     x = (1 << len(ka.post)) - 1
@@ -218,17 +230,8 @@ def _refuted(ka: KnowledgeArena, objective: Objective, max_beliefs: int) -> bool
                 drop |= 1 << u
         drop &= removable
         if not drop:  # (b), once (a) removes nothing
-            game = OneHalfGame(
-                protagonist=ADAM,
-                states=ka.state_names,
-                actions=ka.base.adam_actions,
-                post=tuple(union),
-                cells=ka.adam_cells,
-                final_mask=ka.final_mask,
-                init=0,
-            )
             try:
-                sure = positive(game, max_beliefs).sure_beliefs
+                sure = positive(_adam_game(ka, tuple(union)), max_beliefs).sure_beliefs
             except ResourceLimit:
                 return False
             drop = mask_of(u for u in bits(x & removable) if 1 << u in sure)

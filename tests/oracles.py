@@ -23,7 +23,6 @@ from stochgames import (
     Arena,
     Distribution,
     FiniteMemoryStrategy,
-    GameError,
     Objective,
     OneHalfGame,
     ResourceLimit,
@@ -34,9 +33,8 @@ from stochgames import (
     lower_strategy,
     parse_game,
 )
-from stochgames.bitset import block_masks, label, mask_of, split_masks
+from stochgames.bitset import block_masks, mask_of, split_masks
 from stochgames.evaluation import almost_sure
-from stochgames.knowledge import successors
 from stochgames.model import ADAM, EVE
 from instances import make_doc
 
@@ -150,34 +148,6 @@ def enumerate_candidates(ka, max_candidates: int = 10**7) -> Iterator[tuple[int,
 def knowledge_only(ka, cand) -> dict[int, int]:
     """The candidate as a strategy: action masks keyed by knowledge mask."""
     return dict(zip(ka.knowledges, cand))
-
-
-class NotClosed(GameError):
-    """A knowledge set has no action keeping all successors inside the set."""
-
-
-def random_safe_strategy(ka, w) -> dict[int, int]:
-    """Strategy that plays, at each knowledge mask of ``w``, uniformly over
-    the actions whose every consistent successor knowledge stays in ``w``.
-
-    An action is judged safe on its own: playing it as a point distribution
-    must keep every compatible observation inside ``w``.  Raises NotClosed
-    if some knowledge has no safe action.
-    """
-    base = ka.base
-    eve_block_masks = block_masks(base.eve_obs)
-    wset = set(w)
-    choice = {}
-    for know in w:
-        safe = 0
-        for e in range(len(base.eve_actions)):
-            after = successors(base.post, know, 1 << e)
-            if all(not after & bm or after & bm in wset for bm in eve_block_masks):
-                safe |= 1 << e
-        if safe == 0:
-            raise NotClosed(f"knowledge {label(base.states, know)} has no safe action within w")
-        choice[know] = safe
-    return choice
 
 
 # ---------------------------------------------------------------------------

@@ -347,5 +347,8 @@ def test_cli_config_echo_lists_options_read(tmp_path, capsys):
     once_shared = {"max_candidates", "max_beliefs", "threads", "out", "seed"}
     for args, keys in runs:
         assert main(args) == 0
-        assert set(_run_records(capsys.readouterr().err)[-1]["config"]) == keys
+        # one run record, the last line; only knowledge's census comes before it
+        *before, last = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in before] == (["census"] if args[0] == "knowledge" else [])
+        assert set(_run_records(last)[0]["config"]) == keys
     assert sum(len(keys & once_shared) for _args, keys in runs) == 10

@@ -295,6 +295,35 @@ def test_validate_strategy_owner_mismatch():
         validate_strategy(arena, "eve", strat)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("init_mem", ["m0"]),
+        ("memory", (["m0"],)),
+        ("update", {"m0": {0: ["m0"], 1: "m0"}}),
+    ],
+)
+def test_strategy_rejects_unhashable_memory_names(field, value):
+    """A strategy built in code meets the rules a parsed one does: a list
+    cannot name a memory, and saying so is invalid input, not a TypeError."""
+    fields = dict(
+        owner="eve",
+        memory=("m0",),
+        init_mem="m0",
+        move={"m0": Distribution.point("a")},
+        update={"m0": {0: "m0", 1: "m0"}},
+    )
+    with pytest.raises(ValidationError):
+        FiniteMemoryStrategy(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("path", [("init",), ("update", "m0", "0")])
+@pytest.mark.parametrize("value", [["m0"], {"m0": "m0"}])
+def test_parse_strategy_rejects_array_or_object_memory_names(path, value):
+    with pytest.raises(SchemaError, match="must name a memory"):
+        _parse_with_field("strategy", path, value)
+
+
 def test_step_distribution_point_actions():
     arena = g1()
     out = step_distribution(arena, 0, Distribution.point(0), Distribution.point(0))

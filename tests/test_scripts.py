@@ -5,6 +5,7 @@ from pathlib import Path
 
 import stochgames
 from stochgames import EvalResult, knowledge, solver
+from stochgames.gen import generate_arena, random_params
 from instances import g1
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,16 +39,34 @@ def test_mc_calibration_reports_coverage(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("coverage: ")
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
-    """The benchmark's tracer wraps library functions where their callers
-    look them up; a refactor that unbinds one of those names fails here."""
+def _traced_solve(make_arena):
     tracing = _load("tracing", ROOT / "perfbench")
     tracer = tracing.Tracer()
     tracing.install_layers(tracer)
     try:
-        report = tracer.run_op("g1", "solve", lambda: stochgames.decide_almost_sure_reach(g1()))
+        report = tracer.run_op("solve", "solve", lambda: stochgames.decide_almost_sure_reach(make_arena()))
     finally:
         tracer.uninstall()
+    return tracing, tracer, report
+
+
+def test_benchmark_tracer_sees_every_adam_analysis():
+    """The tracer wraps Adam's analyses where the solver looks them up, so
+    it sees the proof of "no" as well as the check: this "no" takes one
+    Adam check, whose analysis is one span, and two rounds of the proof."""
+    params = random_params(103, max_states=6, max_actions=3, max_blocks=3)
+    _tracing, tracer, report = _traced_solve(lambda: generate_arena(params))
+    assert report.verdict == "no"
+    checks = {i for i, span in enumerate(tracer.spans) if span.name == "solver.check"}
+    analyses = [span for span in tracer.spans if span.name == "halfplayer.positive"]
+    assert len(checks) == 1 and len(analyses) == 3
+    assert sum(span.parent in checks for span in analyses) == 1
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """The benchmark's tracer wraps library functions where their callers
+    look them up; a refactor that unbinds one of those names fails here."""
+    tracing, tracer, report = _traced_solve(g1)
     assert report.verdict == "yes"
     assert solver.lower_strategy is knowledge.lower_strategy  # unwrapped again
     spans = {s.name for s in tracer.spans}

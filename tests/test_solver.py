@@ -38,10 +38,8 @@ from oracles import (
     attractor_verdict,
     brute_force_verdict,
     dense_fold,
-    NotClosed,
     enumerate_candidates,
     game_from_arena,
-    random_safe_strategy,
     random_turn_based,
 )
 
@@ -261,27 +259,6 @@ def test_degenerate_turn_based_matches_attractor():
         arena, owner, table = random_turn_based(seed)
         rep = decide_almost_sure_reach(arena)
         assert (rep.verdict == "yes") == attractor_verdict(arena, owner, table)
-
-
-def test_random_safe_strategy_g1():
-    arena = g1()
-    ka = build_knowledge_arena(arena)
-    strategy = random_safe_strategy(ka, ka.knowledges)
-    assert strategy[mask_of([0])] == 0b11  # both actions stay in w
-
-
-def test_random_safe_strategy_not_closed():
-    arena = g1()
-    ka = build_knowledge_arena(arena)
-    with pytest.raises(NotClosed):
-        random_safe_strategy(ka, [mask_of([0])])  # successors escape to {f}
-
-
-def test_random_safe_strategy_no_traps():
-    arena = cycle_arena(3, 2)
-    ka = build_knowledge_arena(arena)
-    strategy = random_safe_strategy(ka, ka.knowledges)
-    assert all(mask == 0b11 for mask in strategy.values())
 
 
 def test_solver_resource_limit():
