@@ -10,8 +10,15 @@ path to a value-0 node that avoids the targets); the remaining nodes are
 solved one strongly connected component at a time in reverse topological
 order, each block by fraction-free integer (Bareiss) elimination with the
 values of the components below it substituted.  The same pinning alone
-decides whether an objective holds almost surely.  Monte Carlo simulation
-gives an independent statistical cross-check and never decides anything.
+decides whether an objective holds almost surely.  The chain itself is
+built on integers: each node's row is summed over one denominator and
+turned into ``Fraction`` edges once.
+
+Monte Carlo simulation gives an independent statistical cross-check and
+never decides anything.  It compiles the pair once into float cumulative
+tables searched by bisection, stops a play once its outcome is fixed,
+and advances the generator past the skipped steps as drawing them would,
+so an estimate is a function of the seed and GENERATOR_ID alone.
 
 The module also hosts an adversary oracle.  The fully informed best
 response (a sound over-approximation of any observation-constrained
@@ -26,8 +33,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ResourceLimit, ValidationError
 from .model import (
@@ -51,7 +60,12 @@ _TAIL = (Objective.BUCHI, Objective.COBUCHI)
 
 
 class _Compiled:
-    """Index-level view of a strategy against a fixed arena."""
+    """Index-level view of a strategy against a fixed arena.
+
+    ``move[m]`` lists (action index, weight) in action-name order, and
+    ``update[m][t]`` is the memory after a step into state t, the update of
+    t's observation block looked up once here.
+    """
 
     def __init__(self, arena: Arena, strat: FiniteMemoryStrategy, owner: str):
         validate_strategy(arena, owner, strat)
@@ -62,11 +76,55 @@ class _Compiled:
             [(action_index[a], p) for a, p in sorted(strat.move[m].items())]
             for m in strat.memory
         ]
-        n_blocks = len(arena.obs_blocks(owner))
-        self.update = [
-            [mem_index[strat.update[m][b]] for b in range(n_blocks)] for m in strat.memory
-        ]
-        self.block_of = arena.block_of(owner)
+        block_of = arena.block_of(owner)
+        self.update = [[mem_index[strat.update[m][b]] for b in block_of] for m in strat.memory]
+
+
+def _transition_rows(arena: Arena) -> list:
+    """The transition distributions as one flat list, the row of (s, e, a)
+    at index (s * |E| + e) * |A| + a."""
+    n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
+    return [
+        arena.transition[(s, e, a)].items()
+        for s in range(arena.n_states)
+        for e in range(n_eve)
+        for a in range(n_adam)
+    ]
+
+
+def _int_row(pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A row of (element, weight) pairs as (den, ((element, num), ...)) with
+    each weight num / den, den the lcm of the weights' denominators."""
+    den = math.lcm(*(p.denominator for _x, p in pairs))
+    return den, tuple((x, p.numerator * (den // p.denominator)) for x, p in pairs)
+
+
+class _IntRows(dict):
+    """The transition rows as ``_int_row`` tables, keyed like
+    ``_transition_rows`` and each compiled when first read: a chain reads
+    only the rows of the states it reaches."""
+
+    def __init__(self, arena: Arena):
+        super().__init__()
+        self._rows = _transition_rows(arena)
+
+    def __missing__(self, k: int):
+        row = self[k] = _int_row(self._rows[k])
+        return row
+
+    def mix(self, reads) -> tuple[int, dict[int, int]]:
+        """The mixture of the rows ``reads``, pairs (row index, integer
+        weight), as (lcm, {successor: integer weight}): each weight is over
+        the reads' common denominator times the lcm of the rows'
+        denominators, and successors come in order of first appearance."""
+        lcm = math.lcm(*(self[k][0] for k, _w in reads))
+        out: dict[int, int] = {}
+        for k, w in reads:
+            den, row = self[k]
+            w *= lcm // den
+            for t, q in row:
+                out[t] = out.get(t, 0) + w * q
+        return lcm, out
 
 
 @dataclass(frozen=True)
@@ -101,14 +159,22 @@ def build_chain(
     """Reachable product construction; each edge weight is the one-step
     mixture of the transition function under both moves.
 
-    Raises ResourceLimit once the chain would exceed ``max_nodes`` nodes;
-    without a cap the chain is at most states x memory x memory.  A cap
-    below 0 is invalid input.
+    A node's row is summed in integers over one denominator: the product
+    of the two move rows' denominators and the lcm of the denominators of
+    the transition rows the node reads.  Each edge becomes one ``Fraction``
+    at the end.  Raises ResourceLimit once the chain would exceed
+    ``max_nodes`` nodes; without a cap the chain is at most states x memory
+    x memory.  A cap below 0 is invalid input.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValidationError(f"product chain cap must be at least 0, got {max_nodes}")
     ce = _Compiled(arena, eve, EVE)
     ca = _Compiled(arena, adam, ADAM)
+    eve_rows = [_int_row(row) for row in ce.move]
+    adam_rows = [_int_row(row) for row in ca.move]
+    trans = _IntRows(arena)
+    n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
+    cap = math.inf if max_nodes is None else max_nodes
     start = (arena.init, ce.init, ca.init)
     nodes: list[tuple[int, int, int]] = [start]
     index = {start: 0}
@@ -117,20 +183,23 @@ def build_chain(
     while qi < len(nodes):
         s, me, ma = nodes[qi]
         qi += 1
+        den_e, eve_row = eve_rows[me]
+        den_a, adam_row = adam_rows[ma]
+        reads = [((s * n_eve + e) * n_adam + a, pe * pa) for e, pe in eve_row for a, pa in adam_row]
+        lcm, mix = trans.mix(reads)
+        den = den_e * den_a * lcm
+        up_e, up_a = ce.update[me], ca.update[ma]
         out: dict[int, Fraction] = {}
-        for e, pe in ce.move[me]:
-            for a, pa in ca.move[ma]:
-                w = pe * pa
-                for t, q in arena.transition[(s, e, a)].items():
-                    node = (t, ce.update[me][ce.block_of[t]], ca.update[ma][ca.block_of[t]])
-                    v = index.get(node)
-                    if v is None:
-                        v = len(nodes)
-                        if max_nodes is not None and v >= max_nodes:
-                            raise ResourceLimit(f"product chain exceeds {max_nodes} nodes")
-                        nodes.append(node)
-                        index[node] = v
-                    out[v] = out.get(v, _ZERO) + w * q
+        for t, w in mix.items():
+            node = (t, up_e[t], up_a[t])
+            v = index.get(node)
+            if v is None:
+                v = len(nodes)
+                if v >= cap:
+                    raise ResourceLimit(f"product chain exceeds {max_nodes} nodes")
+                nodes.append(node)
+                index[node] = v
+            out[v] = Fraction(w, den)
         edges.append(out)
     final = frozenset(i for i, (s, _me, _ma) in enumerate(nodes) if s in arena.final)
     return ProductChain(nodes=tuple(nodes), edges=tuple(edges), init=0, final=final)
@@ -359,6 +428,12 @@ def almost_sure(chain: ProductChain, objective: Objective) -> bool:
 # Monte Carlo
 
 
+# one sampled step draws three floats, and each float two 32-bit words of the
+# generator: getrandbits(_STEP_BITS * n) consumes what n steps consume
+_STEP_BITS = 192
+_SKIP_CHUNK = 4096  # steps skipped per getrandbits call, bounding its integer
+
+
 def simulate_play(
     arena: Arena,
     eve: FiniteMemoryStrategy,
@@ -367,49 +442,69 @@ def simulate_play(
     rng: random.Random,
 ) -> list[int]:
     """Sample one play of ``horizon`` steps; returns the state sequence."""
-    return _sampler(arena, eve, adam)(horizon, rng)
+    return _sampler(arena, eve, adam)(horizon, rng, horizon + 1)
 
 
-def _float_cdf(pairs):
-    acc = 0.0
-    out = []
-    for elem, p in pairs:
-        acc += float(p)
-        out.append((acc, elem))
-    return out
+def _cdf(pairs) -> tuple[list[float], list[int]]:
+    """A row of (element, weight) pairs as (cumulative floats, elements).
+
+    The last cumulative is ``inf``, so ``bisect_right(cum, r)`` is the first
+    element whose cumulative exceeds r, and the last element when rounding
+    left every cumulative sum at or below r.
+    """
+    cum = list(accumulate(float(p) for _x, p in pairs))
+    cum[-1] = math.inf
+    return cum, [x for x, _p in pairs]
 
 
-def _draw(cdf, rng):
-    r = rng.random()
-    for acc, elem in cdf:
-        if r < acc:
-            return elem
-    return cdf[-1][1]
+def _skip(rng: random.Random, steps: int) -> None:
+    """Advance ``rng`` exactly as ``steps`` more sampled steps would."""
+    while steps > 0:
+        chunk = min(steps, _SKIP_CHUNK)
+        rng.getrandbits(_STEP_BITS * chunk)
+        steps -= chunk
 
 
 def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy):
-    """A function (horizon, rng) -> state sequence of one sampled play.
+    """A function (horizon, rng, first) -> state sequence of one sampled play.
 
-    The float CDF tables of both strategies' moves and of every transition
-    are built once here; each step draws Eve's action, Adam's action and
-    then the successor, in that order.
+    The strategy pair is compiled once here into flat tables: a cumulative
+    row per memory of each strategy, one per transition at index
+    (s * |E| + e) * |A| + a, each memory's update indexed by successor
+    state, and a final flag per state.  Each step draws Eve's action,
+    Adam's action and then the successor, in that order.  The play stops
+    at the first final state at step ``first`` or later, whose outcome
+    Monte Carlo then knows, and advances ``rng`` past the steps it skips.
     """
     ce = _Compiled(arena, eve, EVE)
     ca = _Compiled(arena, adam, ADAM)
-    eve_cdf = [_float_cdf(row) for row in ce.move]
-    adam_cdf = [_float_cdf(row) for row in ca.move]
-    trans_cdf = {key: _float_cdf(dist.items()) for key, dist in arena.transition.items()}
+    eve_cdf = [_cdf(row) for row in ce.move]
+    adam_cdf = [_cdf(row) for row in ca.move]
+    trans_cdf = [_cdf(row) for row in _transition_rows(arena)]
+    up_e, up_a = ce.update, ca.update
+    final = [s in arena.final for s in range(arena.n_states)]
+    n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
 
-    def play(horizon: int, rng: random.Random) -> list[int]:
+    def play(horizon: int, rng: random.Random, first: int) -> list[int]:
+        rand = rng.random
         s, me, ma = arena.init, ce.init, ca.init
         states = [s]
-        for _ in range(horizon):
-            e = _draw(eve_cdf[me], rng)
-            a = _draw(adam_cdf[ma], rng)
-            s = _draw(trans_cdf[(s, e, a)], rng)
-            me = ce.update[me][ce.block_of[s]]
-            ma = ca.update[ma][ca.block_of[s]]
+        if final[s] and first <= 0:
+            _skip(rng, horizon)
+            return states
+        for i in range(1, horizon + 1):
+            cum, elems = eve_cdf[me]
+            e = elems[bisect_right(cum, rand())]
+            cum, elems = adam_cdf[ma]
+            a = elems[bisect_right(cum, rand())]
+            cum, elems = trans_cdf[(s * n_eve + e) * n_adam + a]
+            s = elems[bisect_right(cum, rand())]
+            me = up_e[me][s]
+            ma = up_a[ma][s]
             states.append(s)
+            if final[s] and i >= first:
+                _skip(rng, horizon - i)
+                break
         return states
 
     return play
@@ -428,8 +523,12 @@ def monte_carlo(
 
     Buchi and co-Buchi are tail properties; they are approximated by
     final-state visits within the trailing window (the last 10% of the
-    horizon) and flagged approximate.  Sampling uses the generator
-    identified by GENERATOR_ID, seeded with ``seed``.
+    horizon) and flagged approximate.  A play stops as soon as its outcome
+    is fixed: at its first final state, or for Buchi and co-Buchi at its
+    first final state inside the window.  The generator is then advanced
+    exactly as the skipped steps would have advanced it, so the estimate
+    is a function of ``seed`` and the generator identified by GENERATOR_ID
+    alone, the same as if every play ran its full horizon.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -437,11 +536,12 @@ def monte_carlo(
         raise ValidationError("horizon must be >= 1")
     play = _sampler(arena, eve, adam)
     rng = random.Random(seed)
-    start = -max(1, horizon // 10) if objective in _TAIL else 0
+    first = horizon + 1 - max(1, horizon // 10) if objective in _TAIL else 0
     hit = objective in _HIT
     hits = 0
     for _ in range(samples):
-        hits += any(s in arena.final for s in play(horizon, rng)[start:]) == hit
+        states = play(horizon, rng, first)
+        hits += (len(states) > first and states[-1] in arena.final) == hit
     p_hat = Fraction(hits, samples)
     half_width = 1.96 * (float(p_hat) * (1.0 - float(p_hat)) / samples) ** 0.5
     return EvalResult(
@@ -462,7 +562,9 @@ class _Mdp:
 
     def __init__(self, arena: Arena, eve: FiniteMemoryStrategy):
         ce = _Compiled(arena, eve, EVE)
-        n_adam = len(arena.adam_actions)
+        eve_rows = [_int_row(row) for row in ce.move]
+        rows = _IntRows(arena)
+        n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
         start = (arena.init, ce.init)
         nodes = [start]
         index = {start: 0}
@@ -471,18 +573,21 @@ class _Mdp:
         while qi < len(nodes):
             s, me = nodes[qi]
             qi += 1
+            den_e, eve_row = eve_rows[me]
+            up = ce.update[me]
             per_action = []
             for a in range(n_adam):
+                lcm, mix = rows.mix([((s * n_eve + e) * n_adam + a, pe) for e, pe in eve_row])
+                den = den_e * lcm
                 out: dict[int, Fraction] = {}
-                for e, pe in ce.move[me]:
-                    for t, q in arena.transition[(s, e, a)].items():
-                        node = (t, ce.update[me][ce.block_of[t]])
-                        v = index.get(node)
-                        if v is None:
-                            v = len(nodes)
-                            nodes.append(node)
-                            index[node] = v
-                        out[v] = out.get(v, _ZERO) + pe * q
+                for t, w in mix.items():
+                    node = (t, up[t])
+                    v = index.get(node)
+                    if v is None:
+                        v = len(nodes)
+                        nodes.append(node)
+                        index[node] = v
+                    out[v] = Fraction(w, den)
                 per_action.append(out)
             trans.append(per_action)
         self.nodes = nodes

@@ -184,9 +184,15 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     index: dict[tuple[int, int, int], int] = {kstates[0]: 0}
     position_of: dict[int, int] = {1 << arena.init: 0}  # knowledge -> its index
     post: list[tuple[tuple[int, ...], ...]] = []
+    # a state's rows do not read its dom: states that differ only there share
+    # one tuple of rows, built when the first of them is expanded
+    rows_of: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     while len(post) < len(kstates):
         real, kmask, _dom = kstates[len(post)]
+        if (real, kmask) in rows_of:
+            post.append(rows_of[real, kmask])
+            continue
         rows = []
         for dom in range(1, 1 << n_eve):
             # the successor knowledge of a target depends only on the played
@@ -212,7 +218,8 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
                             bit = bit_of[t] = 1 << v
                         row[a] |= bit
             rows.append(tuple(row))
-        post.append(tuple(rows))
+        rows_of[real, kmask] = tuple(rows)
+        post.append(rows_of[real, kmask])
 
     final_mask = mask_of(v for v, (t, _know, _dom) in enumerate(kstates) if t in arena.final)
     return KnowledgeArena(

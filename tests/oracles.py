@@ -4,7 +4,10 @@ These deliberately avoid the package's own graph machinery: the attractor
 works on raw successor tables, the end-component check enumerates subsets,
 SCC cross-checks go through networkx, exact absorption probabilities
 come from one dense Gauss-Jordan solve, and a candidate is folded into
-Adam's game on exact weights rather than on support masks.  The
+Adam's game on exact weights rather than on support masks.  The product
+chain and the adversary's decision process are built by summing
+``Fraction`` weights edge by edge, and plays are sampled by a linear scan
+over float cumulative rows, one step at a time to the full horizon.  The
 candidates are enumerated in product order, independently of the solver's
 positional ``_candidate_at``; the brute-force verdict walks that
 enumeration and judges each candidate on exact product chains, without
@@ -73,6 +76,137 @@ def is_play_prefix(arena: Arena, states: Iterable[int]) -> bool:
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Strategy pairs on exact weights and by linear-scan sampling
+
+
+def _compile(arena: Arena, strat: FiniteMemoryStrategy, owner: str):
+    """(initial memory index, move rows, update rows) of a strategy: move
+    rows list (action index, weight) in action-name order, update rows are
+    indexed by observation block."""
+    action_index = {a: i for i, a in enumerate(arena.actions(owner))}
+    mem_index = {m: i for i, m in enumerate(strat.memory)}
+    move = [[(action_index[a], p) for a, p in sorted(strat.move[m].items())] for m in strat.memory]
+    n_blocks = len(arena.obs_blocks(owner))
+    update = [[mem_index[strat.update[m][b]] for b in range(n_blocks)] for m in strat.memory]
+    return mem_index[strat.init_mem], move, update
+
+
+def fraction_chain(arena: Arena, eve, adam, max_nodes: int | None = None):
+    """(nodes, edges, final) of the reachable product chain, each edge the
+    ``Fraction`` sum of its one-step contributions; raises ResourceLimit
+    when a node beyond ``max_nodes`` is discovered."""
+    e_init, e_move, e_update = _compile(arena, eve, EVE)
+    a_init, a_move, a_update = _compile(arena, adam, ADAM)
+    e_block, a_block = arena.eve_block_of, arena.adam_block_of
+    start = (arena.init, e_init, a_init)
+    nodes = [start]
+    index = {start: 0}
+    edges = []
+    for s, me, ma in nodes:  # grows while it is walked: breadth-first order
+        out = {}
+        for e, pe in e_move[me]:
+            for a, pa in a_move[ma]:
+                for t, q in arena.transition[(s, e, a)].items():
+                    node = (t, e_update[me][e_block[t]], a_update[ma][a_block[t]])
+                    if node not in index:
+                        if max_nodes is not None and len(nodes) >= max_nodes:
+                            raise ResourceLimit(f"product chain exceeds {max_nodes} nodes")
+                        index[node] = len(nodes)
+                        nodes.append(node)
+                    v = index[node]
+                    out[v] = out.get(v, Fraction(0)) + pe * pa * q
+        edges.append(out)
+    final = {v for v, (s, _me, _ma) in enumerate(nodes) if s in arena.final}
+    return nodes, edges, final
+
+
+def fraction_mdp(arena: Arena, eve):
+    """(nodes, per-node rows by Adam action, final) of the adversary's
+    decision process over (state, eve memory), on ``Fraction`` sums."""
+    e_init, e_move, e_update = _compile(arena, eve, EVE)
+    start = (arena.init, e_init)
+    nodes = [start]
+    index = {start: 0}
+    trans = []
+    for s, me in nodes:
+        per_action = []
+        for a in range(len(arena.adam_actions)):
+            out = {}
+            for e, pe in e_move[me]:
+                for t, q in arena.transition[(s, e, a)].items():
+                    node = (t, e_update[me][arena.eve_block_of[t]])
+                    if node not in index:
+                        index[node] = len(nodes)
+                        nodes.append(node)
+                    v = index[node]
+                    out[v] = out.get(v, Fraction(0)) + pe * q
+            per_action.append(out)
+        trans.append(per_action)
+    final = {v for v, (s, _me) in enumerate(nodes) if s in arena.final}
+    return nodes, trans, final
+
+
+def _float_cdf(pairs):
+    acc = 0.0
+    out = []
+    for elem, p in pairs:
+        acc += float(p)
+        out.append((acc, elem))
+    return out
+
+
+def _draw(cdf, rng):
+    r = rng.random()
+    for acc, elem in cdf:
+        if r < acc:
+            return elem
+    return cdf[-1][1]
+
+
+def scan_sampler(arena: Arena, eve, adam):
+    """A function (horizon, rng) -> state sequence of one sampled play; each
+    step draws Eve's action, Adam's action and then the successor, each by a
+    linear scan over a float cumulative row."""
+    e_init, e_move, e_update = _compile(arena, eve, EVE)
+    a_init, a_move, a_update = _compile(arena, adam, ADAM)
+    eve_cdf = [_float_cdf(row) for row in e_move]
+    adam_cdf = [_float_cdf(row) for row in a_move]
+    trans_cdf = {key: _float_cdf(dist.items()) for key, dist in arena.transition.items()}
+
+    def play(horizon: int, rng: random.Random) -> list[int]:
+        s, me, ma = arena.init, e_init, a_init
+        states = [s]
+        for _ in range(horizon):
+            e = _draw(eve_cdf[me], rng)
+            a = _draw(adam_cdf[ma], rng)
+            s = _draw(trans_cdf[(s, e, a)], rng)
+            me = e_update[me][arena.eve_block_of[s]]
+            ma = a_update[ma][arena.adam_block_of[s]]
+            states.append(s)
+        return states
+
+    return play
+
+
+def scan_estimate(
+    arena: Arena, eve, adam, objective: Objective, samples: int, horizon: int, seed: int
+) -> Fraction:
+    """Share of ``samples`` full-horizon plays that satisfy ``objective``,
+    reach and safety read on the whole play, Buchi and co-Buchi on its last
+    max(1, horizon // 10) states."""
+    play = scan_sampler(arena, eve, adam)
+    rng = random.Random(seed)
+    tail = objective in (Objective.BUCHI, Objective.COBUCHI)
+    start = -max(1, horizon // 10) if tail else 0
+    hit = objective in (Objective.REACHABILITY, Objective.BUCHI)
+    wins = 0
+    for _ in range(samples):
+        seen = any(s in arena.final for s in play(horizon, rng)[start:])
+        wins += seen == hit
+    return Fraction(wins, samples)
 
 
 # ---------------------------------------------------------------------------

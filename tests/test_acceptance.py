@@ -182,7 +182,7 @@ def test_criterion_6_knowledge_accuracy():
             for t in states[1:]:
                 dom = mask_of(e for e, _p in ce.move[mem])
                 know = knowledge_update(arena, know, arena.eve_block_of[t], dom)
-                mem = ce.update[mem][arena.eve_block_of[t]]
+                mem = ce.update[mem][t]
                 if not know >> t & 1:
                     violations += 1
     ok = plays >= 10_000 and violations == 0

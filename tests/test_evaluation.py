@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochgames import (
+    Arena,
     Distribution,
     Objective,
+    ResourceLimit,
     best_response_full_info,
     buchi_probability,
     build_chain,
@@ -17,6 +20,7 @@ from stochgames import (
 )
 from stochgames.evaluation import (
     _Mdp,
+    _skip,
     absorption_values,
     almost_sure,
     bottom_sccs,
@@ -30,10 +34,14 @@ from oracles import (
     brute_force_verdict,
     dense_absorption_values,
     enumerate_policies,
+    fraction_chain,
+    fraction_mdp,
     is_play_prefix,
     nx_bottom_sccs,
+    scan_estimate,
+    scan_sampler,
 )
-from util import random_strategy
+from util import random_distribution, random_strategy
 
 
 def uniform_eve(arena):
@@ -417,3 +425,126 @@ def test_simulate_play_is_consistent():
     states = simulate_play(arena, uniform_eve(arena), constant_adam(arena, "x"), 25, rng)
     assert len(states) == 26
     assert is_play_prefix(arena, states)
+
+
+def _partition(rng, n):
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return tuple(tuple(sorted(order[i:j])) for i, j in zip([0] + cuts, cuts + [n]))
+
+
+def _mixed_arena(rng) -> Arena:
+    """A small arena whose transition rows draw denominators up to 12, so
+    that rows such as 1/3 + 2/3, 1/4 + 3/4 and 1/6 + 5/6 meet in one node."""
+    n = rng.randint(1, 5)
+    eve_actions = tuple(f"e{i}" for i in range(rng.randint(1, 3)))
+    adam_actions = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+    return Arena(
+        states=tuple(f"s{i}" for i in range(n)),
+        init=rng.randrange(n),
+        eve_actions=eve_actions,
+        adam_actions=adam_actions,
+        transition={
+            (s, e, a): random_distribution(rng, range(n), max_denominator=12)
+            for s in range(n)
+            for e in range(len(eve_actions))
+            for a in range(len(adam_actions))
+        },
+        eve_obs=_partition(rng, n),
+        adam_obs=_partition(rng, n),
+        final=frozenset(rng.sample(range(n), rng.randint(0, n))),
+    )
+
+
+def _random_pair(seed: int, mixed: bool):
+    """A generated game, or a mixed-denominator one, with a random
+    finite-memory strategy of up to three memories per player."""
+    rng = random.Random(seed)
+    arena = _mixed_arena(rng) if mixed else generate_arena(random_params(seed))
+    eve = random_strategy(arena, EVE, rng, max_memory=3)
+    return arena, eve, random_strategy(arena, ADAM, rng, max_memory=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_build_chain_matches_fraction_oracle(seed, mixed):
+    """Integer row sums give the nodes, the edges (in insertion order) and
+    the final set of the edge-by-edge ``Fraction`` construction, and the
+    node cap strikes at the same node count."""
+    arena, eve, adam = _random_pair(seed, mixed)
+    chain = build_chain(arena, eve, adam)
+    nodes, edges, final = fraction_chain(arena, eve, adam)
+    assert chain.nodes == tuple(nodes)
+    assert [list(row.items()) for row in chain.edges] == [list(row.items()) for row in edges]
+    assert chain.final == final
+    for cap in {0, 1, len(nodes) - 1, len(nodes)}:
+        try:
+            fraction_chain(arena, eve, adam, max_nodes=cap)
+        except ResourceLimit:
+            with pytest.raises(ResourceLimit, match=f"exceeds {cap} nodes"):
+                build_chain(arena, eve, adam, max_nodes=cap)
+        else:
+            assert build_chain(arena, eve, adam, max_nodes=cap) == chain
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_mdp_matches_fraction_oracle(seed, mixed):
+    arena, eve, _adam = _random_pair(seed, mixed)
+    mdp = _Mdp(arena, eve)
+    assert (mdp.nodes, mdp.trans, mdp.final) == fraction_mdp(arena, eve)
+
+
+def test_mdp_matches_fraction_oracle_on_acceptance_corpus():
+    """The adversary's decision process of a random Eve strategy in each
+    game of the acceptance corpus equals the ``Fraction`` construction, so
+    every best-response value computed on it is unchanged."""
+    rng = random.Random(2000)
+    for i in range(250):
+        arena = generate_arena(random_params(2000 + i))
+        eve = random_strategy(arena, EVE, rng, max_memory=3)
+        mdp = _Mdp(arena, eve)
+        assert (mdp.nodes, mdp.trans, mdp.final) == fraction_mdp(arena, eve), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans(), st.integers(0, 2**32))
+def test_sampler_matches_linear_scan_oracle(seed, mixed, init_final, mc_seed):
+    """``monte_carlo``, which stops a play once its outcome is fixed and
+    skips the generator past the rest, estimates exactly what full-horizon
+    linear-scan plays give, for every objective; ``simulate_play`` returns
+    the oracle's plays and leaves the generator where the oracle does."""
+    arena, eve, adam = _random_pair(seed, mixed)
+    if init_final and arena.final:
+        arena = replace(arena, init=min(arena.final))
+    for horizon in (1, 2, 10, 23):
+        for objective in Objective:
+            expected = scan_estimate(arena, eve, adam, objective, 15, horizon, mc_seed)
+            assert monte_carlo(arena, eve, adam, objective, 15, horizon, mc_seed).probability == expected
+        rng, ref = random.Random(mc_seed), random.Random(mc_seed)
+        play = scan_sampler(arena, eve, adam)
+        for _ in range(3):
+            assert simulate_play(arena, eve, adam, horizon, rng) == play(horizon, ref)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4321, 2**40 + 7])
+def test_getrandbits_advances_like_random(seed):
+    """``monte_carlo``'s early stop advances the generator with
+    ``getrandbits(64 * n)`` in place of n ``random()`` calls; if an
+    interpreter changes how either consumes its words, estimates drift."""
+    for n in (1, 2, 3, 7, 100):
+        skipped, drawn = random.Random(seed), random.Random(seed)
+        skipped.getrandbits(64 * n)
+        for _ in range(n):
+            drawn.random()
+        assert skipped.random() == drawn.random(), (
+            f"getrandbits(64 * {n}) no longer advances the generator like {n} random() calls: "
+            "monte_carlo's early stop would change its estimates"
+        )
+    for steps in (1, 5, 4096, 4097, 9000):
+        skipped, drawn = random.Random(seed), random.Random(seed)
+        _skip(skipped, steps)
+        for _ in range(3 * steps):
+            drawn.random()
+        assert skipped.random() == drawn.random(), f"_skip({steps}) differs from {steps} sampled steps"

@@ -92,7 +92,7 @@ def test_tracked_knowledge_contains_real_state(seed, strat_seed):
     for t in states[1:]:
         dom = mask_of(e for e, _p in ce.move[mem])
         know = knowledge_update(arena, know, arena.eve_block_of[t], dom)
-        mem = ce.update[mem][arena.eve_block_of[t]]
+        mem = ce.update[mem][t]
         assert know >> t & 1
 
 
