@@ -13,11 +13,9 @@ from .evaluation import (
     EvalResult,
     ProductChain,
     best_response_full_info,
-    buchi_probability,
     build_chain,
     monte_carlo,
     objective_probability,
-    reach_probability,
 )
 from .halfplayer import (
     BeliefGraph,

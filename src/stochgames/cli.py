@@ -24,6 +24,7 @@ from .evaluation import (
     build_chain,
     monte_carlo,
     objective_probability,
+    tail_window,
 )
 from .gen import GenParams, generate_arena
 from .halfplayer import DEFAULT_BELIEF_CAP
@@ -162,7 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> _Done:
         "generator": GENERATOR_ID,
         "seed": args.seed,
         "horizon": args.horizon,
-        "window": max(1, args.horizon // 10),
+        "window": tail_window(args.horizon),
     }
     return _Done(json.dumps(record, indent=2) + "\n", f"estimate={estimate}")
 

@@ -398,17 +398,6 @@ def _hit_probability(chain: ProductChain, targets: set[int]) -> Fraction:
     return absorption_values(chain.edges, targets)[chain.init]
 
 
-def reach_probability(chain: ProductChain) -> Fraction:
-    """Exact probability of reaching the final node set from the initial node."""
-    return _hit_probability(chain, _targets(chain, Objective.REACHABILITY))
-
-
-def buchi_probability(chain: ProductChain) -> Fraction:
-    """Exact probability of visiting final nodes infinitely often: the
-    probability of reaching a bottom SCC that contains a final node."""
-    return _hit_probability(chain, _targets(chain, Objective.BUCHI))
-
-
 def objective_probability(chain: ProductChain, objective: Objective) -> Fraction:
     p = _hit_probability(chain, _targets(chain, objective))
     return p if objective in _HIT else _ONE - p
@@ -510,6 +499,12 @@ def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy
     return play
 
 
+def tail_window(horizon: int) -> int:
+    """Length of the trailing window in which ``monte_carlo`` reads Buchi
+    and co-Buchi: the last 10% of the horizon, at least one step."""
+    return max(1, horizon // 10)
+
+
 def monte_carlo(
     arena: Arena,
     eve: FiniteMemoryStrategy,
@@ -522,10 +517,10 @@ def monte_carlo(
     """Frequency estimate with a 95% confidence half-width.
 
     Buchi and co-Buchi are tail properties; they are approximated by
-    final-state visits within the trailing window (the last 10% of the
-    horizon) and flagged approximate.  A play stops as soon as its outcome
-    is fixed: at its first final state, or for Buchi and co-Buchi at its
-    first final state inside the window.  The generator is then advanced
+    final-state visits within the trailing window (``tail_window``) and
+    flagged approximate.  A play stops as soon as its outcome is fixed: at
+    its first final state, or for Buchi and co-Buchi at its first final
+    state inside the window.  The generator is then advanced
     exactly as the skipped steps would have advanced it, so the estimate
     is a function of ``seed`` and the generator identified by GENERATOR_ID
     alone, the same as if every play ran its full horizon.
@@ -536,7 +531,7 @@ def monte_carlo(
         raise ValidationError("horizon must be >= 1")
     play = _sampler(arena, eve, adam)
     rng = random.Random(seed)
-    first = horizon + 1 - max(1, horizon // 10) if objective in _TAIL else 0
+    first = horizon + 1 - tail_window(horizon) if objective in _TAIL else 0
     hit = objective in _HIT
     hits = 0
     for _ in range(samples):

@@ -20,30 +20,23 @@ only on the candidate's choice at their knowledges.  Every later candidate
 that makes the same choices at those knowledges loses to the same play, so
 the search jumps past all of them in one step, to the next canonical
 position that changes one of those choices.  After the first refutation
-that leaves positions to check, a sequential search runs ``_refuted``
-once: a greatest fixpoint over the knowledge states that keeps every
-state a winning candidate reaches, and so proves "no" when it drops the
-initial state; the search then stops with the report a search without a
-winner gives, caps included.  The search runs in one process or, with
-``threads`` above 1, on consecutive index ranges in a pool of worker
-processes; a debug solve, which lists a diagnostic per candidate, steps
-through the candidates one by one either way.  All give the same report,
-except where the belief cap stops a walk at a candidate the search skips
-or never reaches after a proof: a pooled search starts each range afresh,
-so the cap can strike at a range's start.  The first successful candidate
-in canonical order is lowered to a finite-memory witness on the base
-arena.
+that leaves positions to check, the search runs ``_refuted`` once: a
+greatest fixpoint over the knowledge states that keeps every state a
+winning candidate reaches, and so proves "no" when it drops the initial
+state; the search then stops with the report a search without a winner
+gives, caps included.  A debug solve, which lists a diagnostic per
+candidate, steps through the candidates one by one instead and gives the
+same report, except where the belief cap stops its walk at a candidate
+the search skips or never reaches after a proof.  The first successful
+candidate in canonical order is lowered to a finite-memory witness on the
+base arena.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from operator import or_
 
 from .bitset import bits, label, mask_of
@@ -241,20 +234,21 @@ def _refuted(ka: KnowledgeArena, objective: Objective, max_beliefs: int) -> bool
     return True
 
 
-def _checks(ka, objective, max_beliefs, debug, start, stop, refute=False):
+def _checks(ka, objective, max_beliefs, debug, stop):
     """(index, wins, Adam's report, diagnostic or None) of the candidates at
-    canonical positions ``start`` to ``stop`` - 1, in order, up to and
-    including the first winner.
+    canonical positions 0 to ``stop`` - 1, in order, up to and including
+    the first winner.
 
     A loss moves on past every candidate its refutation already defeats
-    (``_past_footprint``); a debug walk, which lists every candidate, moves
-    to the next position.  With ``refute``, the first loss that leaves
-    positions to check runs ``_refuted`` once, and the checks end there
-    when it proves that none of them wins.  A ResourceLimit raised by
-    Adam's belief graph reports the candidate's index: the number of
-    canonical positions decided before it.
+    (``_past_footprint``), and the first loss that leaves positions to
+    check runs ``_refuted`` once: the checks end there when it proves that
+    none of them wins.  A debug walk, which lists every candidate, moves to
+    the next position and runs no proof.  A ResourceLimit raised by Adam's
+    belief graph reports the candidate's index: the number of canonical
+    positions decided before it.
     """
-    index = start
+    index = 0
+    refute = not debug
     while index < stop:
         cand = _candidate_at(ka, index)
         try:
@@ -269,42 +263,6 @@ def _checks(ka, objective, max_beliefs, debug, start, stop, refute=False):
             if _refuted(ka, objective, max_beliefs):
                 return
             refute = False
-
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(ka, objective, max_beliefs, debug):
-    _WORKER_STATE["args"] = (ka, objective, max_beliefs, debug)
-
-
-def _worker_range(start: int, stop: int):
-    checks = _checks(*_WORKER_STATE["args"], start, stop)
-    return [(index, wins, diag) for index, wins, _rep, diag in checks]
-
-
-def _pooled_checks(ka, objective, max_beliefs, debug, threads, stop):
-    """The checks of ``_checks`` over positions 0 to ``stop`` - 1, run on
-    consecutive index ranges by a pool of worker processes; the report is
-    None, since workers return verdicts and diagnostics only.  Range sizes
-    depend on the inputs alone, not on the CPUs, so a belief cap that
-    strikes at a range's start does so on every machine."""
-    size = max(1, min(64, candidate_count(ka) // (threads * 4)))
-    ranges = ((lo, min(lo + size, stop)) for lo in range(0, stop, size))
-    # a forking pool starts all its workers at the first submit
-    workers = min(threads, os.cpu_count() or 1)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(ka, objective, max_beliefs, debug)
-    ) as pool:
-        # keep a bounded window of in-flight ranges; results are consumed in
-        # submission order so the least winning index is seen first
-        pending = deque(pool.submit(_worker_range, *r) for r in islice(ranges, workers * 2))
-        while pending:
-            for index, wins, diag in pending.popleft().result():
-                yield index, wins, None, diag
-                if wins:
-                    return
-            pending.extend(pool.submit(_worker_range, *r) for r in islice(ranges, 1))
 
 
 def _decide(
@@ -326,13 +284,9 @@ def _decide(
     ka = build_knowledge_arena(arena, max_beliefs)
     count = candidate_count(ka)
     stop = min(count, max_candidates)
-    if threads > 1:
-        checks = _pooled_checks(ka, objective, max_beliefs, debug, threads, stop)
-    else:
-        checks = _checks(ka, objective, max_beliefs, debug, 0, stop, refute=not debug)
     diagnostics: list[dict] | None = [] if debug else None
     winner = rep = None
-    for index, wins, cand_rep, diag in checks:
+    for index, wins, cand_rep, diag in _checks(ka, objective, max_beliefs, debug, stop):
         if diagnostics is not None:
             diagnostics.append(diag)
         if wins:
@@ -343,8 +297,6 @@ def _decide(
     winning_knowledges: tuple[tuple[str, ...], ...] = ()
     if winner is not None:
         cand = _candidate_at(ka, winner)
-        if rep is None:  # a pooled check returns the verdict only
-            _wins, rep = check_candidate(ka, cand, objective, max_beliefs)
         witness = lower_strategy(arena, dict(zip(ka.knowledges, cand)))
         validate_strategy(arena, "eve", witness)
         # the witness wins from every knowledge none of whose states Adam
@@ -380,12 +332,10 @@ def decide_almost_sure_reach(
     its index + 1; on "no" it is the candidate count, also where a
     fixpoint over the knowledge states proved "no" without visiting every
     candidate (a "no" proven past ``max_candidates`` still hits the cap).
-    ``threads`` above 1 runs the same search on consecutive index ranges
-    in a pool of at most one worker process per CPU, with the same report,
-    unless the belief cap strikes at a range's start, a candidate the
-    sequential search skips; below 1 it is invalid input, as is a cap
-    below 0.  ``debug`` checks every candidate one by one and lists a
-    diagnostic for each.
+    ``threads`` is accepted for compatibility and does not change the
+    search or its report; below 1 it is invalid input, as is a cap below
+    0.  ``debug`` checks every candidate one by one and lists a diagnostic
+    for each.
     """
     return _decide(arena, Objective.REACHABILITY, max_candidates, max_beliefs, threads, debug)
 
@@ -399,7 +349,7 @@ def decide_almost_sure_buchi(
 ) -> SolveReport:
     """Does Eve have an almost-surely winning strategy for Buchi?
 
-    Same contract as ``decide_almost_sure_reach``, ``threads`` included:
-    "no" may be proven without visiting every candidate.
+    Same contract as ``decide_almost_sure_reach``: "no" may be proven
+    without visiting every candidate.
     """
     return _decide(arena, Objective.BUCHI, max_candidates, max_beliefs, threads, debug)

@@ -12,11 +12,9 @@ from stochgames import (
     Objective,
     ResourceLimit,
     best_response_full_info,
-    buchi_probability,
     build_chain,
     monte_carlo,
     objective_probability,
-    reach_probability,
 )
 from stochgames.evaluation import (
     _Mdp,
@@ -100,25 +98,25 @@ def test_reach_initial_final():
         final=arena.final,
     )
     chain = build_chain(flipped, strat, constant_adam(arena, "x"))
-    assert reach_probability(chain) == 1
+    assert objective_probability(chain, Objective.REACHABILITY) == 1
 
 
 def test_reach_one_step_split():
     arena = coin_chain()
     chain = build_chain(arena, FiniteMemoryStrategy.constant(EVE, "a", 3), constant_adam(arena, "x"))
-    assert reach_probability(chain) == Fraction(1, 2)
+    assert objective_probability(chain, Objective.REACHABILITY) == Fraction(1, 2)
 
 
 def test_reach_g1_retry_equals_one():
     arena = g1()
     chain = build_chain(arena, uniform_eve(arena), constant_adam(arena, "x"))
-    assert reach_probability(chain) == 1  # x = 1/2 + x/2
+    assert objective_probability(chain, Objective.REACHABILITY) == 1  # x = 1/2 + x/2
 
 
 def test_buchi_single_bscc():
     arena = g1_prime()
     chain = build_chain(arena, uniform_eve(arena), constant_adam(arena, "x"))
-    assert buchi_probability(chain) == 1
+    assert objective_probability(chain, Objective.BUCHI) == 1
 
 
 def test_buchi_transient_finals():
@@ -131,8 +129,8 @@ def test_buchi_transient_finals():
         )
     )
     chain = build_chain(arena, FiniteMemoryStrategy.constant(EVE, "a", 3), constant_adam(arena, "x"))
-    assert buchi_probability(chain) == 0
-    assert reach_probability(chain) == 1
+    assert objective_probability(chain, Objective.BUCHI) == 0
+    assert objective_probability(chain, Objective.REACHABILITY) == 1
 
 
 def test_objective_probability_complements():
@@ -177,7 +175,7 @@ def test_buchi_equals_reach_of_winning_bsccs():
             if comp & chain.final:
                 targets.update(comp)
         expected = dense_absorption_values(chain.edges, targets)[chain.init]
-        assert buchi_probability(chain) == expected
+        assert objective_probability(chain, Objective.BUCHI) == expected
 
 
 @st.composite
@@ -410,7 +408,7 @@ def test_best_response_dominates_constrained_adversaries():
     for _ in range(100):
         adam = random_strategy(arena, ADAM, rng, max_memory=3)
         chain = build_chain(arena, eve, adam)
-        assert reach_probability(chain) == 1
+        assert objective_probability(chain, Objective.REACHABILITY) == 1
 
 
 def test_brute_force_named_instances():

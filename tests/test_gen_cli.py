@@ -7,7 +7,7 @@ from stochgames.cli import main
 from stochgames.gen import GenParams, generate_arena, random_params
 from stochgames.errors import ValidationError
 
-from instances import g1_doc, cycle_arena
+from instances import g1_doc, g1_prime, cycle_arena
 from stochgames.model import serialize_game
 
 
@@ -296,6 +296,19 @@ def test_cli_simulate_reproducible(tmp_path, capsys):
     assert record["samples"] == 300
 
 
+def test_cli_simulate_short_horizon_window(tmp_path, capsys):
+    """Below a horizon of 10 the Buchi window is one step, the last; the
+    record is pinned byte for byte."""
+    args = ["simulate"] + _eval_g1_args(tmp_path)[1:-1]
+    (tmp_path / "g1.json").write_text(serialize_game(g1_prime()))
+    assert main(args + ["buchi", "--samples", "50", "--horizon", "7", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "probability": "9/25",\n  "method": "monte_carlo",\n  "samples": 50,\n'
+        '  "half_width": 0.13304921194806077,\n  "approximate": true,\n'
+        '  "generator": "python-random-mt19937",\n  "seed": 3,\n  "horizon": 7,\n  "window": 1\n}\n'
+    )
+
+
 def test_cli_simulate_bad_horizon_exit_2(tmp_path, capsys):
     args = ["simulate"] + _eval_g1_args(tmp_path)[1:] + ["--samples", "10", "--horizon", "-5"]
     assert main(args) == 2
@@ -344,7 +357,7 @@ def test_cli_config_echo_lists_options_read(tmp_path, capsys):
         (["gen", "--states", "3"],
          {"states", "eve_actions", "adam_actions", "density", "eve_blocks", "adam_blocks", "final", "seed", "out"}),
     ]
-    once_shared = {"max_candidates", "max_beliefs", "threads", "out", "seed"}
+    once_shared = {"max_candidates", "max_beliefs", "out", "seed"}
     for args, keys in runs:
         assert main(args) == 0
         # one run record, the last line; only knowledge's census comes before it

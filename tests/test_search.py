@@ -4,13 +4,12 @@ A losing candidate's refutation reads Adam's folded game only at the
 states of its footprint; every candidate that agrees with the loser on the
 knowledges of those states loses too, so the search skips them.  These
 tests check that lemma on sampled completions, and that the search reports
-exactly what the one-by-one walk of a debug solve reports, in one process
-and in the process pool.  They also check that the knowledge-state
+exactly what the one-by-one walk of a debug solve reports, whatever
+``threads`` says.  They also check that the knowledge-state
 fixpoint ``_refuted``, which ends a search early, proves "no" only where
 every candidate loses.
 """
 
-import os
 import time
 from itertools import islice
 from dataclasses import replace
@@ -120,7 +119,8 @@ def test_search_reports_equal_enumeration():
     assert capped > 0
 
 
-def test_pooled_search_reports_equal_sequential():
+def test_threads_is_inert(monkeypatch):
+    """``threads`` is accepted but runs the same in-process search."""
     arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
     arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(30)]
     capped = 0
@@ -131,23 +131,16 @@ def test_pooled_search_reports_equal_sequential():
                 assert searched == _outcome(decide, arena, False, max_candidates=cap, threads=2)
                 capped += isinstance(searched, tuple)
     assert capped > 0
-
-
-def test_pooled_belief_cap_independent_of_cpus(monkeypatch):
-    """The pool's index ranges are sized by ``threads``, not by the CPUs, so
-    the belief cap strikes at the same range start on every machine."""
-    arenas = (
-        generate_arena(random_params(4, max_states=5, max_blocks=3)),
-        generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3)),
-    )
-    limits = []
-    for cpus in (1, 2, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        for arena in arenas:
-            with pytest.raises(ResourceLimit) as capped:
-                decide_almost_sure_reach(arena, threads=4, max_beliefs=12)
-            limits.append((str(capped.value), capped.value.checked))
-    assert limits == [("belief graph exceeds 12 nodes", 5)] * 6
+    # the belief cap strikes where the search does, not at a range start
+    belief_capped = generate_arena(random_params(4, max_states=5, max_blocks=3))
+    rep = decide_almost_sure_reach(belief_capped, threads=2, max_beliefs=12)
+    assert (rep.verdict, rep.candidates_checked) == ("yes", 28)
+    # the fixpoint proves "no" after one Adam check, in this process
+    calls = _counting_checks(monkeypatch)
+    arena = generate_arena(random_params(103, max_states=6, max_actions=3, max_blocks=3))
+    rep = decide_almost_sure_reach(arena, threads=2)
+    assert (rep.verdict, rep.candidates_checked) == ("no", 823543)
+    assert len(calls) == 1
 
 
 def test_search_checks_fewer_candidates(monkeypatch):
