@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .bitset import bits, label
 from .errors import ResourceLimit
@@ -35,10 +35,11 @@ class OneHalfGame:
     ``post[s][a]`` is the mask of the states reachable from s under the
     protagonist's action a; ``cells`` are the protagonist's observation
     blocks split by final-membership (non-final part first), as masks.
+    ``states`` names the states; only the labels of the witness read it.
     """
 
     protagonist: str
-    states: tuple[str, ...]
+    states: Sequence[str]
     actions: tuple[str, ...]
     post: tuple[tuple[int, ...], ...]
     cells: tuple[int, ...]
@@ -203,7 +204,9 @@ def _sure_region(graph: BeliefGraph, through_final: bool) -> tuple[set[int], int
     Returns (region, rounds, layers).  Co-Buchi is a least fixpoint over
     rounds: from z, the next set y keeps the beliefs that progress (have an
     action into z) and the non-touching beliefs that can stay in y; the
-    layer (z, y) records the round.  Safety is the first round: no belief
+    layer (z, y) records the round.  The rounds' z only grow, so a belief
+    that progresses keeps progressing, and each round tests only the
+    beliefs that did not yet.  Safety is the first round: no belief
     progresses into the empty z, as no successor row is empty.  Its rounds
     count the sweeps that deleted a belief.
     """
@@ -212,8 +215,12 @@ def _sure_region(graph: BeliefGraph, through_final: bool) -> tuple[set[int], int
         return nontouching, _shrink(graph, nontouching, set()), [(set(), nontouching)]
     z: set[int] = set()
     layers: Layers = []
+    progress: set[int] = set()
+    stuck = set(graph.nodes)
     while True:
-        progress = {b for b in graph.nodes if _first_action(graph, b, z) is not None}
+        moved = {b for b in stuck if _first_action(graph, b, z) is not None}
+        progress |= moved
+        stuck -= moved
         y = progress | nontouching
         _shrink(graph, y, progress)
         if y == z:

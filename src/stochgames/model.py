@@ -20,6 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Iterable, Mapping
 
 from .bitset import mask_of
@@ -39,15 +40,40 @@ _GAME_KEYS = {
     "adam_obs",
     "transitions",
 }
+_TRANSITION_KEYS = {"from", "eve", "adam", "to"}
 _STRATEGY_KEYS = {"owner", "memory", "init", "move", "update"}
 
 
-def parse_probability(raw, where: str) -> Fraction:
-    """Parse a probability written as an integer or a "num/den" string.
+def _plain_ratio(raw) -> Fraction | None:
+    """The value of an int, or of an ASCII "digits/digits" string with a
+    non-zero denominator; None for anything else, which
+    ``parse_probability`` parses or rejects."""
+    if type(raw) is int:
+        return Fraction(raw)
+    if type(raw) is str:
+        num, slash, den = raw.partition("/")
+        if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            try:
+                d = int(den)
+                return Fraction(int(num), d) if d else None
+            except ValueError:  # past int's digit limit, as for Fraction(raw)
+                return None
+    return None
 
-    Floats are rejected: the file format is exact by design.  The range is
-    left to ``Distribution``: positive weights summing to 1 lie in [0,1].
+
+def parse_probability(raw, where: str) -> Fraction:
+    """Parse a probability written as an integer or a string.
+
+    A string is read in the syntax of Python's ``Fraction``: "num/den" with
+    optional sign and surrounding whitespace, or a decimal such as "0.5" or
+    "1e-1"; digits may be any Unicode decimal digits, grouped by single
+    underscores.  Floats are rejected: the file format is exact by design.
+    The range is left to ``Distribution``: positive weights summing to 1
+    lie in [0,1].
     """
+    value = _plain_ratio(raw)
+    if value is not None:
+        return value
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise SchemaError(f"{where}: probability must be an integer or 'num/den' string, got {raw!r}")
     try:
@@ -73,19 +99,21 @@ class Distribution:
 
     def __init__(self, weights: Mapping):
         w = {}
-        total = Fraction(0)
         for elem, p in weights.items():
-            p = Fraction(p)
-            if p <= 0:
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if p.numerator <= 0:
                 raise ValidationError(
                     f"zero-weight or negative entry for {elem!r}; drop it or make it positive"
                 )
             w[elem] = p
-            total += p
         if not w:
             raise ValidationError("distribution must have a non-empty support")
-        if total != 1:
-            raise ValidationError(f"distribution weights sum to {total}, expected exactly 1")
+        # the total in integers, over the lcm of the denominators
+        den = lcm(*[p.denominator for p in w.values()])
+        num = sum([p.numerator * (den // p.denominator) for p in w.values()])
+        if num != den:
+            raise ValidationError(f"distribution weights sum to {Fraction(num, den)}, expected exactly 1")
         self._weights = w
 
     @classmethod
@@ -416,24 +444,31 @@ def parse_game(text: str) -> Arena:
     transition: dict[tuple[int, int, int], Distribution] = {}
     eve_index = {a: i for i, a in enumerate(eve_actions)}
     adam_index = {a: i for i, a in enumerate(adam_actions)}
+    # each location is formatted on its error path only
     for k, entry in enumerate(raw_transitions):
-        where = f"game: transitions[{k}]"
-        if not isinstance(entry, dict) or set(entry) != {"from", "eve", "adam", "to"}:
-            raise SchemaError(f"{where}: must be an object with keys from/eve/adam/to")
-        s = state_id(entry["from"], where)
-        if not isinstance(entry["eve"], str) or entry["eve"] not in eve_index:
-            raise ValidationError(f"{where}: unknown eve action {entry['eve']!r}")
-        if not isinstance(entry["adam"], str) or entry["adam"] not in adam_index:
-            raise ValidationError(f"{where}: unknown adam action {entry['adam']!r}")
-        e, a = eve_index[entry["eve"]], adam_index[entry["adam"]]
+        if not isinstance(entry, dict) or entry.keys() != _TRANSITION_KEYS:
+            raise SchemaError(f"game: transitions[{k}]: must be an object with keys from/eve/adam/to")
+        src, eve, adam, to = entry["from"], entry["eve"], entry["adam"], entry["to"]
+        s = index.get(src) if isinstance(src, str) else None
+        if s is None:
+            raise ValidationError(f"game: transitions[{k}]: unknown state {src!r}")
+        e = eve_index.get(eve) if isinstance(eve, str) else None
+        if e is None:
+            raise ValidationError(f"game: transitions[{k}]: unknown eve action {eve!r}")
+        a = adam_index.get(adam) if isinstance(adam, str) else None
+        if a is None:
+            raise ValidationError(f"game: transitions[{k}]: unknown adam action {adam!r}")
         if (s, e, a) in transition:
-            raise ValidationError(f"{where}: duplicate transition for ({entry['from']},{entry['eve']},{entry['adam']})")
-        to = entry["to"]
+            raise ValidationError(f"game: transitions[{k}]: duplicate transition for ({src},{eve},{adam})")
         if not isinstance(to, dict) or not to:
-            raise SchemaError(f"{where}: 'to' must be a non-empty object")
-        weights = {
-            state_id(name, where): parse_probability(raw, f"{where}: to[{name!r}]") for name, raw in to.items()
-        }
+            raise SchemaError(f"game: transitions[{k}]: 'to' must be a non-empty object")
+        weights = {}
+        for name, raw in to.items():
+            t = index.get(name)
+            if t is None:
+                raise ValidationError(f"game: transitions[{k}]: unknown state {name!r}")
+            p = _plain_ratio(raw)
+            weights[t] = parse_probability(raw, f"game: transitions[{k}]: to[{name!r}]") if p is None else p
         try:
             transition[(s, e, a)] = Distribution(weights)
         except ValidationError as exc:
@@ -443,7 +478,7 @@ def parse_game(text: str) -> Arena:
                 Distribution(dict(zip(to, weights.values())))
             except ValidationError as named:
                 exc = named
-            raise ValidationError(f"{where}: {exc}") from exc
+            raise ValidationError(f"game: transitions[{k}]: {exc}") from exc
 
     try:
         return Arena(

@@ -35,6 +35,7 @@ base arena.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -90,12 +91,28 @@ def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
     return _adam_game(ka, tuple(rows[cand[j] - 1] for rows, j in zip(ka.post, ka.position)))
 
 
+class _StateNames(Sequence):
+    """``ka.state_names``, formatted on first read: only the labels of
+    Adam's witness read them, and a solve assembles it only to debug."""
+
+    __slots__ = ("_ka",)
+
+    def __init__(self, ka: KnowledgeArena):
+        self._ka = ka
+
+    def __len__(self) -> int:
+        return len(self._ka.kstates)
+
+    def __getitem__(self, u):
+        return self._ka.state_names[u]
+
+
 def _adam_game(ka: KnowledgeArena, post: tuple[tuple[int, ...], ...]) -> OneHalfGame:
     """Adam's game against chance on the knowledge states, ``post[u]`` the
     row of state u, with his observation refined by final-membership."""
     return OneHalfGame(
         protagonist=ADAM,
-        states=ka.state_names,
+        states=_StateNames(ka),
         actions=ka.base.adam_actions,
         post=post,
         cells=ka.adam_cells,

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own graph machinery: the attractor
 works on raw successor tables, the end-component check enumerates subsets,
 SCC cross-checks go through networkx, exact absorption probabilities
-come from one dense Gauss-Jordan solve, and a candidate is folded into
+come from one dense Gauss-Jordan solve, a distribution's weights are
+checked with ``Fraction`` adds, and a candidate is folded into
 Adam's game on exact weights rather than on support masks.  The product
 chain and the adversary's decision process are built by summing
 ``Fraction`` weights edge by edge, and plays are sampled by a linear scan
@@ -40,6 +41,27 @@ from stochgames.bitset import block_masks, mask_of, split_masks
 from stochgames.evaluation import almost_sure
 from stochgames.model import ADAM, EVE
 from instances import make_doc
+
+
+# ---------------------------------------------------------------------------
+# Weights
+
+
+def distribution_error(weights) -> str | None:
+    """The message ``Distribution(weights)`` raises, or None when it accepts
+    them: each weight converted by ``Fraction`` and checked in order, then
+    the total summed with ``Fraction`` adds."""
+    total = Fraction(0)
+    for elem, p in weights.items():
+        p = Fraction(p)
+        if p <= 0:
+            return f"zero-weight or negative entry for {elem!r}; drop it or make it positive"
+        total += p
+    if not weights:
+        return "distribution must have a non-empty support"
+    if total != 1:
+        return f"distribution weights sum to {total}, expected exactly 1"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from stochgames import (
     validate_strategy,
 )
 from stochgames.gen import generate_arena, random_params
-from stochgames.model import FiniteMemoryStrategy
+from stochgames.model import FiniteMemoryStrategy, parse_probability
 
 from instances import g1, g1_doc, one_state_doc
-from oracles import is_play_prefix, step_distribution
+from oracles import distribution_error, is_play_prefix, step_distribution
 from util import random_strategy
 
 
@@ -77,6 +77,100 @@ def test_float_probability_rejected():
     doc["transitions"][0]["to"] = {"f": 0.5, "s": 0.5}
     with pytest.raises(SchemaError):
         parse_game(json.dumps(doc))
+
+
+# What the probability grammar accepts beyond "num/den", recorded before
+# parse_probability gained its fast path: Python's Fraction syntax.
+PROBABILITY_GRAMMAR = [
+    ("0.5", Fraction(1, 2)),
+    ("1e-1", Fraction(1, 10)),
+    (" 1/2 ", Fraction(1, 2)),
+    ("\t3/4\n", Fraction(3, 4)),
+    ("+1/2", Fraction(1, 2)),
+    ("-1/2", Fraction(-1, 2)),
+    ("１/２", Fraction(1, 2)),
+    ("٣/٤", Fraction(3, 4)),
+    ("1_0/20", Fraction(1, 2)),
+    ("007/010", Fraction(7, 10)),
+    ("1", Fraction(1)),
+    (1, Fraction(1)),
+    ("1/2/3", None),
+    ("1 /2", None),
+    ("1/0", None),
+    ("1/-2", None),
+    ("1__0/2", None),
+    ("_1/2", None),
+    ("/2", None),
+    ("1/", None),
+    ("", None),
+    ("1.5/2", None),
+    ("inf", None),
+    ("½", None),
+]
+
+
+@pytest.mark.parametrize("raw,value", PROBABILITY_GRAMMAR)
+def test_probability_grammar(raw, value):
+    if value is None:
+        with pytest.raises(SchemaError) as rejected:
+            parse_probability(raw, "w")
+        assert str(rejected.value) == f"w: cannot parse probability {raw!r}"
+    else:
+        parsed = parse_probability(raw, "w")
+        assert type(parsed) is Fraction and parsed == value
+
+
+# ASCII and Unicode digits, signs, separators, exponents and whitespace
+probability_strings = st.text(st.sampled_from("0123456789１２٣߁²+-/._eE \t\n"), max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(probability_strings, st.integers(-5, 5)))
+def test_probability_matches_fraction(raw):
+    """parse_probability reads exactly Python's Fraction syntax."""
+    try:
+        want = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SchemaError):
+            parse_probability(raw, "w")
+        return
+    got = parse_probability(raw, "w")
+    assert type(got) is Fraction and got == want
+
+
+weights = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.integers(-1, 2),
+    st.sampled_from(["1/2", "1/3", "2/3", "0", "-1/4"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcd"), weights, max_size=4), st.booleans())
+def test_distribution_matches_fraction_oracle(raw, complete):
+    """Distribution accepts and rejects the weight maps a Fraction-sum check
+    does, with the same message; ``complete`` keeps a map's positive
+    weights and tops them up to 1."""
+    if complete:
+        raw = {e: p for e, p in raw.items() if Fraction(p) > 0}
+        rest = 1 - sum((Fraction(p) for p in raw.values()), Fraction(0))
+        if rest > 0:
+            raw["z"] = rest
+    want = distribution_error(raw)
+    if want is None:
+        assert dict(Distribution(raw).items()) == {e: Fraction(p) for e, p in raw.items()}
+    else:
+        with pytest.raises(ValidationError) as rejected:
+            Distribution(raw)
+        assert str(rejected.value) == want
+
+
+def test_malformed_weight_reported_before_bad_one():
+    doc = json.loads(g1_doc())
+    for to in ({"f": 0, "s": "x"}, {"f": "3/2", "s": "1 /2"}, {"f": "-1", "s": 0.5}):
+        doc["transitions"][0]["to"] = to
+        with pytest.raises(SchemaError, match=r"transitions\[0\]: to\['s'\]"):
+            parse_game(json.dumps(doc))
 
 
 def test_partition_must_cover():
@@ -216,21 +310,45 @@ REPLACEMENTS = [
 MUTATION_OUTCOMES_DIGEST = "e7fbc2e6679cf2576283160ca9d49d7aa5d8e06a37b8a2cb4480ba2e4569807f"
 
 
-def test_single_field_mutation_outcomes_pinned():
-    """Each one-field replacement keeps its outcome: the same canonical
-    document when accepted, else the same exception class."""
-    digest = hashlib.sha256()
+def _mutations():
+    """(kind, path, value) of every one-field replacement, in a fixed order."""
     for kind in ("game", "strategy"):
         doc = json.loads(g1_doc() if kind == "game" else _two_memory_strategy_doc())
         for path in _field_paths(doc):
             for value in REPLACEMENTS:
-                try:
-                    parsed = _parse_with_field(kind, path, value)
-                    outcome = serialize_game(parsed) if kind == "game" else serialize_strategy(parsed)
-                except GameError as exc:
-                    outcome = type(exc).__name__
-                digest.update(json.dumps([kind, path, value, outcome]).encode())
+                yield kind, path, value
+
+
+def test_single_field_mutation_outcomes_pinned():
+    """Each one-field replacement keeps its outcome: the same canonical
+    document when accepted, else the same exception class."""
+    digest = hashlib.sha256()
+    for kind, path, value in _mutations():
+        try:
+            parsed = _parse_with_field(kind, path, value)
+            outcome = serialize_game(parsed) if kind == "game" else serialize_strategy(parsed)
+        except GameError as exc:
+            outcome = type(exc).__name__
+        digest.update(json.dumps([kind, path, value, outcome]).encode())
     assert digest.hexdigest() == MUTATION_OUTCOMES_DIGEST
+
+
+# Recorded before parse_game formatted locations only on its error paths.
+MUTATION_MESSAGES_DIGEST = "748e1a0d6f49af85a8de12bd3c00da2bb4b358825460d0fa88c57a0adb70f2a6"
+
+
+def test_single_field_mutation_messages_pinned():
+    """Each rejected one-field replacement keeps its message byte for byte."""
+    digest = hashlib.sha256()
+    rejected = 0
+    for kind, path, value in _mutations():
+        try:
+            _parse_with_field(kind, path, value)
+        except GameError as exc:
+            digest.update(json.dumps([kind, path, value, str(exc)]).encode())
+            rejected += 1
+    assert rejected == 5054
+    assert digest.hexdigest() == MUTATION_MESSAGES_DIGEST
 
 
 @pytest.mark.parametrize("field", ["eve_actions", "adam_actions"])

@@ -22,7 +22,7 @@ from stochgames import (
     serialize_strategy,
     validate_strategy,
 )
-from stochgames import halfplayer
+from stochgames import halfplayer, solver
 from stochgames.cli import _report_dict
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.gen import generate_arena, random_params
@@ -349,6 +349,27 @@ def test_adam_witness_assembled_only_when_read(monkeypatch):
     losing = [d for d in rep.diagnostics if d["adam_positively_wins"]]
     assert len(calls) == len(losing) == rep.candidates_checked - 1
     assert all(d["adam_witness_memory"] for d in losing)
+
+
+def test_knowledge_states_named_only_when_read(monkeypatch):
+    """A solve names the knowledge states only to label Adam's witness,
+    which only a debug solve assembles."""
+    built = []
+
+    def recording(*args):
+        built.append(build_knowledge_arena(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "build_knowledge_arena", recording)
+    arenas = (g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain())
+    for arena in arenas:
+        decide_almost_sure_reach(arena)
+        decide_almost_sure_buchi(arena)
+    assert len(built) == 2 * len(arenas)
+    assert not any("state_names" in vars(ka) for ka in built)
+    rep = decide_almost_sure_reach(g1(), debug=True)
+    assert any(d["adam_witness_memory"] for d in rep.diagnostics)
+    assert "state_names" in vars(built[-1])
 
 
 def test_threads_below_one_rejected():
