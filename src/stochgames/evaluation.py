@@ -10,9 +10,13 @@ path to a value-0 node that avoids the targets); the remaining nodes are
 solved one strongly connected component at a time in reverse topological
 order, each block by fraction-free integer (Bareiss) elimination with the
 values of the components below it substituted.  The same pinning alone
-decides whether an objective holds almost surely.  The chain itself is
-built on integers: each node's row is summed over one denominator and
-turned into ``Fraction`` edges once.
+decides whether an objective holds almost surely.  The evaluation runs on
+integers from start to finish: each node's row is summed over one
+denominator, and that integer row, scaled by its denominator, already is
+the node's equation, which the solver reads as it is.  ``Fraction``s
+appear only for the values of solved components and the returned values;
+``ProductChain.edges``, the ``Fraction`` view of the rows, is built only
+when something reads it.
 
 Monte Carlo simulation gives an independent statistical cross-check and
 never decides anything.  It compiles the pair once into float cumulative
@@ -26,7 +30,8 @@ adversary) works on the adversary's decision process against Eve's
 strategy: the sure-safe region, the greatest set of non-final nodes in
 which the adversary can keep the play forever, settles both objectives,
 whose values are one minus the maximal probability of reaching that
-region, computed by policy iteration over the same exact solver.
+region, computed by policy iteration over the same exact solver, on
+integer rows of the same form as the chain's.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import ResourceLimit, ValidationError
@@ -131,14 +137,22 @@ class _IntRows(dict):
 class ProductChain:
     """Markov chain induced by an arena and a pair of strategies.
 
-    ``nodes[i]`` is a (state, eve memory, adam memory) triple; ``edges[i]``
-    maps successor node indices to exact probabilities summing to 1.
+    ``nodes[i]`` is a (state, eve memory, adam memory) triple.  ``rows[i]``
+    is node i's row in integers over one denominator, (den, {successor
+    node index: num}), each probability num / den, the nums summing to den.
+    ``edges`` is the ``Fraction`` view of the rows, ``edges[i]`` mapping
+    successors to exact probabilities in the same order; it is built when
+    first read, and the evaluation itself never reads it.
     """
 
     nodes: tuple[tuple[int, int, int], ...]
-    edges: tuple[dict[int, Fraction], ...]
+    rows: tuple[tuple[int, dict[int, int]], ...]
     init: int
     final: frozenset[int]
+
+    @cached_property
+    def edges(self) -> tuple[dict[int, Fraction], ...]:
+        return tuple({v: Fraction(w, den) for v, w in row.items()} for den, row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -161,8 +175,8 @@ def build_chain(
 
     A node's row is summed in integers over one denominator: the product
     of the two move rows' denominators and the lcm of the denominators of
-    the transition rows the node reads.  Each edge becomes one ``Fraction``
-    at the end.  Raises ResourceLimit once the chain would exceed
+    the transition rows the node reads.  The chain keeps that integer row
+    (``ProductChain.rows``).  Raises ResourceLimit once the chain would exceed
     ``max_nodes`` nodes; without a cap the chain is at most states x memory
     x memory.  A cap below 0 is invalid input.
     """
@@ -178,7 +192,7 @@ def build_chain(
     start = (arena.init, ce.init, ca.init)
     nodes: list[tuple[int, int, int]] = [start]
     index = {start: 0}
-    edges: list[dict[int, Fraction]] = []
+    rows: list[tuple[int, dict[int, int]]] = []
     qi = 0
     while qi < len(nodes):
         s, me, ma = nodes[qi]
@@ -189,7 +203,7 @@ def build_chain(
         lcm, mix = trans.mix(reads)
         den = den_e * den_a * lcm
         up_e, up_a = ce.update[me], ca.update[ma]
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for t, w in mix.items():
             node = (t, up_e[t], up_a[t])
             v = index.get(node)
@@ -199,10 +213,10 @@ def build_chain(
                     raise ResourceLimit(f"product chain exceeds {max_nodes} nodes")
                 nodes.append(node)
                 index[node] = v
-            out[v] = Fraction(w, den)
-        edges.append(out)
+            out[v] = w
+        rows.append((den, out))
     final = frozenset(i for i, (s, _me, _ma) in enumerate(nodes) if s in arena.final)
-    return ProductChain(nodes=tuple(nodes), edges=tuple(edges), init=0, final=final)
+    return ProductChain(nodes=tuple(nodes), rows=tuple(rows), init=0, final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -285,71 +299,76 @@ def _reachable(edges, sources, blocked=()) -> set[int]:
     return seen
 
 
-def _pin(edges, targets) -> tuple[set[int], set[int]]:
+def _pin(rows, targets) -> tuple[set[int], set[int]]:
     """The 0/1 pinning of the absorption values of ``targets``: the nodes
     without a path to the targets (value 0), and the nodes that can reach
     one of those without passing a target (value below 1)."""
-    n = len(edges)
+    n = len(rows)
     reverse: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in edges[u]:
+    for u, (_den, row) in enumerate(rows):
+        for v in row:
             reverse[v].append(u)
     zero = set(range(n)) - _reachable(reverse, targets)
     return zero, _reachable(reverse, zero, targets)
 
 
-def absorption_values(edges, targets: set[int]) -> list[Fraction]:
+def absorption_values(rows, targets: set[int]) -> list[Fraction]:
     """Exact probability, from every node, of ever hitting ``targets``.
 
-    ``edges[u]`` maps successors to positive weights that sum to 1; an
-    empty row makes u a dead end.  Nodes without a path to the targets get
-    0, nodes that cannot reach such a node without passing a target get 1,
-    and only the rest (whose values lie strictly between) are solved, one
-    strongly connected component at a time, sinks first, so that every
-    equation sees the values of its other successors already fixed.
+    ``rows[u]`` is (den, {successor: num}) with positive integer nums
+    summing to den, each probability num / den; an empty row makes u a
+    dead end.  Nodes without a path to the targets get 0, nodes that
+    cannot reach such a node without passing a target get 1, and only the
+    rest (whose values lie strictly between) are solved, one strongly
+    connected component at a time, sinks first, so that every equation
+    sees the values of its other successors already fixed.
     """
-    zero, below = _pin(edges, targets)
-    values = [_ZERO if u in zero else _ONE for u in range(len(edges))]
+    zero, below = _pin(rows, targets)
+    values = [_ZERO if u in zero else _ONE for u in range(len(rows))]
     unknowns = sorted(below - zero)
     pos = {u: i for i, u in enumerate(unknowns)}
-    inner = [[pos[v] for v in edges[u] if v in pos] for u in unknowns]
+    inner = [[pos[v] for v in rows[u][1] if v in pos] for u in unknowns]
     for comp in strongly_connected_components(inner):
-        _solve_component([unknowns[i] for i in comp], edges, values)
+        _solve_component([unknowns[i] for i in comp], rows, values)
     return values
 
 
-def _solve_component(comp: list[int], edges, values: list[Fraction]) -> None:
+def _solve_component(comp: list[int], rows, values: list[Fraction]) -> None:
     """Fill in ``values`` on ``comp`` from x_u = sum_v p_uv x_v, where every
     successor outside ``comp`` already carries its final value.
 
-    Each equation is scaled by the LCM of its coefficient denominators and
-    the constant column by the LCM of the scaled constants; the integer
-    system is then solved by Bareiss's fraction-free elimination, in which
-    every division is exact, and the solution x = y / (det * scale) is
-    recovered by integer back-substitution with y = det * x.
+    The integer row is the equation scaled by its denominator:
+    den x_u - sum_{v in comp} num_v x_v = sum_{v not in comp} num_v x_v.
+    The constant column is scaled by the lcm of the denominators of the
+    fractional values it reads; the integer system is then solved by
+    Bareiss's fraction-free elimination, in which every division is exact,
+    and the solution x = y / (det * scale) is recovered by integer
+    back-substitution with y = det * x.
     """
     col = {u: i for i, u in enumerate(comp)}
     k = len(comp)
     m: list[list[int]] = []
-    consts: list[Fraction] = []
+    mixed: list[list[tuple[int, Fraction]]] = []  # per equation: num_v, x_v for fractional x_v
     for u in comp:
-        row = {col[u]: _ONE}
-        const = _ZERO
-        for v, p in edges[u].items():
+        den, row = rows[u]
+        ints = [0] * (k + 1)
+        ints[col[u]] = den
+        part = []
+        for v, w in row.items():
             j = col.get(v)
             if j is not None:
-                row[j] = row.get(j, _ZERO) - p
-            elif values[v]:
-                const += p * values[v]
-        lcm = math.lcm(*(c.denominator for c in row.values()))
-        ints = [0] * (k + 1)
-        for j, c in row.items():
-            ints[j] = c.numerator * (lcm // c.denominator)
+                ints[j] -= w
+            else:
+                x = values[v]
+                if x is _ONE:
+                    ints[k] += w
+                elif x is not _ZERO:
+                    part.append((w, x))
         m.append(ints)
-        consts.append(const * lcm)
-    scale = math.lcm(*(c.denominator for c in consts))
-    for ints, const in zip(m, consts):
-        ints[k] = const.numerator * (scale // const.denominator)
+        mixed.append(part)
+    scale = math.lcm(*(x.denominator for part in mixed for _w, x in part))
+    for ints, part in zip(m, mixed):
+        ints[k] = ints[k] * scale + sum(w * x.numerator * (scale // x.denominator) for w, x in part)
     prev = 1
     for j in range(k):
         pivot = next((r for r in range(j, k) if m[r][j]), None)
@@ -383,7 +402,7 @@ def _targets(chain: ProductChain, objective: Objective) -> set[int]:
     if objective not in _TAIL:
         return set(chain.final)
     targets: set[int] = set()
-    for comp in bottom_sccs(chain.edges):
+    for comp in bottom_sccs([row for _den, row in chain.rows]):
         if any(v in chain.final for v in comp):
             targets.update(comp)
     return targets
@@ -395,7 +414,7 @@ def _hit_probability(chain: ProductChain, targets: set[int]) -> Fraction:
         return _ONE
     if not targets:
         return _ZERO
-    return absorption_values(chain.edges, targets)[chain.init]
+    return absorption_values(chain.rows, targets)[chain.init]
 
 
 def objective_probability(chain: ProductChain, objective: Objective) -> Fraction:
@@ -407,7 +426,7 @@ def almost_sure(chain: ProductChain, objective: Objective) -> bool:
     """Qualitative check that the objective probability is exactly 1, read
     off the 0/1 pinning: reach and Buchi hold almost surely iff the initial
     node is pinned to 1, safety and co-Buchi iff it is pinned to 0."""
-    zero, below = _pin(chain.edges, _targets(chain, objective))
+    zero, below = _pin(chain.rows, _targets(chain, objective))
     if objective in _HIT:
         return chain.init not in below
     return chain.init in zero
@@ -553,7 +572,9 @@ def monte_carlo(
 
 
 class _Mdp:
-    """Adversary decision process over (state, eve memory) nodes."""
+    """Adversary decision process over (state, eve memory) nodes:
+    ``trans[v][a]`` is node v's row under Adam's action a, in the integer
+    form of ``ProductChain.rows``."""
 
     def __init__(self, arena: Arena, eve: FiniteMemoryStrategy):
         ce = _Compiled(arena, eve, EVE)
@@ -563,7 +584,7 @@ class _Mdp:
         start = (arena.init, ce.init)
         nodes = [start]
         index = {start: 0}
-        trans: list[list[dict[int, Fraction]]] = []
+        trans: list[list[tuple[int, dict[int, int]]]] = []
         qi = 0
         while qi < len(nodes):
             s, me = nodes[qi]
@@ -573,8 +594,7 @@ class _Mdp:
             per_action = []
             for a in range(n_adam):
                 lcm, mix = rows.mix([((s * n_eve + e) * n_adam + a, pe) for e, pe in eve_row])
-                den = den_e * lcm
-                out: dict[int, Fraction] = {}
+                out: dict[int, int] = {}
                 for t, w in mix.items():
                     node = (t, up[t])
                     v = index.get(node)
@@ -582,17 +602,17 @@ class _Mdp:
                         v = len(nodes)
                         nodes.append(node)
                         index[node] = v
-                    out[v] = Fraction(w, den)
-                per_action.append(out)
+                    out[v] = w
+                per_action.append((den_e * lcm, out))
             trans.append(per_action)
         self.nodes = nodes
         self.trans = trans
         self.init = 0
         self.final = {i for i, (s, _me) in enumerate(nodes) if s in arena.final}
-        self.n_actions = n_adam
 
 
 _MAX_PI_ROUNDS = 10_000
+_DEAD_END = (1, {})
 
 
 def _mdp_max_reach(mdp: _Mdp, targets: set[int], absorbing: set[int]) -> Fraction:
@@ -600,7 +620,11 @@ def _mdp_max_reach(mdp: _Mdp, targets: set[int], absorbing: set[int]) -> Fractio
     exact, where the nodes of ``absorbing`` are dead ends.
 
     Evaluation always computes the true (least-fixpoint) value of the
-    current policy, so the iteration terminates at the optimum.
+    current policy, so the iteration terminates at the optimum.  The
+    improvement step compares in integers: with the values scaled to
+    integers over their lcm, an action's value times that lcm is
+    num / den, num = sum_t num_t * scaled_t, and two such ratios compare
+    by cross-multiplication.
     """
     if mdp.init in targets:
         return _ONE
@@ -608,17 +632,18 @@ def _mdp_max_reach(mdp: _Mdp, targets: set[int], absorbing: set[int]) -> Fractio
     free = [v for v in range(n) if v not in targets and v not in absorbing]
     policy = [0] * n
     for _ in range(_MAX_PI_ROUNDS):
-        edges = [{} if v in absorbing else mdp.trans[v][policy[v]] for v in range(n)]
-        vals = absorption_values(edges, targets)
+        rows = [_DEAD_END if v in absorbing else mdp.trans[v][policy[v]] for v in range(n)]
+        vals = absorption_values(rows, targets)
+        scale = math.lcm(*(x.denominator for x in vals))
+        scaled = [x.numerator * (scale // x.denominator) for x in vals]
         improved = False
         for v in free:
-            best_a, best_q = policy[v], None
-            for a in range(mdp.n_actions):
-                q = sum((p * vals[t] for t, p in mdp.trans[v][a].items()), _ZERO)
-                if best_q is None or q > best_q:
-                    best_q = q
-                    best_a = a
-            if best_q > vals[v]:
+            best_a, best_num, best_den = policy[v], None, 1
+            for a, (den, row) in enumerate(mdp.trans[v]):
+                num = sum(w * scaled[t] for t, w in row.items())
+                if best_num is None or num * best_den > best_num * den:
+                    best_a, best_num, best_den = a, num, den
+            if best_num > scaled[v] * best_den:
                 policy[v] = best_a
                 improved = True
         if not improved:
@@ -653,7 +678,7 @@ def best_response_full_info(arena: Arena, eve: FiniteMemoryStrategy, objective: 
     while changed:
         changed = False
         for v in list(safe):
-            if not any(all(t in safe for t in row) for row in mdp.trans[v]):
+            if not any(all(t in safe for t in row) for _den, row in mdp.trans[v]):
                 safe.discard(v)
                 changed = True
     absorbing = mdp.final if objective is Objective.REACHABILITY else set()

@@ -15,6 +15,7 @@ enumeration and judges each candidate on exact product chains, without
 Adam's belief graph.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -444,6 +445,17 @@ def enumerate_policies(n_nodes: int, n_actions: int):
 
 # ---------------------------------------------------------------------------
 # Exact absorption probabilities by dense Gauss-Jordan elimination
+
+
+def int_rows(edges):
+    """``Fraction`` edge rows in the integer form ``absorption_values``
+    reads: (den, {successor: num}) with den the lcm of the row's
+    denominators and each probability num / den."""
+    rows = []
+    for row in edges:
+        den = math.lcm(*(p.denominator for p in row.values()))
+        rows.append((den, {v: p.numerator * (den // p.denominator) for v, p in row.items()}))
+    return rows
 
 
 def dense_absorption_values(edges, targets) -> list[Fraction]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -34,6 +35,7 @@ from oracles import (
     enumerate_policies,
     fraction_chain,
     fraction_mdp,
+    int_rows,
     is_play_prefix,
     nx_bottom_sccs,
     scan_estimate,
@@ -79,6 +81,8 @@ def test_chain_rows_sum_to_one(seed, strat_seed):
     chain = build_chain(arena, random_strategy(arena, EVE, rng), random_strategy(arena, ADAM, rng))
     for row in chain.edges:
         assert sum(row.values(), Fraction(0)) == 1
+    for den, row in chain.rows:
+        assert sum(row.values()) == den
 
 
 def test_reach_initial_final():
@@ -241,7 +245,7 @@ def sparse_chains(draw):
 @given(sparse_chains())
 def test_absorption_values_match_dense_oracle(chain):
     edges, targets = chain
-    values = absorption_values(edges, targets)
+    values = absorption_values(int_rows(edges), targets)
     assert values == dense_absorption_values(edges, targets)
     assert all(0 <= x <= 1 for x in values)
 
@@ -262,8 +266,10 @@ def test_scale_chain(seed):
     assert 0 <= buchi <= reach <= 1
     assert almost_sure(chain, Objective.REACHABILITY) == (reach == 1)
     assert almost_sure(chain, Objective.BUCHI) == (buchi == 1)
-    # every node value satisfies its equation, so it is the unique solution
-    values = absorption_values(chain.edges, set(chain.final))
+    # every node value satisfies its equation, so it is the unique solution;
+    # the chain's rows and the reduced rows of its Fraction view give one system
+    values = absorption_values(chain.rows, set(chain.final))
+    assert values == absorption_values(int_rows(chain.edges), set(chain.final))
     for u, row in enumerate(chain.edges):
         if u not in chain.final and values[u]:
             assert values[u] == sum((p * values[v] for v, p in row.items()), Fraction(0))
@@ -358,19 +364,19 @@ def test_best_response_matches_policy_enumeration():
         params = GenParams(rng.randint(3, 6), 2, 2, 0.6, rng.randint(1, 2), 1, rng.randint(1, 2), seed=seed)
         arena = generate_arena(params)
         eve = random_strategy(arena, EVE, rng, max_memory=1)
-        mdp = _Mdp(arena, eve)
-        if len(mdp.nodes) > 9:
+        nodes, trans, final = fraction_mdp(arena, eve)
+        if len(nodes) > 9:
             continue
         best = {Objective.REACHABILITY: None, Objective.BUCHI: None}
-        for policy in enumerate_policies(len(mdp.nodes), mdp.n_actions):
-            edges = [mdp.trans[v][policy[v]] for v in range(len(mdp.nodes))]
+        for policy in enumerate_policies(len(nodes), len(arena.adam_actions)):
+            edges = [trans[v][policy[v]] for v in range(len(nodes))]
             targets = set()
             for comp in nx_bottom_sccs(edges):
-                if comp & mdp.final:
+                if comp & final:
                     targets.update(comp)
             for objective, value in (
-                (Objective.REACHABILITY, dense_absorption_values(edges, mdp.final)[mdp.init]),
-                (Objective.BUCHI, dense_absorption_values(edges, targets)[mdp.init]),
+                (Objective.REACHABILITY, dense_absorption_values(edges, final)[0]),
+                (Objective.BUCHI, dense_absorption_values(edges, targets)[0]),
             ):
                 if best[objective] is None or value < best[objective]:
                     best[objective] = value
@@ -463,6 +469,32 @@ def _random_pair(seed: int, mixed: bool):
     return arena, eve, random_strategy(arena, ADAM, rng, max_memory=3)
 
 
+EXACT_VALUES_DIGEST = "4b93a73c829c1e261e6dfd2d55f1f5045dab0d393541e2c231482b7099a61a10"
+
+
+def test_exact_values_pinned():
+    """Every exact figure of the evaluator on a fixed corpus of pairs: the
+    chain's node count, each objective's probability and almost-sure
+    verdict, and the best response for reach and for Buchi."""
+    digest = hashlib.sha256()
+    fractional = 0
+    for seed in range(80):
+        for mixed in (False, True):
+            arena, eve, adam = _random_pair(seed, mixed)
+            chain = build_chain(arena, eve, adam)
+            record = [len(chain.nodes)]
+            record += [objective_probability(chain, objective) for objective in Objective]
+            record += [almost_sure(chain, objective) for objective in Objective]
+            record += [
+                best_response_full_info(arena, eve, objective).probability
+                for objective in (Objective.REACHABILITY, Objective.BUCHI)
+            ]
+            fractional += sum(type(x) is Fraction and 0 < x < 1 for x in record)
+            digest.update(repr(record).encode())
+    assert fractional == 8
+    assert digest.hexdigest() == EXACT_VALUES_DIGEST
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 def test_build_chain_matches_fraction_oracle(seed, mixed):
@@ -485,12 +517,36 @@ def test_build_chain_matches_fraction_oracle(seed, mixed):
             assert build_chain(arena, eve, adam, max_nodes=cap) == chain
 
 
+def _rational_mdp(mdp):
+    """(nodes, rows as (successor, probability) lists, final) of ``mdp``."""
+    trans = [[[(v, Fraction(w, den)) for v, w in row.items()] for den, row in rows] for rows in mdp.trans]
+    return mdp.nodes, trans, mdp.final
+
+
+def _listed(nodes, trans, final):
+    return nodes, [[list(row.items()) for row in rows] for rows in trans], final
+
+
+def test_fraction_edges_built_only_when_read():
+    """Evaluation reads the chain's integer rows; the ``Fraction`` view is
+    built only when something reads ``edges``."""
+    arena, eve, adam = _random_pair(312, False)
+    chain = build_chain(arena, eve, adam)
+    values = {objective: objective_probability(chain, objective) for objective in Objective}
+    assert not any(almost_sure(chain, objective) for objective in Objective)
+    assert (values[Objective.REACHABILITY], values[Objective.BUCHI]) == (Fraction(3, 4), Fraction(7, 16))
+    assert "edges" not in vars(chain)
+    assert len(chain.edges) == len(chain.nodes)
+    assert "edges" in vars(chain)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**6), st.booleans())
 def test_mdp_matches_fraction_oracle(seed, mixed):
+    """The integer rows of the adversary's decision process hold the
+    probabilities of the ``Fraction`` construction, in its insertion order."""
     arena, eve, _adam = _random_pair(seed, mixed)
-    mdp = _Mdp(arena, eve)
-    assert (mdp.nodes, mdp.trans, mdp.final) == fraction_mdp(arena, eve)
+    assert _rational_mdp(_Mdp(arena, eve)) == _listed(*fraction_mdp(arena, eve))
 
 
 def test_mdp_matches_fraction_oracle_on_acceptance_corpus():
@@ -501,8 +557,7 @@ def test_mdp_matches_fraction_oracle_on_acceptance_corpus():
     for i in range(250):
         arena = generate_arena(random_params(2000 + i))
         eve = random_strategy(arena, EVE, rng, max_memory=3)
-        mdp = _Mdp(arena, eve)
-        assert (mdp.nodes, mdp.trans, mdp.final) == fraction_mdp(arena, eve), i
+        assert _rational_mdp(_Mdp(arena, eve)) == _listed(*fraction_mdp(arena, eve)), i
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,9 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import stochgames
-from stochgames import EvalResult, knowledge, solver
+from stochgames import EvalResult, FiniteMemoryStrategy, Objective, evaluation, knowledge, solver
 from stochgames.gen import generate_arena, random_params
-from instances import g1
+from stochgames.model import ADAM, EVE
+from instances import coin_chain, g1
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -82,3 +83,41 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     } <= spans
     metrics = tracing.layer_metrics(tracer)
     assert metrics["knowledge.kstates"] > 0 and metrics["knowledge.witness_memory"] > 0
+
+
+def test_benchmark_tracer_sees_the_evaluation_layer():
+    """One traced eval op (reach and Buchi on one chain) and one traced
+    certify op: every exact solve is an ``evaluation.absorb`` span under the
+    objective or best response that asked for it, so a rewrite that
+    unbinds ``absorption_values`` or stops returning ``Fraction`` values
+    fails here instead of zeroing the per-layer figures."""
+    tracing = _load("tracing", ROOT / "perfbench")
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    arena = coin_chain()
+    eve = FiniteMemoryStrategy.constant(EVE, "a", 3)
+    adam = FiniteMemoryStrategy.constant(ADAM, "x", 3)
+
+    def evaluate():
+        chain = stochgames.build_chain(arena, eve, adam)
+        return [stochgames.objective_probability(chain, o) for o in (Objective.REACHABILITY, Objective.BUCHI)]
+
+    try:
+        values = tracer.run_op("p0/eval", "eval", evaluate)
+        certified = tracer.run_op(
+            "p0/certify", "certify", lambda: stochgames.best_response_full_info(arena, eve, Objective.REACHABILITY)
+        )
+    finally:
+        tracer.uninstall()
+    assert values == [Fraction(1, 2)] * 2 and certified.probability == Fraction(1, 2)
+    assert not hasattr(evaluation.absorption_values, "__wrapped__")  # unwrapped again
+    spans = {s.name for s in tracer.spans}
+    assert {"evaluation.build_chain", "evaluation.objective", "evaluation.absorb", "evaluation.best_response"} <= spans
+    absorbs = [s for s in tracer.spans if s.name == "evaluation.absorb"]
+    assert len(absorbs) == 3
+    for span in absorbs:
+        assert tracer.spans[span.parent].name in {"evaluation.objective", "evaluation.best_response"}
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["evaluation.absorb_s"] > 0
+    assert 0 <= metrics["evaluation.pinnable_share"] <= 1
+    assert metrics["evaluation.max_denominator_digits"] > 0
