@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--game", required=True)
     p_solve.add_argument("--objective", choices=["reach", "buchi"], required=True)
-    p_solve.add_argument("--debug-candidates", action="store_true", help="check every candidate, with one diagnostic each")
+    p_solve.add_argument("--debug-candidates", action="store_true", help="list a diagnostic per candidate the search checks")
     p_solve.set_defaults(func=cmd_solve)
 
     p_eval = sub.add_parser("eval", parents=[out], help="exact objective probability of a strategy pair")

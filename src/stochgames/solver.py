@@ -24,12 +24,10 @@ that leaves positions to check, the search runs ``_refuted`` once: a
 greatest fixpoint over the knowledge states that keeps every state a
 winning candidate reaches, and so proves "no" when it drops the initial
 state; the search then stops with the report a search without a winner
-gives, caps included.  A debug solve, which lists a diagnostic per
-candidate, steps through the candidates one by one instead and gives the
-same report, except where the belief cap stops its walk at a candidate
-the search skips or never reaches after a proof.  The first successful
-candidate in canonical order is lowered to a finite-memory witness on the
-base arena.
+gives, caps included.  A debug solve runs the same search and lists a
+diagnostic per Adam check, with the canonical positions it decides.  The
+first successful candidate in canonical order is lowered to a
+finite-memory witness on the base arena.
 """
 
 from __future__ import annotations
@@ -149,10 +147,11 @@ def check_candidate(
     return game.init not in rep.winning_states, rep
 
 
-def _diag_entry(ka: KnowledgeArena, index: int, cand: tuple[int, ...], rep: PositiveWinReport) -> dict:
+def _diag_entry(ka: KnowledgeArena, index: int, cand: tuple[int, ...], rep: PositiveWinReport, after: int) -> dict:
     base = ka.base
     return {
         "index": index,
+        "next_index": after,
         "assignment": {
             label(base.states, know): [base.eve_actions[i] for i in bits(mask)]
             for know, mask in zip(ka.knowledges, cand)
@@ -251,35 +250,34 @@ def _refuted(ka: KnowledgeArena, objective: Objective, max_beliefs: int) -> bool
     return True
 
 
-def _checks(ka, objective, max_beliefs, debug, stop):
-    """(index, wins, Adam's report, diagnostic or None) of the candidates at
-    canonical positions 0 to ``stop`` - 1, in order, up to and including
-    the first winner.
+def _checks(ka, objective, max_beliefs, stop):
+    """(index, candidate, wins, Adam's report, next index) of each Adam
+    check the search makes among canonical positions 0 to ``stop`` - 1, in
+    order, up to and including the first winner.
 
-    A loss moves on past every candidate its refutation already defeats
-    (``_past_footprint``), and the first loss that leaves positions to
-    check runs ``_refuted`` once: the checks end there when it proves that
-    none of them wins.  A debug walk, which lists every candidate, moves to
-    the next position and runs no proof.  A ResourceLimit raised by Adam's
-    belief graph reports the candidate's index: the number of canonical
-    positions decided before it.
+    A winner's next index is its own + 1; a loss moves on past every
+    candidate its refutation already defeats (``_past_footprint``), and the
+    first loss that leaves positions to check runs ``_refuted`` once: the
+    checks end there when it proves that none of them wins.  A
+    ResourceLimit raised by Adam's belief graph reports the candidate's
+    index: the number of canonical positions decided before it.
     """
     index = 0
-    refute = not debug
+    refute = True
     while index < stop:
         cand = _candidate_at(ka, index)
         try:
             wins, rep = check_candidate(ka, cand, objective, max_beliefs)
         except ResourceLimit as exc:
             raise ResourceLimit(str(exc), checked=index) from None
-        yield index, wins, rep, _diag_entry(ka, index, cand, rep) if debug else None
+        after = index + 1 if wins else _past_footprint(ka, index, rep.footprint)
+        yield index, cand, wins, rep, after
         if wins:
             return
-        index = index + 1 if debug else _past_footprint(ka, index, rep.footprint)
-        if refute and index < stop:
-            if _refuted(ka, objective, max_beliefs):
-                return
-            refute = False
+        index = after
+        if refute and index < stop and _refuted(ka, objective, max_beliefs):
+            return
+        refute = False
 
 
 def _decide(
@@ -302,18 +300,18 @@ def _decide(
     count = candidate_count(ka)
     stop = min(count, max_candidates)
     diagnostics: list[dict] | None = [] if debug else None
-    winner = rep = None
-    for index, wins, cand_rep, diag in _checks(ka, objective, max_beliefs, debug, stop):
+    winner = None
+    for index, cand, wins, rep, after in _checks(ka, objective, max_beliefs, stop):
         if diagnostics is not None:
-            diagnostics.append(diag)
+            diagnostics.append(_diag_entry(ka, index, cand, rep, after))
         if wins:
-            winner, rep = index, cand_rep
+            winner = index, cand, rep
     if winner is None and max_candidates < count:
         raise ResourceLimit(f"candidate enumeration exceeds cap of {max_candidates}", checked=max_candidates)
     witness = None
     winning_knowledges: tuple[tuple[str, ...], ...] = ()
     if winner is not None:
-        cand = _candidate_at(ka, winner)
+        index, cand, rep = winner
         witness = lower_strategy(arena, dict(zip(ka.knowledges, cand)))
         validate_strategy(arena, "eve", witness)
         # the witness wins from every knowledge none of whose states Adam
@@ -329,7 +327,7 @@ def _decide(
         objective=objective,
         witness=witness,
         witness_winning_knowledges=winning_knowledges,
-        candidates_checked=count if winner is None else winner + 1,
+        candidates_checked=count if winner is None else winner[0] + 1,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         diagnostics=tuple(diagnostics) if diagnostics is not None else None,
     )
@@ -351,8 +349,10 @@ def decide_almost_sure_reach(
     candidate (a "no" proven past ``max_candidates`` still hits the cap).
     ``threads`` is accepted for compatibility and does not change the
     search or its report; below 1 it is invalid input, as is a cap below
-    0.  ``debug`` checks every candidate one by one and lists a diagnostic
-    for each.
+    0.  ``debug`` lists a diagnostic per Adam check the search makes, with
+    the position ``next_index`` it moves on to; on "no", the positions
+    from the last one's ``next_index`` up to ``candidates_checked`` are
+    those the fixpoint proved.
     """
     return _decide(arena, Objective.REACHABILITY, max_candidates, max_beliefs, threads, debug)
 

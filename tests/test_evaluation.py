@@ -469,30 +469,67 @@ def _random_pair(seed: int, mixed: bool):
     return arena, eve, random_strategy(arena, ADAM, rng, max_memory=3)
 
 
+def _exact_record(arena, eve, adam) -> list:
+    """The chain's node count, each objective's probability and almost-sure
+    verdict, and the best response for reach and for Buchi."""
+    chain = build_chain(arena, eve, adam)
+    record = [len(chain.nodes)]
+    record += [objective_probability(chain, objective) for objective in Objective]
+    record += [almost_sure(chain, objective) for objective in Objective]
+    record += [
+        best_response_full_info(arena, eve, objective).probability
+        for objective in (Objective.REACHABILITY, Objective.BUCHI)
+    ]
+    return record
+
+
+def _fractional(record) -> int:
+    return sum(type(x) is Fraction and 0 < x < 1 for x in record)
+
+
 EXACT_VALUES_DIGEST = "4b93a73c829c1e261e6dfd2d55f1f5045dab0d393541e2c231482b7099a61a10"
 
 
 def test_exact_values_pinned():
-    """Every exact figure of the evaluator on a fixed corpus of pairs: the
-    chain's node count, each objective's probability and almost-sure
-    verdict, and the best response for reach and for Buchi."""
+    """Every exact figure of the evaluator on a fixed corpus of pairs."""
     digest = hashlib.sha256()
     fractional = 0
     for seed in range(80):
         for mixed in (False, True):
-            arena, eve, adam = _random_pair(seed, mixed)
-            chain = build_chain(arena, eve, adam)
-            record = [len(chain.nodes)]
-            record += [objective_probability(chain, objective) for objective in Objective]
-            record += [almost_sure(chain, objective) for objective in Objective]
-            record += [
-                best_response_full_info(arena, eve, objective).probability
-                for objective in (Objective.REACHABILITY, Objective.BUCHI)
-            ]
-            fractional += sum(type(x) is Fraction and 0 < x < 1 for x in record)
+            record = _exact_record(*_random_pair(seed, mixed))
+            fractional += _fractional(record)
             digest.update(repr(record).encode())
     assert fractional == 8
     assert digest.hexdigest() == EXACT_VALUES_DIGEST
+
+
+def _eval_pair(seed: int):
+    """A pair drawn like the eval-pairs benchmark's: a generated game of
+    8 to 16 states and two actions each, with strategies of 3 to 5
+    memories and move denominators of at most 6."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 16)
+    density = rng.choice([0.4, 0.7])
+    params = GenParams(n, 2, 2, density, rng.randint(2, 3), rng.randint(2, 3), rng.randint(1, 2), rng.randrange(2**32))
+    arena = generate_arena(params)
+    eve = random_strategy(arena, EVE, rng, max_memory=5, min_memory=3)
+    return arena, eve, random_strategy(arena, ADAM, rng, max_memory=5, min_memory=3)
+
+
+EXACT_RATIONALS_DIGEST = "7e5191335af89659e6f719e46c6de288a0a5cec74b1a59a1e68c5942177231fe"
+
+
+def test_exact_rationals_pinned():
+    """The same figures on pairs whose values are mostly neither 0 nor 1,
+    so the pins reach the component solves and not only the 0/1 pinning."""
+    digest = hashlib.sha256()
+    fractional = 0
+    for seed in range(100):
+        record = _exact_record(*_eval_pair(seed))
+        fractional += _fractional(record)
+        digest.update(repr(record).encode())
+    assert fractional >= 158  # of 1,100 values
+    assert digest.hexdigest() == EXACT_RATIONALS_DIGEST
 
 
 @settings(max_examples=80, deadline=None)

@@ -68,6 +68,22 @@ def _run_records(err: str) -> list[dict]:
     return [json.loads(line) for line in err.splitlines() if line.startswith("{")]
 
 
+def test_cli_solve_debug_lists_search_checks(tmp_path, capsys):
+    """A debug solve lists the search's one Adam check where a walk of
+    every candidate would take 823,543; the fixpoint proves the rest."""
+    game = tmp_path / "game.json"
+    game.write_text(serialize_game(generate_arena(random_params(103, max_states=6, max_actions=3, max_blocks=3))))
+    out = tmp_path / "report.json"
+    args = ["solve", "--game", str(game), "--objective", "reach", "--debug-candidates", "--out", str(out)]
+    assert main(args) == 0
+    report = json.loads(out.read_text())
+    assert (report["verdict"], report["candidates_checked"]) == ("no", 823543)
+    [entry] = report["candidates"]
+    assert entry["index"] == 0 < entry["next_index"] < 823543
+    [record] = _run_records(capsys.readouterr().err)
+    assert record["outcome"] == "verdict=no"
+
+
 def test_cli_solve_malformed_exit_2(tmp_path):
     game = tmp_path / "bad.json"
     game.write_text("{broken")

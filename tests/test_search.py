@@ -3,11 +3,11 @@
 A losing candidate's refutation reads Adam's folded game only at the
 states of its footprint; every candidate that agrees with the loser on the
 knowledges of those states loses too, so the search skips them.  These
-tests check that lemma on sampled completions, and that the search reports
-exactly what the one-by-one walk of a debug solve reports, whatever
-``threads`` says.  They also check that the knowledge-state
-fixpoint ``_refuted``, which ends a search early, proves "no" only where
-every candidate loses.
+tests check that lemma on sampled completions, and that the search, debug
+or not and whatever ``threads`` says, reports what the oracle's
+one-by-one walk of every candidate finds.  They also check that the
+knowledge-state fixpoint ``_refuted``, which ends a search early, proves
+"no" only where every candidate loses.
 """
 
 import time
@@ -28,7 +28,8 @@ from stochgames import (
 from stochgames import solver
 from stochgames.bitset import bits
 from stochgames.gen import generate_arena, random_params
-from stochgames.solver import _candidate_at, _refuted, candidate_count, check_candidate
+from stochgames.knowledge import lower_strategy
+from stochgames.solver import SolveReport, _candidate_at, _refuted, candidate_count, check_candidate
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin
 from oracles import enumerate_candidates
 
@@ -106,14 +107,45 @@ def _outcome(decide, arena, debug, **caps):
     return replace(rep, elapsed_ms=0, diagnostics=None)
 
 
+def _walk(arena, objective):
+    """The oracle's walk: checks the candidates one by one in product order
+    up to the first winner.  Returns the knowledge arena, the winner as
+    (index, candidate, Adam's report) or None, and the candidates walked."""
+    ka = build_knowledge_arena(arena)
+    walked = 0
+    for walked, cand in enumerate(enumerate_candidates(ka), 1):
+        wins, rep = check_candidate(ka, cand, objective)
+        if wins:
+            return ka, (walked - 1, cand, rep), walked
+    return ka, None, walked
+
+
+def _walk_outcome(arena, objective, walk, cap):
+    """What a solve capped at ``cap`` candidates reports, read off the walk."""
+    ka, winner, walked = walk
+    if winner is None and walked <= cap:
+        return SolveReport("no", objective, None, (), walked, 0)
+    if winner is None or winner[0] >= cap:
+        return (f"candidate enumeration exceeds cap of {cap}", cap)
+    index, cand, rep = winner
+    lost = {ka.position[u] for u in rep.winning_states}
+    winning = tuple(
+        tuple(arena.states[s] for s in bits(know)) for j, know in enumerate(ka.knowledges) if j not in lost
+    )
+    witness = lower_strategy(arena, dict(zip(ka.knowledges, cand)))
+    return SolveReport("yes", objective, witness, winning, index + 1, 0)
+
+
 def test_search_reports_equal_enumeration():
     arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
     arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(100)]
     capped = 0
     for arena in arenas:
-        for decide in DECIDERS:
+        for objective, decide in zip(OBJECTIVES, DECIDERS):
+            walk = _walk(arena, objective)
             for cap in (10**4, 27, 3):
                 searched = _outcome(decide, arena, False, max_candidates=cap)
+                assert searched == _walk_outcome(arena, objective, walk, cap)
                 assert searched == _outcome(decide, arena, True, max_candidates=cap)
                 capped += isinstance(searched, tuple)
     assert capped > 0
@@ -153,13 +185,18 @@ def test_search_checks_fewer_candidates(monkeypatch):
 
     monkeypatch.setattr(solver, "check_candidate", counting)
     for arena in (g1(), hidden_coin()):
+        ka = build_knowledge_arena(arena)
         for decide in DECIDERS:
             calls.clear()
             rep = decide(arena)
-            assert calls == sorted(set(calls))
-            assert len(calls) < rep.candidates_checked
+            searched = list(calls)
+            assert searched == sorted(set(searched))
+            assert len(searched) < rep.candidates_checked
+            # a debug solve makes the same Adam checks, with one entry each
             calls.clear()
-            assert decide(arena, debug=True).candidates_checked == len(calls)
+            rep = decide(arena, debug=True)
+            assert calls == searched
+            assert [_candidate_at(ka, d["index"]) for d in rep.diagnostics] == searched
 
 
 def test_search_reaches_beyond_enumeration(monkeypatch):

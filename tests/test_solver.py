@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -197,33 +198,45 @@ def test_report_deterministic():
     assert a.diagnostics == b.diagnostics
 
 
-def test_parallel_matches_sequential():
+def _plain(rep):
+    return replace(rep, elapsed_ms=0, diagnostics=None)
+
+
+def test_caps_report_positions_decided():
     # a cap reports the canonical positions decided before it
     with pytest.raises(ResourceLimit) as capped:
         decide_almost_sure_buchi(hidden_coin(), threads=1, max_candidates=2)
     assert (str(capped.value), capped.value.checked) == ("candidate enumeration exceeds cap of 2", 2)
     # the search builds no belief graph for a candidate a refutation
-    # covers, and a debug solve checks every candidate
+    # covers, debug or not
     overflow = "belief graph exceeds 12 nodes"
     belief_capped = generate_arena(random_params(4, max_states=5, max_blocks=3))
-    rep = decide_almost_sure_reach(belief_capped, max_beliefs=12)
-    assert (rep.verdict, rep.candidates_checked) == ("yes", 28)
+    reps = [decide_almost_sure_reach(belief_capped, debug=debug, max_beliefs=12) for debug in (False, True)]
+    assert (reps[0].verdict, reps[0].candidates_checked) == ("yes", 28)
+    assert _plain(reps[0]) == _plain(reps[1])
     searched_overflow = generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3))
-    for arena, debug, checked in (
-        (belief_capped, True, 2),
-        (searched_overflow, False, 27),
-    ):
+    for debug in (False, True):
         with pytest.raises(ResourceLimit) as capped:
-            decide_almost_sure_reach(arena, threads=1, debug=debug, max_beliefs=12)
-        assert (str(capped.value), capped.value.checked) == (overflow, checked)
+            decide_almost_sure_reach(searched_overflow, threads=1, debug=debug, max_beliefs=12)
+        assert (str(capped.value), capped.value.checked) == (overflow, 27)
 
 
 def test_debug_diagnostics_cover_checked_candidates():
-    rep = decide_almost_sure_reach(g1(), debug=True)
-    assert rep.diagnostics is not None
-    assert [d["index"] for d in rep.diagnostics] == list(range(rep.candidates_checked))
-    assert rep.diagnostics[0]["adam_positively_wins"] is True
-    assert rep.diagnostics[-1]["adam_positively_wins"] is False
+    """A debug solve's entries, one per Adam check, tile the positions the
+    search decides; on "no" the fixpoint proved those after the last."""
+    proven = generate_arena(random_params(103, max_states=6, max_actions=3, max_blocks=3))
+    for arena, verdict, entries, checked in ((g1(), "yes", 3, 7), (proven, "no", 1, 823543)):
+        rep = decide_almost_sure_reach(arena, debug=True)
+        assert (rep.verdict, len(rep.diagnostics), rep.candidates_checked) == (verdict, entries, checked)
+        starts = [d["index"] for d in rep.diagnostics]
+        ends = [d["next_index"] for d in rep.diagnostics]
+        assert starts == [0] + ends[:-1]
+        assert rep.diagnostics[0]["adam_positively_wins"] is True
+        if verdict == "yes":
+            assert rep.diagnostics[-1]["adam_positively_wins"] is False
+            assert ends[-1] == rep.candidates_checked
+        else:
+            assert ends[-1] < rep.candidates_checked
 
 
 def test_no_verdict_candidates_all_defeated_by_witness():
@@ -347,7 +360,7 @@ def test_adam_witness_assembled_only_when_read(monkeypatch):
     assert calls == []
     rep = decide_almost_sure_reach(g1(), debug=True)
     losing = [d for d in rep.diagnostics if d["adam_positively_wins"]]
-    assert len(calls) == len(losing) == rep.candidates_checked - 1
+    assert len(calls) == len(losing) == len(rep.diagnostics) - 1
     assert all(d["adam_witness_memory"] for d in losing)
 
 
@@ -378,18 +391,24 @@ def test_threads_below_one_rejected():
             decide_almost_sure_reach(g1(), threads=threads)
 
 
-SOLVE_REPORTS_DIGEST = "a723527c2b95cff1a0274d3de712042c44889063b16d1463703eb492a1213ac2"
+# the solve reports without their ``candidates`` arrays, which is all a
+# debug report adds to the plain one; recorded before debug solves ran the
+# search, so it shows that the search changed no report
+SOLVE_REPORTS_DIGEST = "17d225d4e869e909c1ff544a9429e802913b30206a5017ff72caf846f6dd97ff"
+# the ``candidates`` arrays, one entry per Adam check of the search
+SOLVE_CANDIDATES_DIGEST = "fb6c2e8679338c9a20f5de69096992868c785b76f0ad0610eb01269fe20e99fb"
 
 
 def test_solve_reports_pinned():
     arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
     arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(60)]
-    digest = hashlib.sha256()
+    digest, candidates = hashlib.sha256(), hashlib.sha256()
     verdicts = []
     for arena in arenas:
         for decide in (decide_almost_sure_reach, decide_almost_sure_buchi):
             doc = _report_dict(decide(arena, max_candidates=10**4, debug=True), {})
             del doc["elapsed_ms"]
+            candidates.update(json.dumps(doc.pop("candidates"), sort_keys=True).encode())
             verdicts.append(doc["verdict"])
             digest.update(json.dumps(doc, sort_keys=True).encode())
     with pytest.raises(ResourceLimit) as capped:
@@ -397,3 +416,4 @@ def test_solve_reports_pinned():
     digest.update(repr((str(capped.value), capped.value.checked)).encode())
     assert (verdicts.count("yes"), verdicts.count("no")) == (83, 51)
     assert digest.hexdigest() == SOLVE_REPORTS_DIGEST
+    assert candidates.hexdigest() == SOLVE_CANDIDATES_DIGEST

@@ -19,10 +19,12 @@ def random_distribution(rng: random.Random, elems, max_denominator: int = 6) -> 
     return Distribution(weights)
 
 
-def random_strategy(arena: Arena, owner: str, rng: random.Random, max_memory: int = 2) -> FiniteMemoryStrategy:
+def random_strategy(
+    arena: Arena, owner: str, rng: random.Random, max_memory: int = 2, min_memory: int = 1
+) -> FiniteMemoryStrategy:
     actions = arena.actions(owner)
     n_blocks = len(arena.obs_blocks(owner))
-    m = rng.randint(1, max_memory)
+    m = rng.randint(min_memory, max_memory)
     memory = tuple(f"m{i}" for i in range(m))
     move = {name: random_distribution(rng, actions) for name in memory}
     update = {name: {b: memory[rng.randrange(m)] for b in range(n_blocks)} for name in memory}
