@@ -10,9 +10,10 @@ translations between the base arena and the knowledge arena.
 A knowledge is a bitmask over the state index, and an action set a
 bitmask over Eve's actions, for O(1) set algebra and canonical hashing; a
 knowledge-only strategy is a mapping from knowledge masks to action masks.
-The knowledge arena itself is built as bitmask support tables, which is
-all the solver reads: whether a knowledge-only strategy wins almost surely
-depends on supports only.  Its exact
+The knowledge arena itself is built as bitmask support tables on the
+(real state, knowledge) classes of its states, which is all the solver
+reads: whether a knowledge-only strategy wins almost surely depends on
+supports only, and not on the support Eve last played.  Its exact
 ``Fraction``-weighted ``Arena`` is derived from the base arena on first
 access, for dumps and for evaluating lifted strategies.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
 from operator import or_
 from typing import Mapping
 
@@ -34,30 +34,41 @@ DEFAULT_KNOWLEDGE_CAP = 10**6
 
 @dataclass(frozen=True)
 class KnowledgeArena:
-    """Arena over (real state, knowledge, last domain) triples, as support
-    tables.
+    """Arena over (real state, knowledge, last domain) triples, with the
+    solver's support tables on their (real state, knowledge) classes.
 
     In a knowledge state ``(real, know, dom)``, ``know`` is the mask of the
     states Eve considers possible, which holds ``real``, and ``dom`` the
     mask of the action set she last played; 0 is the distinguished empty
     sentinel of the initial state, knowledge state 0, before she has played
-    anything.  ``post[u][s - 1][a]`` is the mask
-    of the knowledge states reachable from u when Eve plays uniformly over
-    the action set of bitmask s and Adam plays a: the next knowledge depends
-    on the support she played, not on the action drawn from it.
+    anything.  ``kstates`` are these triples in order of discovery, the
+    paper's arena, which ``census`` counts and ``arena`` weighs.
+
+    A triple's successors do not read its ``dom``: they depend on the real
+    state, the knowledge, the support played and Adam's action only.  So
+    the triples of one ``(real, know)`` class have the same rows, the same
+    Adam cell (the base block of ``real``) and the same final flag, and
+    Eve's knowledge-only strategies cannot tell them apart.  The tables the
+    solver reads are indexed by class: ``classes`` are the ``(real, know)``
+    pairs in order of their first triple, class 0 holding triple 0, and
+    ``class_of[v]`` is the class of triple v.  ``post[c][s - 1][a]`` is the
+    mask of the classes reachable from c when Eve plays uniformly over the
+    action set of bitmask s and Adam plays a: the next knowledge depends on
+    the support she played, not on the action drawn from it.
     ``knowledges`` are the distinct knowledge masks in order of discovery,
-    and ``position[u]`` is the index of u's knowledge among them;
-    ``final_mask`` marks the knowledge states whose real state is final;
-    ``adam_cells`` are Adam's observation blocks (the base block of the real
-    state) split by final-membership, as masks.  ``arena`` is the same game
-    as a full ``Arena`` with the base arena's weights, built on first use:
-    Eve's letters there are the playable (action, support) pairs
-    ``eve_pairs``, grouped by support in ascending order; Adam keeps his
-    alphabet.
+    and ``position[c]`` is the index of c's knowledge among them;
+    ``final_mask`` marks the classes whose real state is final;
+    ``adam_cells`` are Adam's observation blocks split by final-membership,
+    as masks of classes.  ``arena`` is the game on the triples as a full
+    ``Arena`` with the base arena's weights, built on first use: Eve's
+    letters there are the playable (action, support) pairs ``eve_pairs``,
+    grouped by support in ascending order; Adam keeps his alphabet.
     """
 
     base: Arena
     kstates: tuple[tuple[int, int, int], ...]
+    classes: tuple[tuple[int, int], ...]
+    class_of: tuple[int, ...]
     knowledges: tuple[int, ...]
     post: tuple[tuple[tuple[int, ...], ...], ...]
     position: tuple[int, ...]
@@ -66,9 +77,13 @@ class KnowledgeArena:
 
     @cached_property
     def census(self) -> tuple[int, int, int]:
-        """(knowledge states, distinct knowledges, support edges)."""
-        edges = sum(reduce(or_, chain.from_iterable(rows), 0).bit_count() for rows in self.post)
-        return (len(self.kstates), len(self.knowledges), edges)
+        """(knowledge states, distinct knowledges, support edges), counted
+        on the triples.  A triple's successors under support s are the
+        triples ``(t, know, s)`` of the classes its class reaches under s,
+        and different supports give different triples, so its edges are
+        the sum over s of its class's successor count under s."""
+        edges = [sum(reduce(or_, rows, 0).bit_count() for rows in table) for table in self.post]
+        return (len(self.kstates), len(self.knowledges), sum(edges[c] for c in self.class_of))
 
     @cached_property
     def eve_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -78,16 +93,15 @@ class KnowledgeArena:
         return f"{self.base.eve_actions[action]}|{label(self.base.eve_actions, dom)}"
 
     @cached_property
-    def state_names(self) -> tuple[str, ...]:
-        states, actions = self.base.states, self.base.eve_actions
-        return tuple(
-            f"{states[real]}|{label(states, know)}|{label(actions, dom)}" for real, know, dom in self.kstates
-        )
+    def class_names(self) -> tuple[str, ...]:
+        states = self.base.states
+        return tuple(f"{states[real]}|{label(states, know)}" for real, know in self.classes)
 
     @cached_property
     def arena(self) -> Arena:
         base = self.base
         kstates = self.kstates
+        states, actions = base.states, base.eve_actions
         eve_block_masks = block_masks(base.eve_obs)
         index = {ks: v for v, ks in enumerate(kstates)}
         transition: dict[tuple[int, int, int], Distribution] = {}
@@ -102,24 +116,27 @@ class KnowledgeArena:
                     }
                     transition[(u, p, a)] = Distribution(dict(sorted(targets.items())))
         return Arena(
-            states=self.state_names,
+            states=tuple(
+                f"{states[real]}|{label(states, know)}|{label(actions, dom)}" for real, know, dom in kstates
+            ),
             init=0,
             eve_actions=tuple(self.pair_name(e, dom) for e, dom in self.eve_pairs),
             adam_actions=base.adam_actions,
             transition=transition,
             eve_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, kstates, EVE).values()),
             adam_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, kstates, ADAM).values()),
-            final=frozenset(bits(self.final_mask)),
+            final=frozenset(v for v, (real, _know, _dom) in enumerate(kstates) if real in base.final),
         )
 
 
-def _obs_groups(base: Arena, kstates, player: str) -> dict:
-    """Observation blocks of ``player`` on the knowledge states, as masks
-    keyed by what the player sees, in order of first appearance: Eve sees
-    (knowledge, domain), Adam the base block of the real state."""
+def _obs_groups(base: Arena, states, player: str) -> dict:
+    """Observation blocks of ``player`` on the knowledge states (triples) or
+    their classes, as masks keyed by what the player sees, in order of
+    first appearance: Eve sees what follows the real state (knowledge and
+    domain of a triple), Adam the base block of the real state."""
     groups: dict = {}
-    for v, (real, know, dom) in enumerate(kstates):
-        key = (know, dom) if player == EVE else base.adam_block_of[real]
+    for v, ks in enumerate(states):
+        key = ks[1:] if player == EVE else base.adam_block_of[ks[0]]
         groups[key] = groups.get(key, 0) | 1 << v
     return groups
 
@@ -170,8 +187,12 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     support can never carry probability under a well-formed distribution, so
     dropping them keeps the transition function total without changing any
     strategy or any probability.  Knowledge states are numbered in order of
-    discovery, targets in the order of the base distributions.  A cap below
-    0 is invalid input.
+    discovery, targets in the order of the base distributions.  Each
+    ``(real, know)`` class is expanded once, when it is reached: its other
+    triples have the same successors, so expanding them would discover
+    nothing, and the triples come out in the order a triple-by-triple
+    closure gives them.  ``max_states`` caps the triples; a cap below 0 is
+    invalid input.
     """
     if max_states < 0:
         raise ValidationError(f"knowledge arena cap must be at least 0, got {max_states}")
@@ -181,18 +202,14 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     n_adam = len(arena.adam_actions)
 
     kstates: list[tuple[int, int, int]] = [(arena.init, 1 << arena.init, 0)]
-    index: dict[tuple[int, int, int], int] = {kstates[0]: 0}
+    seen = {kstates[0]}
+    classes: list[tuple[int, int]] = [(arena.init, 1 << arena.init)]
+    class_index = {classes[0]: 0}
+    class_of = [0]
     position_of: dict[int, int] = {1 << arena.init: 0}  # knowledge -> its index
     post: list[tuple[tuple[int, ...], ...]] = []
-    # a state's rows do not read its dom: states that differ only there share
-    # one tuple of rows, built when the first of them is expanded
-    rows_of: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
-    while len(post) < len(kstates):
-        real, kmask, _dom = kstates[len(post)]
-        if (real, kmask) in rows_of:
-            post.append(rows_of[real, kmask])
-            continue
+    for real, kmask in classes:  # grows while it is walked
         rows = []
         for dom in range(1, 1 << n_eve):
             # the successor knowledge of a target depends only on the played
@@ -205,31 +222,35 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
                     for t, _q in arena.transition[(real, e, a)].items():
                         bit = bit_of.get(t)
                         if bit is None:
-                            know = after & block_mask_of[t]
-                            ks = (t, know, dom)
-                            v = index.get(ks)
-                            if v is None:
-                                v = len(kstates)
-                                if v >= max_states:
+                            pair = (t, after & block_mask_of[t])
+                            c = class_index.get(pair)
+                            if c is None:
+                                c = class_index[pair] = len(classes)
+                                classes.append(pair)
+                                position_of.setdefault(pair[1], len(position_of))
+                            ks = (*pair, dom)
+                            if ks not in seen:
+                                if len(kstates) >= max_states:
                                     raise ResourceLimit(f"knowledge arena exceeds {max_states} states")
-                                position_of.setdefault(know, len(position_of))
+                                seen.add(ks)
                                 kstates.append(ks)
-                                index[ks] = v
-                            bit = bit_of[t] = 1 << v
+                                class_of.append(c)
+                            bit = bit_of[t] = 1 << c
                         row[a] |= bit
             rows.append(tuple(row))
-        rows_of[real, kmask] = tuple(rows)
-        post.append(rows_of[real, kmask])
+        post.append(tuple(rows))
 
-    final_mask = mask_of(v for v, (t, _know, _dom) in enumerate(kstates) if t in arena.final)
+    final_mask = mask_of(c for c, (t, _know) in enumerate(classes) if t in arena.final)
     return KnowledgeArena(
         base=arena,
         kstates=tuple(kstates),
+        classes=tuple(classes),
+        class_of=tuple(class_of),
         knowledges=tuple(position_of),
         post=tuple(post),
-        position=tuple(position_of[know] for _t, know, _dom in kstates),
+        position=tuple(position_of[know] for _t, know in classes),
         final_mask=final_mask,
-        adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
+        adam_cells=split_masks(_obs_groups(arena, classes, ADAM).values(), final_mask),
     )
 
 

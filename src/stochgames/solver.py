@@ -8,20 +8,32 @@ safety (for reachability) or co-Buchi (for Buchi) objective; the
 candidate is almost-surely winning exactly when Adam is not positively
 winning there.
 That depends on supports only, so a candidate is folded by looking up,
-at every knowledge state, the knowledge arena's support row of the action
-set chosen at its knowledge; Adam's game carries no weighted arena (the
+at every ``(real, know)`` class of the knowledge arena, its support row
+of the action set chosen at its knowledge; Adam's game carries no weighted arena (the
 tests fold exact weights with their oracle ``dense_fold``).  Folds and
 the proof of "no" build Adam's game with ``_adam_game`` and pick Adam's
 analysis with ``_adam_positive``.
 
+Adam's game, and everything here that reads it, runs on the knowledge
+arena's ``(real, know)`` classes, not on its triples.  The triples of a
+class have the same rows under every support, hence under every
+candidate, the same Adam cell and the same final flag.  So projecting a
+belief over triples onto its classes commutes with the refined successor
+map and keeps whether it touches a final state: the class game is the
+quotient of the triple game by a bisimulation.  A belief is therefore
+surely winning for Adam exactly when its projection is, a triple is
+positively winning exactly when its class is, and every verdict and
+every set of winning knowledges reads the same on the classes; class 0
+is the class of the initial triple.
+
 Adam refutes a losing candidate with a play that reads his game only at
-the knowledge states of its footprint, and the fold's row there depends
+the classes of its footprint, and the fold's row there depends
 only on the candidate's choice at their knowledges.  Every later candidate
 that makes the same choices at those knowledges loses to the same play, so
 the search jumps past all of them in one step, to the next canonical
 position that changes one of those choices.  After the first refutation
 that leaves positions to check, the search runs ``_refuted`` once: a
-greatest fixpoint over the knowledge states that keeps every state a
+greatest fixpoint over the classes that keeps every class a
 winning candidate reaches, and so proves "no" when it drops the initial
 state; the search then stops with the report a search without a winner
 gives, caps included.  A debug solve runs the same search and lists a
@@ -75,7 +87,7 @@ def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
 
     ``cand`` gives each knowledge of ``ka.knowledges``, in order, the
     bitmask of the action set Eve plays uniformly there.  The result is
-    Adam's game against chance (``_adam_game``) in which each state's row
+    Adam's game against chance (``_adam_game``) in which each class's row
     is the support row of the set chosen at its knowledge.  The game
     carries no weighted arena; the tests' oracle ``dense_fold``
     mixes the exact weights.  A tuple of the wrong length, or a mask outside
@@ -90,7 +102,7 @@ def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
 
 
 class _StateNames(Sequence):
-    """``ka.state_names``, formatted on first read: only the labels of
+    """``ka.class_names``, formatted on first read: only the labels of
     Adam's witness read them, and a solve assembles it only to debug."""
 
     __slots__ = ("_ka",)
@@ -99,15 +111,16 @@ class _StateNames(Sequence):
         self._ka = ka
 
     def __len__(self) -> int:
-        return len(self._ka.kstates)
+        return len(self._ka.classes)
 
     def __getitem__(self, u):
-        return self._ka.state_names[u]
+        return self._ka.class_names[u]
 
 
 def _adam_game(ka: KnowledgeArena, post: tuple[tuple[int, ...], ...]) -> OneHalfGame:
-    """Adam's game against chance on the knowledge states, ``post[u]`` the
-    row of state u, with his observation refined by final-membership."""
+    """Adam's game against chance on the ``(real, know)`` classes,
+    ``post[c]`` the row of class c, with his observation refined by
+    final-membership."""
     return OneHalfGame(
         protagonist=ADAM,
         states=_StateNames(ka),
@@ -156,7 +169,7 @@ def _diag_entry(ka: KnowledgeArena, index: int, cand: tuple[int, ...], rep: Posi
             label(base.states, know): [base.eve_actions[i] for i in bits(mask)]
             for know, mask in zip(ka.knowledges, cand)
         },
-        "adam_positively_wins": 0 in rep.winning_states,  # knowledge state 0 is initial
+        "adam_positively_wins": 0 in rep.winning_states,  # class 0 is initial
         "adam_winning_states": len(rep.winning_states),
         "sure_beliefs": len(rep.sure_beliefs),
         "iterations": rep.iterations,
@@ -183,7 +196,7 @@ def _past_footprint(ka: KnowledgeArena, index: int, footprint: int) -> int:
     """The first canonical position after ``index`` whose candidate differs
     from that at ``index`` on a knowledge of Adam's refutation's footprint.
 
-    The fold's row of a knowledge state u depends only on the candidate's
+    The fold's row of a class u depends only on the candidate's
     choice at u's knowledge, so a candidate that agrees with the loser on
     the knowledges of the footprint's states folds to a game with the same
     rows there; by ``PositivePlay.footprint`` Adam wins it positively too.
@@ -199,9 +212,9 @@ def _past_footprint(ka: KnowledgeArena, index: int, footprint: int) -> int:
 
 def _refuted(ka: KnowledgeArena, objective: Objective, max_beliefs: int) -> bool:
     """True only when no candidate wins: a greatest fixpoint over the
-    knowledge states that keeps every state a winner reaches.
+    ``(real, know)`` classes that keeps every class a winner reaches.
 
-    X starts as all knowledge states; under reachability the final ones
+    X starts as all classes; under reachability the final ones
     are never removed, since a play that reaches one has won.  Each round
     (a) removes, until none is left, every removable state u with no
     support s whose rows ``ka.post[u][s - 1]`` all lie inside X, and then

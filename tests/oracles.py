@@ -38,7 +38,7 @@ from stochgames import (
     lower_strategy,
     parse_game,
 )
-from stochgames.bitset import block_masks, mask_of, split_masks
+from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.evaluation import almost_sure
 from stochgames.model import ADAM, EVE
 from instances import make_doc
@@ -514,8 +514,8 @@ def dense_absorption_values(edges, targets) -> list[Fraction]:
 
 def dense_fold(ka, cand) -> Arena:
     """Adam's game once Eve plays ``cand``, built from the weighted knowledge
-    arena: at every knowledge state the rows of the pairs (e, S), e in the
-    chosen set S, are mixed with weight 1/|S| each."""
+    arena on the triples: at every knowledge state the rows of the pairs
+    (e, S), e in the chosen set S, are mixed with weight 1/|S| each."""
     kaa = ka.arena
     pair_index = {pair: p for p, pair in enumerate(ka.eve_pairs)}
     choice = knowledge_only(ka, cand)
@@ -540,6 +540,12 @@ def dense_fold(ka, cand) -> Arena:
         adam_obs=kaa.adam_obs,
         final=kaa.final,
     )
+
+
+def to_classes(ka, mask: int) -> int:
+    """The mask of the ``(real, know)`` classes of the knowledge states
+    (triples) of ``mask``: what the solver's tables index."""
+    return mask_of(ka.class_of[v] for v in bits(mask))
 
 
 # ---------------------------------------------------------------------------

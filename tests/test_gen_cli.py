@@ -173,20 +173,20 @@ def test_cli_solve_knowledge_cap_checks_no_candidate(tmp_path):
 
 def test_cli_solve_belief_cap_counts_finished_candidates(tmp_path):
     game = tmp_path / "g.json"
-    game.write_text(serialize_game(generate_arena(random_params(4, max_states=5, max_blocks=3))))
-    # the refutations of the first candidates cover the one at position 2,
+    game.write_text(serialize_game(generate_arena(GenParams(4, 2, 2, 0.8, 3, 1, 1, seed=883))))
+    # the refutations of earlier candidates cover the one at position 85,
     # whose belief graph overflows the cap; the search never builds it
     out = tmp_path / "report.json"
     assert main([
-        "solve", "--game", str(game), "--objective", "reach", "--max-beliefs", "12", "--out", str(out),
+        "solve", "--game", str(game), "--objective", "reach", "--max-beliefs", "20", "--out", str(out),
     ]) == 0
     report = json.loads(out.read_text())
-    assert (report["verdict"], report["candidates_checked"]) == ("yes", 28)
-    game.write_text(serialize_game(generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3))))
-    partial = _solve_partial(game, "reach", 12, tmp_path / "partial.json")
-    assert partial["error"] == "belief graph exceeds 12 nodes"
-    # positions 0 to 26 are decided; the graph of the candidate at 27 overflows
-    assert partial["candidates_checked"] == 27
+    assert (report["verdict"], report["candidates_checked"]) == ("yes", 165)
+    game.write_text(serialize_game(generate_arena(GenParams(5, 2, 2, 0.5, 3, 1, 3, seed=73))))
+    partial = _solve_partial(game, "reach", 20, tmp_path / "partial.json")
+    assert partial["error"] == "belief graph exceeds 20 nodes"
+    # positions 0 to 80 are decided; the graph of the candidate at 81 overflows
+    assert partial["candidates_checked"] == 81
 
 
 def _invalid_input(args, capsys):

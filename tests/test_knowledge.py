@@ -150,7 +150,10 @@ def test_census_counts():
 
 
 # knowledge states in discovery order, with their exact weighted arena; a
-# change to the build must not renumber or reweight any of them
+# change to the build must not renumber or reweight any of them.  The
+# census also picks perfbench's corpora (``SMALL_EDGE_BANDS`` and
+# ``LARGE_BANDS`` in perfbench/workloads.py bin games by it), so changing
+# what it counts changes the benchmark's games
 KNOWLEDGE_ARENAS_DIGEST = "2b7ad8ee9f069b3d7d68770ad59946c39ce89689fa195f0ca6b1f69627b6d3a1"
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochgames import (
     ValidationError,
@@ -26,9 +28,9 @@ from stochgames import (
 from stochgames import halfplayer, solver
 from stochgames.cli import _report_dict
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
-from stochgames.gen import generate_arena, random_params
+from stochgames.gen import GenParams, generate_arena, random_params
 from stochgames.model import ADAM, FiniteMemoryStrategy, parse_game
-from stochgames.solver import candidate_count, check_candidate
+from stochgames.solver import _candidate_at, candidate_count, check_candidate
 from instances import coin_chain, cycle_arena, g1, g1_prime, g2, g3, g4, hidden_coin, make_doc
 from oracles import (
     attractor_verdict,
@@ -37,6 +39,7 @@ from oracles import (
     enumerate_candidates,
     game_from_arena,
     random_turn_based,
+    to_classes,
 )
 
 
@@ -80,12 +83,12 @@ def test_fix_candidate_uniform_mixes():
     game = fix_candidate(ka, uniform)
     dense = dense_fold(ka, uniform)
     init = dense.init
-    assert game.init == init
+    assert game.init == ka.class_of[init] == 0
     for a in range(2):
         dist = dense.transition[(init, 0, a)]
         reals = {ka.kstates[t][0]: p for t, p in dist.items()}  # (real, know, dom)
         assert reals == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-        assert game.post[init][a] == mask_of(dist.support)
+        assert game.post[0][a] == to_classes(ka, mask_of(dist.support))
 
 
 def test_fix_candidate_singleton_equals_slice():
@@ -98,9 +101,11 @@ def test_fix_candidate_singleton_equals_slice():
     for u, (_real, _know, dom) in enumerate(ka.kstates):
         if dom not in (0, 0b01):
             continue
+        c = ka.class_of[u]
         for a in range(2):
-            assert dense.transition[(u, 0, a)] == ka.arena.transition[(u, pair, a)]
-            assert game.post[u][a] == ka.post[u][0b01 - 1][a]
+            dist = dense.transition[(u, 0, a)]
+            assert dist == ka.arena.transition[(u, pair, a)]
+            assert game.post[c][a] == ka.post[c][0b01 - 1][a] == to_classes(ka, mask_of(dist.support))
 
 
 def test_fix_candidate_keeps_final_absorbing():
@@ -109,10 +114,10 @@ def test_fix_candidate_keeps_final_absorbing():
     uniform = (0b11,) * len(ka.knowledges)
     game = fix_candidate(ka, uniform)
     dense = dense_fold(ka, uniform)
-    assert game.final_mask == mask_of(dense.final) != 0
+    assert game.final_mask == to_classes(ka, mask_of(dense.final)) != 0
     for u in dense.final:
         for a in range(2):
-            assert game.post[u][a] & ~game.final_mask == 0
+            assert game.post[ka.class_of[u]][a] & ~game.final_mask == 0
             assert all(t in dense.final for t in dense.transition[(u, 0, a)].support)
 
 
@@ -208,17 +213,21 @@ def test_caps_report_positions_decided():
         decide_almost_sure_buchi(hidden_coin(), threads=1, max_candidates=2)
     assert (str(capped.value), capped.value.checked) == ("candidate enumeration exceeds cap of 2", 2)
     # the search builds no belief graph for a candidate a refutation
-    # covers, debug or not
-    overflow = "belief graph exceeds 12 nodes"
-    belief_capped = generate_arena(random_params(4, max_states=5, max_blocks=3))
-    reps = [decide_almost_sure_reach(belief_capped, debug=debug, max_beliefs=12) for debug in (False, True)]
-    assert (reps[0].verdict, reps[0].candidates_checked) == ("yes", 28)
+    # covers, debug or not: the one at position 85 overflows the cap
+    overflow = "belief graph exceeds 20 nodes"
+    belief_capped = generate_arena(GenParams(4, 2, 2, 0.8, 3, 1, 1, seed=883))
+    ka = build_knowledge_arena(belief_capped)
+    with pytest.raises(ResourceLimit, match=overflow):
+        check_candidate(ka, _candidate_at(ka, 85), Objective.REACHABILITY, max_beliefs=20)
+    reps = [decide_almost_sure_reach(belief_capped, debug=debug, max_beliefs=20) for debug in (False, True)]
+    assert (reps[0].verdict, reps[0].candidates_checked) == ("yes", 165)
     assert _plain(reps[0]) == _plain(reps[1])
-    searched_overflow = generate_arena(random_params(128, max_states=5, max_actions=2, max_blocks=3))
+    assert 85 not in {d["index"] for d in reps[1].diagnostics}
+    searched_overflow = generate_arena(GenParams(5, 2, 2, 0.5, 3, 1, 3, seed=73))
     for debug in (False, True):
         with pytest.raises(ResourceLimit) as capped:
-            decide_almost_sure_reach(searched_overflow, threads=1, debug=debug, max_beliefs=12)
-        assert (str(capped.value), capped.value.checked) == (overflow, 27)
+            decide_almost_sure_reach(searched_overflow, threads=1, debug=debug, max_beliefs=20)
+        assert (str(capped.value), capped.value.checked) == (overflow, 81)
 
 
 def test_debug_diagnostics_cover_checked_candidates():
@@ -263,15 +272,29 @@ def test_solver_resource_limit():
         decide_almost_sure_reach(g1(), max_candidates=1)
 
 
-def _report_key(rep):
-    return (rep.winning_states, rep.sure_beliefs, rep.iterations, rep.witness)
+def _assert_classes_agree(ka, cand, objective, checked):
+    """``check_candidate``'s result ``checked`` on the classes agrees with
+    Adam's analysis of the exact fold on the triples, projected through
+    ``ka.class_of``: the game's tables, the verdict, the winning states
+    and the sure beliefs."""
+    wins, rep = checked
+    game = fix_candidate(ka, cand)
+    dense, _ = game_from_arena(dense_fold(ka, cand), ADAM)
+    for u, rows in enumerate(dense.post):
+        assert game.post[ka.class_of[u]] == tuple(to_classes(ka, mask) for mask in rows)
+    assert game.cells == tuple(to_classes(ka, cell) for cell in dense.cells)
+    assert game.final_mask == to_classes(ka, dense.final_mask)
+    positive = positive_safety if objective is Objective.REACHABILITY else positive_cobuchi
+    want = positive(dense)
+    assert wins == (dense.init not in want.winning_states)
+    assert {u for u in range(dense.n) if ka.class_of[u] in rep.winning_states} == want.winning_states
+    assert rep.sure_beliefs == {to_classes(ka, b) for b in want.sure_beliefs}
+    sure_singletons = {u for u in range(dense.n) if 1 << u in want.sure_beliefs}
+    assert sure_singletons == {u for u in range(dense.n) if 1 << ka.class_of[u] in rep.sure_beliefs}
 
 
 def test_support_fold_matches_dense_fold():
-    objectives = (
-        (Objective.REACHABILITY, positive_safety),
-        (Objective.BUCHI, positive_cobuchi),
-    )
+    objectives = (Objective.REACHABILITY, Objective.BUCHI)
     compared = 0
     for seed in range(120):
         arena = generate_arena(random_params(7000 + seed, max_states=5, max_blocks=3))
@@ -279,7 +302,7 @@ def test_support_fold_matches_dense_fold():
         cands = list(islice(enumerate_candidates(ka), 20))
         checked = {
             (objective, cand): check_candidate(ka, cand, objective)
-            for objective, _positive in objectives
+            for objective in objectives
             for cand in cands
         }
         # the solve path runs on the support tables alone
@@ -290,37 +313,45 @@ def test_support_fold_matches_dense_fold():
         kaa = ka.arena
         assert len(pickle.dumps(ka)) > len(shipped)
         assert len(kaa.transition) == len(ka.kstates) * len(ka.eve_pairs) * len(arena.adam_actions)
-        # playing support s reaches the union of the pairs (e, s), e in s
+        # playing support s reaches the union of the pairs (e, s), e in s,
+        # and the triples of one class have its rows, cell and final flag
         union = {}
         for (u, p, a), dist in kaa.transition.items():
             key = (u, ka.eve_pairs[p][1], a)
             union[key] = union.get(key, 0) | mask_of(dist.support)
         assert len(union) == len(ka.kstates) * len(ka.post[0]) * len(arena.adam_actions)
         for (u, s, a), mask in union.items():
-            assert mask == ka.post[u][s - 1][a]
-        assert kaa.final == frozenset(bits(ka.final_mask))
-        assert split_masks(block_masks(kaa.adam_obs), ka.final_mask) == ka.adam_cells
+            assert to_classes(ka, mask) == ka.post[ka.class_of[u]][s - 1][a]
+        assert kaa.final == frozenset(u for u, c in enumerate(ka.class_of) if ka.final_mask >> c & 1)
+        cells = split_masks(block_masks(kaa.adam_obs), mask_of(kaa.final))
+        assert tuple(to_classes(ka, cell) for cell in cells) == ka.adam_cells
 
-        for objective, positive in objectives:
+        for objective in objectives:
             for cand in cands:
-                wins, rep = checked[(objective, cand)]
-                game = fix_candidate(ka, cand)
-                dense, _ = game_from_arena(dense_fold(ka, cand), ADAM)
-                assert (game.post, game.cells, game.final_mask) == (
-                    dense.post,
-                    dense.cells,
-                    dense.final_mask,
-                )
-                want = positive(dense)
-                assert _report_key(rep) == _report_key(want)
-                assert wins == (dense.init not in want.winning_states)
+                _assert_classes_agree(ka, cand, objective, checked[(objective, cand)])
                 compared += 1
     assert compared > 1500
 
 
-# Adam's reports as computed by a separate fixpoint loop per objective with
-# an eagerly built witness; a rewrite of his side must not move any of them
-ADAM_REPORTS_DIGEST = "5c15a910178722fb15bbc95fb0f285f68d86a77a08036bbcdc86f258a66eac1a"
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from(((5, 2), (6, 2), (6, 3))),
+    objective=st.sampled_from((Objective.REACHABILITY, Objective.BUCHI)),
+    data=st.data(),
+)
+def test_class_check_matches_triple_fold(seed, shape, objective, data):
+    max_states, max_actions = shape
+    arena = generate_arena(random_params(seed, max_states=max_states, max_actions=max_actions, max_blocks=3))
+    ka = build_knowledge_arena(arena)
+    cand = _candidate_at(ka, data.draw(st.integers(0, candidate_count(ka) - 1)))
+    _assert_classes_agree(ka, cand, objective, check_candidate(ka, cand, objective))
+
+
+# Adam's reports on the (real, know) classes, as computed by a separate
+# fixpoint loop per objective with an eagerly built witness; a rewrite of his
+# side must not move any of them
+ADAM_REPORTS_DIGEST = "e57e0ec6b5440db3eecc72d7016fbe4d247738c4985c66ad587839d1b2493e8e"
 
 
 def test_adam_reports_pinned():
@@ -379,10 +410,10 @@ def test_knowledge_states_named_only_when_read(monkeypatch):
         decide_almost_sure_reach(arena)
         decide_almost_sure_buchi(arena)
     assert len(built) == 2 * len(arenas)
-    assert not any("state_names" in vars(ka) for ka in built)
+    assert not any("class_names" in vars(ka) for ka in built)
     rep = decide_almost_sure_reach(g1(), debug=True)
     assert any(d["adam_witness_memory"] for d in rep.diagnostics)
-    assert "state_names" in vars(built[-1])
+    assert "class_names" in vars(built[-1])
 
 
 def test_threads_below_one_rejected():
@@ -395,8 +426,9 @@ def test_threads_below_one_rejected():
 # debug report adds to the plain one; recorded before debug solves ran the
 # search, so it shows that the search changed no report
 SOLVE_REPORTS_DIGEST = "17d225d4e869e909c1ff544a9429e802913b30206a5017ff72caf846f6dd97ff"
-# the ``candidates`` arrays, one entry per Adam check of the search
-SOLVE_CANDIDATES_DIGEST = "fb6c2e8679338c9a20f5de69096992868c785b76f0ad0610eb01269fe20e99fb"
+# the ``candidates`` arrays, one entry per Adam check of the search, whose
+# state counts are of Adam's game on the (real, know) classes
+SOLVE_CANDIDATES_DIGEST = "333d9712e35d01637f902196e06aa044673e8d38144caf36bcc5d9732945433b"
 
 
 def test_solve_reports_pinned():
