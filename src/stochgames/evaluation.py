@@ -20,9 +20,14 @@ when something reads it.
 
 Monte Carlo simulation gives an independent statistical cross-check and
 never decides anything.  It compiles the pair once into float cumulative
-tables searched by bisection, stops a play once its outcome is fixed,
-and advances the generator past the skipped steps as drawing them would,
-so an estimate is a function of the seed and GENERATOR_ID alone.
+tables searched by bisection, stops a play once its outcome is fixed, and
+advances the generator past the skipped steps as drawing them would, so
+an estimate is a function of the seed and GENERATOR_ID alone.  A play's
+outcome is fixed at its first final state (inside the trailing window for
+Buchi and co-Buchi), and also at its first node of the product from which
+no final state is reachable: a support-only graph search marks those
+nodes before the first play, and a play that meets one never visits a
+final state again, so every objective's outcome is already known there.
 
 The module also hosts an adversary oracle.  The fully informed best
 response (a sound over-approximation of any observation-constrained
@@ -44,6 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
+from .bitset import bits, mask_of
 from .errors import ResourceLimit, ValidationError
 from .model import (
     ADAM,
@@ -105,18 +111,27 @@ def _int_row(pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
     return den, tuple((x, p.numerator * (den // p.denominator)) for x, p in pairs)
 
 
-class _IntRows(dict):
-    """The transition rows as ``_int_row`` tables, keyed like
-    ``_transition_rows`` and each compiled when first read: a chain reads
-    only the rows of the states it reaches."""
+class _LazyRows(dict):
+    """The rows ``rows`` as ``compile`` turns them, keyed by index and each
+    compiled when first read: a chain or a play reads only the transition
+    rows of the states it reaches."""
 
-    def __init__(self, arena: Arena):
+    def __init__(self, rows: list, compile):
         super().__init__()
-        self._rows = _transition_rows(arena)
+        self._rows = rows
+        self._compile = compile
 
     def __missing__(self, k: int):
-        row = self[k] = _int_row(self._rows[k])
+        row = self[k] = self._compile(self._rows[k])
         return row
+
+
+class _IntRows(_LazyRows):
+    """The transition rows as ``_int_row`` tables, keyed like
+    ``_transition_rows``."""
+
+    def __init__(self, arena: Arena):
+        super().__init__(_transition_rows(arena), _int_row)
 
     def mix(self, reads) -> tuple[int, dict[int, int]]:
         """The mixture of the rows ``reads``, pairs (row index, integer
@@ -449,7 +464,10 @@ def simulate_play(
     horizon: int,
     rng: random.Random,
 ) -> list[int]:
-    """Sample one play of ``horizon`` steps; returns the state sequence."""
+    """Sample one play of ``horizon`` steps; returns the state sequence,
+    ``horizon + 1`` states.  A horizon below 0 is invalid input."""
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon}")
     return _sampler(arena, eve, adam)(horizon, rng, horizon + 1)
 
 
@@ -473,22 +491,73 @@ def _skip(rng: random.Random, steps: int) -> None:
         steps -= chunk
 
 
-def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy):
+def _dead_nodes(arena: Arena, ce: _Compiled, ca: _Compiled, rows, max_nodes: int) -> frozenset:
+    """Of the nodes (state, eve memory, adam memory) reachable from the
+    initial node, those from which no final state is reachable; none at all
+    once the reachable nodes outnumber ``max_nodes``.
+
+    The graph reads supports only: the successors of (s, me, ma) are
+    (t, update_e[me][t], update_a[ma][t]) for every t in the support of a
+    transition row (s, e, a), e in the support of Eve's move at me and a in
+    the support of Adam's move at ma.  One backward search from the nodes
+    at final states finds every node that can still reach one; the rest
+    are dead (the "probability 0" precomputation, Baier and Katoen 2008,
+    section 10.1).
+    """
+    if max_nodes < 1:
+        return frozenset()
+    n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
+    supports = [mask_of(t for t, _q in row) for row in rows]
+    eve_supp = [[e for e, _p in row] for row in ce.move]
+    adam_supp = [[a for a, _p in row] for row in ca.move]
+    start = (arena.init, ce.init, ca.init)
+    nodes = [start]
+    index = {start: 0}
+    reverse: list[list[int]] = [[]]
+    for u, (s, me, ma) in enumerate(nodes):  # grows while it is walked
+        post = 0
+        for e in eve_supp[me]:
+            base = (s * n_eve + e) * n_adam
+            for a in adam_supp[ma]:
+                post |= supports[base + a]
+        up_e, up_a = ce.update[me], ca.update[ma]
+        for t in bits(post):
+            node = (t, up_e[t], up_a[t])
+            v = index.get(node)
+            if v is None:
+                v = len(nodes)
+                if v >= max_nodes:
+                    return frozenset()
+                nodes.append(node)
+                index[node] = v
+                reverse.append([])
+            reverse[v].append(u)
+    alive = _reachable(reverse, [v for v, (s, _me, _ma) in enumerate(nodes) if s in arena.final])
+    return frozenset(node for v, node in enumerate(nodes) if v not in alive)
+
+
+def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy, max_nodes: int = 0):
     """A function (horizon, rng, first) -> state sequence of one sampled play.
 
     The strategy pair is compiled once here into flat tables: a cumulative
-    row per memory of each strategy, one per transition at index
-    (s * |E| + e) * |A| + a, each memory's update indexed by successor
-    state, and a final flag per state.  Each step draws Eve's action,
-    Adam's action and then the successor, in that order.  The play stops
-    at the first final state at step ``first`` or later, whose outcome
-    Monte Carlo then knows, and advances ``rng`` past the steps it skips.
+    row per memory of each strategy, each memory's update indexed by
+    successor state, and a final flag per state; the cumulative row of the
+    transition at index (s * |E| + e) * |A| + a is compiled when a play
+    first reads it.  Each step draws Eve's action, Adam's action and then
+    the successor, in that order.  The play stops at the first final state
+    at step ``first`` or later, and at the first dead node, one from which
+    no final state is reachable (``_dead_nodes``; the default
+    ``max_nodes`` of 0 searches none).  Monte Carlo knows the outcome at either
+    stop: a play that meets a dead node never visits a final state again.
+    The play then advances ``rng`` past the steps it skips.
     """
     ce = _Compiled(arena, eve, EVE)
     ca = _Compiled(arena, adam, ADAM)
+    rows = _transition_rows(arena)
+    dead = _dead_nodes(arena, ce, ca, rows, max_nodes)
     eve_cdf = [_cdf(row) for row in ce.move]
     adam_cdf = [_cdf(row) for row in ca.move]
-    trans_cdf = [_cdf(row) for row in _transition_rows(arena)]
+    trans_cdf = _LazyRows(rows, _cdf)
     up_e, up_a = ce.update, ca.update
     final = [s in arena.final for s in range(arena.n_states)]
     n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
@@ -497,7 +566,7 @@ def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy
         rand = rng.random
         s, me, ma = arena.init, ce.init, ca.init
         states = [s]
-        if final[s] and first <= 0:
+        if final[s] and first <= 0 or (s, me, ma) in dead:
             _skip(rng, horizon)
             return states
         for i in range(1, horizon + 1):
@@ -510,7 +579,7 @@ def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy
             me = up_e[me][s]
             ma = up_a[ma][s]
             states.append(s)
-            if final[s] and i >= first:
+            if final[s] and i >= first or (s, me, ma) in dead:
                 _skip(rng, horizon - i)
                 break
         return states
@@ -539,16 +608,21 @@ def monte_carlo(
     final-state visits within the trailing window (``tail_window``) and
     flagged approximate.  A play stops as soon as its outcome is fixed: at
     its first final state, or for Buchi and co-Buchi at its first final
-    state inside the window.  The generator is then advanced
-    exactly as the skipped steps would have advanced it, so the estimate
-    is a function of ``seed`` and the generator identified by GENERATOR_ID
-    alone, the same as if every play ran its full horizon.
+    state inside the window; and at the first node of the product from
+    which no final state is reachable, after which every objective's
+    outcome is fixed too (reach and Buchi miss, safety and co-Buchi hold).
+    That second stop reads a support-only graph of the product, built only
+    while it has at most ``samples * horizon + 1`` nodes, the most the run
+    can visit.  The generator is then advanced exactly as the skipped
+    steps would have advanced it, so the estimate is a function of
+    ``seed`` and the generator identified by GENERATOR_ID alone, the same
+    as if every play ran its full horizon.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    play = _sampler(arena, eve, adam)
+    play = _sampler(arena, eve, adam, samples * horizon + 1)
     rng = random.Random(seed)
     first = horizon + 1 - tail_window(horizon) if objective in _TAIL else 0
     hit = objective in _HIT

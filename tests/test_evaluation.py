@@ -12,18 +12,24 @@ from stochgames import (
     Distribution,
     Objective,
     ResourceLimit,
+    ValidationError,
     best_response_full_info,
     build_chain,
     monte_carlo,
     objective_probability,
 )
+from stochgames import evaluation
 from stochgames.evaluation import (
+    _Compiled,
     _Mdp,
+    _dead_nodes,
     _skip,
+    _transition_rows,
     absorption_values,
     almost_sure,
     bottom_sccs,
     simulate_play,
+    tail_window,
 )
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy, parse_game
 from stochgames.gen import GenParams, generate_arena, random_params
@@ -638,3 +644,152 @@ def test_getrandbits_advances_like_random(seed):
         for _ in range(3 * steps):
             drawn.random()
         assert skipped.random() == drawn.random(), f"_skip({steps}) differs from {steps} sampled steps"
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo's stop at nodes from which no final state is reachable
+
+GO, MID, GOAL, TRAP, PIT = range(5)
+
+
+def _trap_row(s: int, e: int, a: int) -> dict:
+    if s == GO:
+        if e == 0:
+            return {MID: Fraction(1, 2), TRAP: Fraction(1, 4), GO: Fraction(1, 4)}
+        return {GO: Fraction(1, 2), PIT: Fraction(1, 2)} if a == 0 else {MID: 1}
+    if s == MID:
+        return {GOAL: Fraction(1, 3), GO: Fraction(1, 3), TRAP: Fraction(1, 3)}
+    if s == GOAL:
+        return {GOAL: Fraction(1, 2), GO: Fraction(1, 2)}
+    if s == TRAP:
+        return {TRAP: Fraction(1, 2), PIT: Fraction(1, 2)}
+    return {PIT: 1} if e == 0 else {TRAP: 1}
+
+
+def _trap_arena(init: int) -> Arena:
+    """From ``go`` a play reaches the final state ``goal`` through ``mid``,
+    or falls into {trap, pit}, a non-final region without exit; ``goal``
+    leads back to ``go``.  Eve's action b against Adam's x keeps ``go`` or
+    falls into ``pit``, and against y moves to ``mid``."""
+    return Arena(
+        states=("go", "mid", "goal", "trap", "pit"),
+        init=init,
+        eve_actions=("a", "b"),
+        adam_actions=("x", "y"),
+        transition={
+            (s, e, a): Distribution(_trap_row(s, e, a)) for s in range(5) for e in range(2) for a in range(2)
+        },
+        eve_obs=((GO,), (MID,), (GOAL,), (TRAP, PIT)),
+        adam_obs=((GO, MID, GOAL, TRAP, PIT),),
+        final=frozenset({GOAL}),
+    )
+
+
+def _trap_eve() -> FiniteMemoryStrategy:
+    """Mixes a and b in m0 and plays only b in m1; seeing ``mid`` moves to
+    m1 and seeing ``goal`` back to m0."""
+    return FiniteMemoryStrategy(
+        EVE, ("m0", "m1"), "m0",
+        {"m0": Distribution({"a": Fraction(2, 3), "b": Fraction(1, 3)}), "m1": Distribution({"b": 1})},
+        {"m0": {0: "m0", 1: "m1", 2: "m0", 3: "m0"}, "m1": {0: "m1", 1: "m1", 2: "m0", 3: "m1"}},
+    )
+
+
+_TRAP_ADAMS = {
+    "x": _memoryless(ADAM, {"x": 1}, 1),
+    "mixed": _memoryless(ADAM, {"x": Fraction(3, 4), "y": Fraction(1, 4)}, 1),
+}
+# the dead (state, eve memory) pairs against each Adam, found by hand: the
+# trap region, and against x alone also ``go`` in m1
+_TRAP_DEAD = {
+    "x": {(s, m) for s in (TRAP, PIT) for m in ("m0", "m1")} | {(GO, "m1")},
+    "mixed": {(s, m) for s in (TRAP, PIT) for m in ("m0", "m1")},
+}
+
+
+def _expected_skips(arena, eve, plays, horizon: int, first: int, dead) -> list[int]:
+    """The steps ``monte_carlo`` skips on each of the full-horizon ``plays``
+    that meets a final state at index ``first`` or later or a node whose
+    (state, eve memory) is in ``dead``: the steps after the first such."""
+    out = []
+    for states in plays:
+        m = eve.init_mem
+        for i, s in enumerate(states):
+            if i:
+                m = eve.update[m][arena.eve_block_of[s]]
+            if s in arena.final and i >= first or (s, m) in dead:
+                out.append(horizon - i)
+                break
+    return out
+
+
+@pytest.mark.parametrize("adam_name", sorted(_TRAP_ADAMS))
+@pytest.mark.parametrize("init", [GO, TRAP], ids=["go", "trap"])
+def test_dead_stop_matches_scan_oracle(monkeypatch, adam_name, init):
+    """Plays that fall into the trap partway (with probability strictly
+    between 0 and 1), or start in it, stop at their first dead node and
+    skip the generator past the rest: the estimates are the linear-scan
+    oracle's for every objective, and the skips are exactly those of a
+    stop at the first final state (inside the window for Buchi and
+    co-Buchi) or dead node.  Runs whose ``samples * horizon + 1`` is below
+    the product's node count search no dead node."""
+    arena, eve, adam = _trap_arena(init), _trap_eve(), _TRAP_ADAMS[adam_name]
+    n_nodes = len(build_chain(arena, eve, adam).nodes)
+    calls: list[int] = []
+
+    def skip(rng, steps):
+        calls.append(steps)
+        _skip(rng, steps)
+
+    monkeypatch.setattr(evaluation, "_skip", skip)
+    searched = set()
+    for horizon in (1, 2, 10, 23, 100):
+        for objective in Objective:
+            first = horizon + 1 - tail_window(horizon) if objective in (Objective.BUCHI, Objective.COBUCHI) else 0
+            for samples, seed in ((3, 1), (40, 7)):
+                calls.clear()
+                estimate = monte_carlo(arena, eve, adam, objective, samples, horizon, seed).probability
+                assert estimate == scan_estimate(arena, eve, adam, objective, samples, horizon, seed)
+                play, rng = scan_sampler(arena, eve, adam), random.Random(seed)
+                plays = [play(horizon, rng) for _ in range(samples)]
+                search = samples * horizon + 1 >= n_nodes
+                searched.add(search)
+                dead = _TRAP_DEAD[adam_name] if search else set()
+                assert calls == _expected_skips(arena, eve, plays, horizon, first, dead)
+    assert searched == ({True, False} if init == GO else {True})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_dead_nodes_are_the_value_zero_nodes(seed, mixed):
+    """The support-only search marks exactly the chain's nodes of exact
+    reach value 0, and marks none once the nodes outnumber its bound."""
+    arena, eve, adam = _random_pair(seed, mixed)
+    chain = build_chain(arena, eve, adam)
+    values = absorption_values(chain.rows, set(chain.final))
+    zero = {node for node, x in zip(chain.nodes, values) if x == 0}
+    ce, ca, rows = _Compiled(arena, eve, EVE), _Compiled(arena, adam, ADAM), _transition_rows(arena)
+    n = len(chain.nodes)
+    assert _dead_nodes(arena, ce, ca, rows, n) == zero
+    assert _dead_nodes(arena, ce, ca, rows, n - 1) == frozenset()
+
+
+def test_simulate_play_from_dead_initial_node():
+    """``simulate_play`` neither searches dead nodes nor stops early: from
+    a dead initial node it still returns horizon + 1 states, the oracle's,
+    and leaves the generator where the oracle does."""
+    arena, eve, adam = _trap_arena(TRAP), _trap_eve(), _TRAP_ADAMS["x"]
+    rng, ref = random.Random(5), random.Random(5)
+    play = scan_sampler(arena, eve, adam)
+    for horizon in (0, 1, 10, 100):
+        states = simulate_play(arena, eve, adam, horizon, rng)
+        assert len(states) == horizon + 1
+        assert states == play(horizon, ref)
+    assert rng.random() == ref.random()
+
+
+def test_simulate_play_rejects_negative_horizon():
+    arena, eve, adam = _trap_arena(GO), _trap_eve(), _TRAP_ADAMS["x"]
+    with pytest.raises(ValidationError, match="horizon must be >= 0"):
+        simulate_play(arena, eve, adam, -5, random.Random(0))
+    assert simulate_play(arena, eve, adam, 0, random.Random(0)) == [GO]
