@@ -2,27 +2,27 @@
 
 The knowledge of Eve is the set of states she considers possible.  It is
 updated deterministically from the observation block of the new state and
-the support of the distribution she just played.  The knowledge arena makes
-both pieces of information explicit in the state, so that strategies over it
-may depend on knowledge alone; this module also provides the two strategy
-translations between the base arena and the knowledge arena.
+the support of the distribution she just played.  The knowledge arena pairs
+each real state with Eve's knowledge, and her letters name the support she
+plays, so that strategies over it may depend on knowledge alone; this
+module also provides the two strategy translations between the base arena
+and the knowledge arena.
 
 A knowledge is a bitmask over the state index, and an action set a
 bitmask over Eve's actions, for O(1) set algebra and canonical hashing; a
 knowledge-only strategy is a mapping from knowledge masks to action masks.
-The knowledge arena itself is built as bitmask support tables on the
-(real state, knowledge) classes of its states, which is all the solver
-reads: whether a knowledge-only strategy wins almost surely depends on
-supports only, and not on the support Eve last played.  Its exact
-``Fraction``-weighted ``Arena`` is derived from the base arena on first
-access, for dumps and for evaluating lifted strategies.
+The knowledge arena itself is built as bitmask support tables, which is
+all the solver reads: whether a knowledge-only strategy wins almost surely
+depends on supports only.  Its exact ``Fraction``-weighted ``Arena`` is
+derived from the base arena on first access, for dumps and for evaluating
+lifted strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import mul, or_
 from typing import Mapping
 
 from .bitset import bits, block_masks, label, mask_of, split_masks
@@ -34,41 +34,32 @@ DEFAULT_KNOWLEDGE_CAP = 10**6
 
 @dataclass(frozen=True)
 class KnowledgeArena:
-    """Arena over (real state, knowledge, last domain) triples, with the
-    solver's support tables on their (real state, knowledge) classes.
+    """Arena over (real state, knowledge) pairs, as the solver's support
+    tables.
 
-    In a knowledge state ``(real, know, dom)``, ``know`` is the mask of the
-    states Eve considers possible, which holds ``real``, and ``dom`` the
-    mask of the action set she last played; 0 is the distinguished empty
-    sentinel of the initial state, knowledge state 0, before she has played
-    anything.  ``kstates`` are these triples in order of discovery, the
-    paper's arena, which ``census`` counts and ``arena`` weighs.
-
-    A triple's successors do not read its ``dom``: they depend on the real
-    state, the knowledge, the support played and Adam's action only.  So
-    the triples of one ``(real, know)`` class have the same rows, the same
-    Adam cell (the base block of ``real``) and the same final flag, and
-    Eve's knowledge-only strategies cannot tell them apart.  The tables the
-    solver reads are indexed by class: ``classes`` are the ``(real, know)``
-    pairs in order of their first triple, class 0 holding triple 0, and
-    ``class_of[v]`` is the class of triple v.  ``post[c][s - 1][a]`` is the
-    mask of the classes reachable from c when Eve plays uniformly over the
-    action set of bitmask s and Adam plays a: the next knowledge depends on
-    the support she played, not on the action drawn from it.
-    ``knowledges`` are the distinct knowledge masks in order of discovery,
-    and ``position[c]`` is the index of c's knowledge among them;
-    ``final_mask`` marks the classes whose real state is final;
-    ``adam_cells`` are Adam's observation blocks split by final-membership,
-    as masks of classes.  ``arena`` is the game on the triples as a full
-    ``Arena`` with the base arena's weights, built on first use: Eve's
-    letters there are the playable (action, support) pairs ``eve_pairs``,
-    grouped by support in ascending order; Adam keeps his alphabet.
+    In a knowledge state ``(real, know)``, ``know`` is the mask of the
+    states Eve considers possible, which holds ``real``.  ``kstates`` are
+    these pairs in order of discovery, knowledge state 0 the initial
+    ``(init, {init})``.  The paper's states also carry the support Eve last
+    played; it is left out here, because a state's rows do not read it
+    and Eve's knowledge-only strategies cannot see it.
+    ``post[u][s - 1][a]`` is the mask of the knowledge states reachable
+    from u when Eve plays uniformly over the action set of bitmask s and
+    Adam plays a: the next knowledge depends on the support she played,
+    not on the action drawn from it.  ``knowledges`` are the distinct
+    knowledge masks in order of discovery, and ``position[u]`` is the
+    index of u's knowledge among them; ``final_mask`` marks the knowledge
+    states whose real state is final; ``adam_cells`` are Adam's
+    observation blocks split by final-membership, as masks of knowledge
+    states.  ``arena`` is the game on the pairs as a full ``Arena`` with
+    the base arena's weights, built on first use: Eve observes the
+    knowledge, and her letters there are the playable (action, support)
+    pairs ``eve_pairs``, grouped by support in ascending order; Adam keeps
+    his alphabet and his observation of the real state.
     """
 
     base: Arena
-    kstates: tuple[tuple[int, int, int], ...]
-    classes: tuple[tuple[int, int], ...]
-    class_of: tuple[int, ...]
+    kstates: tuple[tuple[int, int], ...]
     knowledges: tuple[int, ...]
     post: tuple[tuple[tuple[int, ...], ...], ...]
     position: tuple[int, ...]
@@ -77,13 +68,23 @@ class KnowledgeArena:
 
     @cached_property
     def census(self) -> tuple[int, int, int]:
-        """(knowledge states, distinct knowledges, support edges), counted
-        on the triples.  A triple's successors under support s are the
-        triples ``(t, know, s)`` of the classes its class reaches under s,
-        and different supports give different triples, so its edges are
-        the sum over s of its class's successor count under s."""
-        edges = [sum(reduce(or_, rows, 0).bit_count() for rows in table) for table in self.post]
-        return (len(self.kstates), len(self.knowledges), sum(edges[c] for c in self.class_of))
+        """(knowledge states, distinct knowledges, support edges) of the
+        paper's arena on ``(real, know, last support)`` triples; perfbench
+        bins its corpora by these counts.  Pair u stands for one triple per
+        support s under which some pair reaches it, and the initial pair
+        also for the initial triple, before any support; each of them has
+        u's support edges: the sum over s of the pairs u reaches under s."""
+        reached = [0] * len(self.post[0])  # the pairs reached under each support
+        edges = []
+        for table in self.post:
+            masks = [reduce(or_, rows, 0) for rows in table]
+            reached = list(map(or_, reached, masks))
+            edges.append(sum(m.bit_count() for m in masks))
+        copies = [1] + [0] * (len(self.post) - 1)
+        for mask in reached:
+            for u in bits(mask):
+                copies[u] += 1
+        return (sum(copies), len(self.knowledges), sum(map(mul, copies, edges)))
 
     @cached_property
     def eve_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -93,51 +94,43 @@ class KnowledgeArena:
         return f"{self.base.eve_actions[action]}|{label(self.base.eve_actions, dom)}"
 
     @cached_property
-    def class_names(self) -> tuple[str, ...]:
+    def state_names(self) -> tuple[str, ...]:
         states = self.base.states
-        return tuple(f"{states[real]}|{label(states, know)}" for real, know in self.classes)
+        return tuple(f"{states[real]}|{label(states, know)}" for real, know in self.kstates)
 
     @cached_property
     def arena(self) -> Arena:
         base = self.base
-        kstates = self.kstates
-        states, actions = base.states, base.eve_actions
         eve_block_masks = block_masks(base.eve_obs)
-        index = {ks: v for v, ks in enumerate(kstates)}
+        index = {ks: u for u, ks in enumerate(self.kstates)}
         transition: dict[tuple[int, int, int], Distribution] = {}
-        for u, (real, know, _dom) in enumerate(kstates):
+        for u, (real, know) in enumerate(self.kstates):
             for p, (e, dom) in enumerate(self.eve_pairs):
                 after = successors(base.post, know, dom)
                 for a in range(len(base.adam_actions)):
                     dist = base.transition[(real, e, a)]
-                    targets = {
-                        index[(t, after & eve_block_masks[base.eve_block_of[t]], dom)]: q
-                        for t, q in dist.items()
-                    }
+                    targets = {index[(t, after & eve_block_masks[base.eve_block_of[t]])]: q for t, q in dist.items()}
                     transition[(u, p, a)] = Distribution(dict(sorted(targets.items())))
         return Arena(
-            states=tuple(
-                f"{states[real]}|{label(states, know)}|{label(actions, dom)}" for real, know, dom in kstates
-            ),
+            states=self.state_names,
             init=0,
             eve_actions=tuple(self.pair_name(e, dom) for e, dom in self.eve_pairs),
             adam_actions=base.adam_actions,
             transition=transition,
-            eve_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, kstates, EVE).values()),
-            adam_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, kstates, ADAM).values()),
-            final=frozenset(v for v, (real, _know, _dom) in enumerate(kstates) if real in base.final),
+            eve_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, self.kstates, EVE).values()),
+            adam_obs=tuple(tuple(bits(m)) for m in _obs_groups(base, self.kstates, ADAM).values()),
+            final=frozenset(bits(self.final_mask)),
         )
 
 
-def _obs_groups(base: Arena, states, player: str) -> dict:
-    """Observation blocks of ``player`` on the knowledge states (triples) or
-    their classes, as masks keyed by what the player sees, in order of
-    first appearance: Eve sees what follows the real state (knowledge and
-    domain of a triple), Adam the base block of the real state."""
+def _obs_groups(base: Arena, kstates, player: str) -> dict:
+    """Observation blocks of ``player`` on the knowledge states, as masks
+    keyed by what the player sees, in order of first appearance: Eve sees
+    the knowledge, Adam the base block of the real state."""
     groups: dict = {}
-    for v, ks in enumerate(states):
-        key = ks[1:] if player == EVE else base.adam_block_of[ks[0]]
-        groups[key] = groups.get(key, 0) | 1 << v
+    for u, (real, know) in enumerate(kstates):
+        key = know if player == EVE else base.adam_block_of[real]
+        groups[key] = groups.get(key, 0) | 1 << u
     return groups
 
 
@@ -180,36 +173,32 @@ def knowledge_update(arena: Arena, know: int, obs_block: int, dom: int) -> int:
 
 
 def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP) -> KnowledgeArena:
-    """Breadth-first closure of the knowledge arena from (init, {init}, empty).
+    """Breadth-first closure of the knowledge arena from (init, {init}).
 
     Eve's alphabet consists of the playable (action, support) pairs: pairs
     whose action lies in the support.  Letters with the action outside the
     support can never carry probability under a well-formed distribution, so
     dropping them keeps the transition function total without changing any
     strategy or any probability.  Knowledge states are numbered in order of
-    discovery, targets in the order of the base distributions.  Each
-    ``(real, know)`` class is expanded once, when it is reached: its other
-    triples have the same successors, so expanding them would discover
-    nothing, and the triples come out in the order a triple-by-triple
-    closure gives them.  ``max_states`` caps the triples; a cap below 0 is
-    invalid input.
+    discovery, targets in the order of the base distributions.
+    ``max_states`` caps the knowledge states; a cap below 0 is invalid
+    input.
     """
     if max_states < 0:
         raise ValidationError(f"knowledge arena cap must be at least 0, got {max_states}")
+    if max_states == 0:  # not even the initial state fits
+        raise ResourceLimit("knowledge arena exceeds 0 states")
     n_eve = len(arena.eve_actions)
     eve_block_masks = block_masks(arena.eve_obs)
     block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]
     n_adam = len(arena.adam_actions)
 
-    kstates: list[tuple[int, int, int]] = [(arena.init, 1 << arena.init, 0)]
-    seen = {kstates[0]}
-    classes: list[tuple[int, int]] = [(arena.init, 1 << arena.init)]
-    class_index = {classes[0]: 0}
-    class_of = [0]
+    kstates: list[tuple[int, int]] = [(arena.init, 1 << arena.init)]
+    index = {kstates[0]: 0}
     position_of: dict[int, int] = {1 << arena.init: 0}  # knowledge -> its index
     post: list[tuple[tuple[int, ...], ...]] = []
 
-    for real, kmask in classes:  # grows while it is walked
+    for real, kmask in kstates:  # grows while it is walked
         rows = []
         for dom in range(1, 1 << n_eve):
             # the successor knowledge of a target depends only on the played
@@ -222,35 +211,28 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
                     for t, _q in arena.transition[(real, e, a)].items():
                         bit = bit_of.get(t)
                         if bit is None:
-                            pair = (t, after & block_mask_of[t])
-                            c = class_index.get(pair)
-                            if c is None:
-                                c = class_index[pair] = len(classes)
-                                classes.append(pair)
-                                position_of.setdefault(pair[1], len(position_of))
-                            ks = (*pair, dom)
-                            if ks not in seen:
+                            ks = (t, after & block_mask_of[t])
+                            v = index.get(ks)
+                            if v is None:
                                 if len(kstates) >= max_states:
                                     raise ResourceLimit(f"knowledge arena exceeds {max_states} states")
-                                seen.add(ks)
+                                v = index[ks] = len(kstates)
                                 kstates.append(ks)
-                                class_of.append(c)
-                            bit = bit_of[t] = 1 << c
+                                position_of.setdefault(ks[1], len(position_of))
+                            bit = bit_of[t] = 1 << v
                         row[a] |= bit
             rows.append(tuple(row))
         post.append(tuple(rows))
 
-    final_mask = mask_of(c for c, (t, _know) in enumerate(classes) if t in arena.final)
+    final_mask = mask_of(u for u, (t, _know) in enumerate(kstates) if t in arena.final)
     return KnowledgeArena(
         base=arena,
         kstates=tuple(kstates),
-        classes=tuple(classes),
-        class_of=tuple(class_of),
         knowledges=tuple(position_of),
         post=tuple(post),
-        position=tuple(position_of[know] for _t, know in classes),
+        position=tuple(position_of[know] for _t, know in kstates),
         final_mask=final_mask,
-        adam_cells=split_masks(_obs_groups(arena, classes, ADAM).values(), final_mask),
+        adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
     )
 
 
@@ -271,7 +253,7 @@ def lift_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> FiniteMemo
             {ka.pair_name(base.eve_action_index[a], supp): p for a, p in dist.items()}
         )
 
-    base_block = [base.eve_block_of[next(bits(kmask))] for kmask, _dom in _obs_groups(base, ka.kstates, EVE)]
+    base_block = [base.eve_block_of[next(bits(know))] for know in _obs_groups(base, ka.kstates, EVE)]
     update = {m: {kb: strat.update[m][b] for kb, b in enumerate(base_block)} for m in strat.memory}
     return FiniteMemoryStrategy(
         owner=EVE, memory=strat.memory, init_mem=strat.init_mem, move=move, update=update

@@ -4,8 +4,10 @@ These deliberately avoid the package's own graph machinery: the attractor
 works on raw successor tables, the end-component check enumerates subsets,
 SCC cross-checks go through networkx, exact absorption probabilities
 come from one dense Gauss-Jordan solve, a distribution's weights are
-checked with ``Fraction`` adds, and a candidate is folded into
-Adam's game on exact weights rather than on support masks.  The product
+checked with ``Fraction`` adds, a candidate is folded into Adam's game
+on exact weights rather than on support masks, and the knowledge census
+is counted on a closure over the paper's triples rather than read off the
+support tables.  The product
 chain and the adversary's decision process are built by summing
 ``Fraction`` weights edge by edge, and plays are sampled by a linear scan
 over float cumulative rows, one step at a time to the full horizon.  The
@@ -514,13 +516,13 @@ def dense_absorption_values(edges, targets) -> list[Fraction]:
 
 def dense_fold(ka, cand) -> Arena:
     """Adam's game once Eve plays ``cand``, built from the weighted knowledge
-    arena on the triples: at every knowledge state the rows of the pairs
-    (e, S), e in the chosen set S, are mixed with weight 1/|S| each."""
+    arena: at every knowledge state the rows of the pairs (e, S), e in the
+    chosen set S, are mixed with weight 1/|S| each."""
     kaa = ka.arena
     pair_index = {pair: p for p, pair in enumerate(ka.eve_pairs)}
     choice = knowledge_only(ka, cand)
     transition = {}
-    for u, (_real, know, _dom) in enumerate(ka.kstates):
+    for u, (_real, know) in enumerate(ka.kstates):
         cmask = choice[know]
         pairs = [pair_index[(e, cmask)] for e in range(len(ka.base.eve_actions)) if cmask >> e & 1]
         share = Fraction(1, len(pairs))
@@ -542,10 +544,32 @@ def dense_fold(ka, cand) -> Arena:
     )
 
 
-def to_classes(ka, mask: int) -> int:
-    """The mask of the ``(real, know)`` classes of the knowledge states
-    (triples) of ``mask``: what the solver's tables index."""
-    return mask_of(ka.class_of[v] for v in bits(mask))
+# ---------------------------------------------------------------------------
+# Knowledge census on the paper's triples
+
+
+def triple_census(arena: Arena) -> tuple[int, int, int]:
+    """(knowledge states, distinct knowledges, support edges) of the paper's
+    knowledge arena on ``(real, know, last support)`` triples, by a
+    breadth-first closure from ``(init, {init}, empty)`` that expands every
+    triple under every support s: its successors are the triples
+    ``(t, know', s)`` of the targets t of the actions of s, ``know'`` the
+    states of t's block reachable from ``know`` under s."""
+    n_adam = len(arena.adam_actions)
+    block = {t: mask_of(b) for b in arena.eve_obs for t in b}
+    start = (arena.init, 1 << arena.init, 0)
+    triples, seen = [start], {start}
+    edges = 0
+    for real, know, _last in triples:  # grows while it is walked
+        for dom in range(1, 1 << len(arena.eve_actions)):
+            moves = [(e, a) for e in bits(dom) for a in range(n_adam)]
+            after = mask_of(t for r in bits(know) for e, a in moves for t in arena.transition[(r, e, a)].support)
+            succ = {(t, after & block[t], dom) for e, a in moves for t in arena.transition[(real, e, a)].support}
+            edges += len(succ)
+            for triple in succ - seen:
+                seen.add(triple)
+                triples.append(triple)
+    return len(triples), len({know for _real, know, _last in triples}), edges
 
 
 # ---------------------------------------------------------------------------

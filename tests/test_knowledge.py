@@ -26,6 +26,7 @@ from stochgames.evaluation import simulate_play, _Compiled
 from stochgames.gen import generate_arena, random_params
 
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin, one_state_doc
+from oracles import triple_census
 from util import random_strategy
 
 
@@ -99,7 +100,7 @@ def test_tracked_knowledge_contains_real_state(seed, strat_seed):
 def test_perfect_information_collapses_to_singletons():
     arena = g1()  # discrete partitions
     ka = build_knowledge_arena(arena)
-    assert all(know.bit_count() == 1 for _real, know, _dom in ka.kstates)
+    assert all(know.bit_count() == 1 for _real, know in ka.kstates)
 
 
 def test_g3_reaches_blind_pair():
@@ -110,21 +111,20 @@ def test_g3_reaches_blind_pair():
 def test_one_state_arena_kstates():
     arena = parse_game(one_state_doc())
     ka = build_knowledge_arena(arena)
-    # the initial sentinel plus one state per played domain ({a} only here)
-    assert len(ka.kstates) == 2
-    _real, _know, dom = ka.kstates[0]
-    assert dom == 0
+    # one knowledge state; the census counts the paper's two triples, the
+    # initial one and the one after playing {a}
+    assert ka.kstates == ((0, 0b1),)
+    assert ka.census == (2, 1, 2)
 
 
 def test_observation_consistency():
     for seed in range(20):
         arena = generate_arena(random_params(seed))
         ka = build_knowledge_arena(arena)
-        for u, (real, know, dom) in enumerate(ka.kstates):
+        for real, know in ka.kstates:
             blocks = {arena.eve_block_of[s] for s in bits(know)}
             assert len(blocks) == 1
             assert know >> real & 1
-            assert u == 0 or dom != 0
 
 
 def test_delta_support_projection():
@@ -144,34 +144,53 @@ def test_delta_support_projection():
 def test_census_counts():
     ka = build_knowledge_arena(g1())
     kstates, knowledges, edges = ka.census
-    assert kstates == len(ka.kstates)
+    assert (kstates, knowledges, edges) == triple_census(g1())
+    assert kstates > len(ka.kstates)
     assert knowledges == len(ka.knowledges) == 2
     assert edges > 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(((5, 2), (6, 2), (6, 3))))
+def test_census_matches_triple_closure(seed, shape):
+    max_states, max_actions = shape
+    arena = generate_arena(random_params(seed, max_states=max_states, max_actions=max_actions, max_blocks=3))
+    assert build_knowledge_arena(arena).census == triple_census(arena)
+
+
+# the census of each arena below, on the paper's triples.  It picks
+# perfbench's corpora (``SMALL_EDGE_BANDS`` and ``LARGE_BANDS`` in
+# perfbench/workloads.py bin games by it), so changing what it counts
+# changes the benchmark's games
+KNOWLEDGE_CENSUS_DIGEST = "65bf2e98f8988d020a7c3e35e06802341600fcdca6b2e5e2581a423aa01300c3"
 # knowledge states in discovery order, with their exact weighted arena; a
-# change to the build must not renumber or reweight any of them.  The
-# census also picks perfbench's corpora (``SMALL_EDGE_BANDS`` and
-# ``LARGE_BANDS`` in perfbench/workloads.py bin games by it), so changing
-# what it counts changes the benchmark's games
-KNOWLEDGE_ARENAS_DIGEST = "2b7ad8ee9f069b3d7d68770ad59946c39ce89689fa195f0ca6b1f69627b6d3a1"
+# change to the build must not renumber or reweight any of them
+KNOWLEDGE_DUMPS_DIGEST = "8295a22b22f577d916bbe2b5f8b7c4a30cb2797d5ac7f47e259bc14d4e5edda0"
 
 
 def test_knowledge_arena_pinned():
     arenas = [g1(), g1_prime(), g2(), g3(), g4(), hidden_coin(), coin_chain()]
     arenas += [generate_arena(random_params(seed, max_states=5, max_blocks=3)) for seed in range(60)]
     arenas += [generate_arena(random_params(seed, max_states=4, max_actions=3)) for seed in range(20)]
-    digest = hashlib.sha256()
+    census, dumps = hashlib.sha256(), hashlib.sha256()
     for arena in arenas:
         ka = build_knowledge_arena(arena)
-        digest.update(json.dumps(ka.census).encode())
-        digest.update(serialize_game(ka.arena).encode())
-    assert digest.hexdigest() == KNOWLEDGE_ARENAS_DIGEST
+        census.update(json.dumps(ka.census).encode())
+        dumps.update(serialize_game(ka.arena).encode())
+    assert len(arenas) == 87
+    assert census.hexdigest() == KNOWLEDGE_CENSUS_DIGEST
+    assert dumps.hexdigest() == KNOWLEDGE_DUMPS_DIGEST
 
 
 def test_resource_limit():
     with pytest.raises(ResourceLimit):
         build_knowledge_arena(g1(), max_states=1)
+    # the one-state arena has one knowledge state: a cap of 0 is still a
+    # resource limit, and a cap of 1 fits it
+    one_state = parse_game(one_state_doc())
+    with pytest.raises(ResourceLimit, match="knowledge arena exceeds 0 states"):
+        build_knowledge_arena(one_state, max_states=0)
+    assert len(build_knowledge_arena(one_state, max_states=1).kstates) == 1
 
 
 def test_lift_uniform_is_well_formed():

@@ -39,7 +39,6 @@ from oracles import (
     enumerate_candidates,
     game_from_arena,
     random_turn_based,
-    to_classes,
 )
 
 
@@ -83,12 +82,12 @@ def test_fix_candidate_uniform_mixes():
     game = fix_candidate(ka, uniform)
     dense = dense_fold(ka, uniform)
     init = dense.init
-    assert game.init == ka.class_of[init] == 0
+    assert game.init == init == 0
     for a in range(2):
         dist = dense.transition[(init, 0, a)]
-        reals = {ka.kstates[t][0]: p for t, p in dist.items()}  # (real, know, dom)
+        reals = {ka.kstates[t][0]: p for t, p in dist.items()}  # (real, know)
         assert reals == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-        assert game.post[0][a] == to_classes(ka, mask_of(dist.support))
+        assert game.post[0][a] == mask_of(dist.support)
 
 
 def test_fix_candidate_singleton_equals_slice():
@@ -98,14 +97,11 @@ def test_fix_candidate_singleton_equals_slice():
     game = fix_candidate(ka, point)
     dense = dense_fold(ka, point)
     pair = ka.eve_pairs.index((0, 0b01))
-    for u, (_real, _know, dom) in enumerate(ka.kstates):
-        if dom not in (0, 0b01):
-            continue
-        c = ka.class_of[u]
+    for u in range(len(ka.kstates)):
         for a in range(2):
             dist = dense.transition[(u, 0, a)]
             assert dist == ka.arena.transition[(u, pair, a)]
-            assert game.post[c][a] == ka.post[c][0b01 - 1][a] == to_classes(ka, mask_of(dist.support))
+            assert game.post[u][a] == ka.post[u][0b01 - 1][a] == mask_of(dist.support)
 
 
 def test_fix_candidate_keeps_final_absorbing():
@@ -114,10 +110,10 @@ def test_fix_candidate_keeps_final_absorbing():
     uniform = (0b11,) * len(ka.knowledges)
     game = fix_candidate(ka, uniform)
     dense = dense_fold(ka, uniform)
-    assert game.final_mask == to_classes(ka, mask_of(dense.final)) != 0
+    assert game.final_mask == mask_of(dense.final) != 0
     for u in dense.final:
         for a in range(2):
-            assert game.post[ka.class_of[u]][a] & ~game.final_mask == 0
+            assert game.post[u][a] & ~game.final_mask == 0
             assert all(t in dense.final for t in dense.transition[(u, 0, a)].support)
 
 
@@ -230,6 +226,19 @@ def test_caps_report_positions_decided():
         assert (str(capped.value), capped.value.checked) == (overflow, 81)
 
 
+def test_knowledge_cap_counts_knowledge_states():
+    # 15 triples in the census but 6 knowledge states: a cap of 12 lets the
+    # search run, and Adam's belief graph is what overflows it
+    arena = generate_arena(GenParams(4, 2, 2, 0.8, 3, 1, 1, seed=883))
+    ka = build_knowledge_arena(arena, max_states=6)
+    assert (len(ka.kstates), ka.census[0]) == (6, 15)
+    with pytest.raises(ResourceLimit, match="knowledge arena exceeds 5 states"):
+        build_knowledge_arena(arena, max_states=5)
+    with pytest.raises(ResourceLimit) as capped:
+        decide_almost_sure_reach(arena, max_beliefs=12)
+    assert (str(capped.value), capped.value.checked) == ("belief graph exceeds 12 nodes", 27)
+
+
 def test_debug_diagnostics_cover_checked_candidates():
     """A debug solve's entries, one per Adam check, tile the positions the
     search decides; on "no" the fixpoint proved those after the last."""
@@ -272,25 +281,19 @@ def test_solver_resource_limit():
         decide_almost_sure_reach(g1(), max_candidates=1)
 
 
-def _assert_classes_agree(ka, cand, objective, checked):
-    """``check_candidate``'s result ``checked`` on the classes agrees with
-    Adam's analysis of the exact fold on the triples, projected through
-    ``ka.class_of``: the game's tables, the verdict, the winning states
-    and the sure beliefs."""
+def _assert_fold_agrees(ka, cand, objective, checked):
+    """``check_candidate``'s result ``checked`` on the support tables agrees
+    with Adam's analysis of the exact fold: the game's tables, the verdict,
+    the winning states and the sure beliefs."""
     wins, rep = checked
     game = fix_candidate(ka, cand)
     dense, _ = game_from_arena(dense_fold(ka, cand), ADAM)
-    for u, rows in enumerate(dense.post):
-        assert game.post[ka.class_of[u]] == tuple(to_classes(ka, mask) for mask in rows)
-    assert game.cells == tuple(to_classes(ka, cell) for cell in dense.cells)
-    assert game.final_mask == to_classes(ka, dense.final_mask)
+    assert (game.post, game.cells, game.final_mask) == (dense.post, dense.cells, dense.final_mask)
     positive = positive_safety if objective is Objective.REACHABILITY else positive_cobuchi
     want = positive(dense)
     assert wins == (dense.init not in want.winning_states)
-    assert {u for u in range(dense.n) if ka.class_of[u] in rep.winning_states} == want.winning_states
-    assert rep.sure_beliefs == {to_classes(ka, b) for b in want.sure_beliefs}
-    sure_singletons = {u for u in range(dense.n) if 1 << u in want.sure_beliefs}
-    assert sure_singletons == {u for u in range(dense.n) if 1 << ka.class_of[u] in rep.sure_beliefs}
+    assert rep.winning_states == want.winning_states
+    assert rep.sure_beliefs == want.sure_beliefs
 
 
 def test_support_fold_matches_dense_fold():
@@ -313,22 +316,20 @@ def test_support_fold_matches_dense_fold():
         kaa = ka.arena
         assert len(pickle.dumps(ka)) > len(shipped)
         assert len(kaa.transition) == len(ka.kstates) * len(ka.eve_pairs) * len(arena.adam_actions)
-        # playing support s reaches the union of the pairs (e, s), e in s,
-        # and the triples of one class have its rows, cell and final flag
+        # playing support s reaches the union of the pairs (e, s), e in s
         union = {}
         for (u, p, a), dist in kaa.transition.items():
             key = (u, ka.eve_pairs[p][1], a)
             union[key] = union.get(key, 0) | mask_of(dist.support)
         assert len(union) == len(ka.kstates) * len(ka.post[0]) * len(arena.adam_actions)
         for (u, s, a), mask in union.items():
-            assert to_classes(ka, mask) == ka.post[ka.class_of[u]][s - 1][a]
-        assert kaa.final == frozenset(u for u, c in enumerate(ka.class_of) if ka.final_mask >> c & 1)
-        cells = split_masks(block_masks(kaa.adam_obs), mask_of(kaa.final))
-        assert tuple(to_classes(ka, cell) for cell in cells) == ka.adam_cells
+            assert mask == ka.post[u][s - 1][a]
+        assert kaa.final == frozenset(bits(ka.final_mask))
+        assert split_masks(block_masks(kaa.adam_obs), mask_of(kaa.final)) == ka.adam_cells
 
         for objective in objectives:
             for cand in cands:
-                _assert_classes_agree(ka, cand, objective, checked[(objective, cand)])
+                _assert_fold_agrees(ka, cand, objective, checked[(objective, cand)])
                 compared += 1
     assert compared > 1500
 
@@ -340,15 +341,15 @@ def test_support_fold_matches_dense_fold():
     objective=st.sampled_from((Objective.REACHABILITY, Objective.BUCHI)),
     data=st.data(),
 )
-def test_class_check_matches_triple_fold(seed, shape, objective, data):
+def test_check_matches_dense_fold(seed, shape, objective, data):
     max_states, max_actions = shape
     arena = generate_arena(random_params(seed, max_states=max_states, max_actions=max_actions, max_blocks=3))
     ka = build_knowledge_arena(arena)
     cand = _candidate_at(ka, data.draw(st.integers(0, candidate_count(ka) - 1)))
-    _assert_classes_agree(ka, cand, objective, check_candidate(ka, cand, objective))
+    _assert_fold_agrees(ka, cand, objective, check_candidate(ka, cand, objective))
 
 
-# Adam's reports on the (real, know) classes, as computed by a separate
+# Adam's reports on the (real, know) knowledge states, as computed by a separate
 # fixpoint loop per objective with an eagerly built witness; a rewrite of his
 # side must not move any of them
 ADAM_REPORTS_DIGEST = "e57e0ec6b5440db3eecc72d7016fbe4d247738c4985c66ad587839d1b2493e8e"
@@ -410,10 +411,10 @@ def test_knowledge_states_named_only_when_read(monkeypatch):
         decide_almost_sure_reach(arena)
         decide_almost_sure_buchi(arena)
     assert len(built) == 2 * len(arenas)
-    assert not any("class_names" in vars(ka) for ka in built)
+    assert not any("state_names" in vars(ka) for ka in built)
     rep = decide_almost_sure_reach(g1(), debug=True)
     assert any(d["adam_witness_memory"] for d in rep.diagnostics)
-    assert "class_names" in vars(built[-1])
+    assert "state_names" in vars(built[-1])
 
 
 def test_threads_below_one_rejected():
@@ -427,7 +428,7 @@ def test_threads_below_one_rejected():
 # search, so it shows that the search changed no report
 SOLVE_REPORTS_DIGEST = "17d225d4e869e909c1ff544a9429e802913b30206a5017ff72caf846f6dd97ff"
 # the ``candidates`` arrays, one entry per Adam check of the search, whose
-# state counts are of Adam's game on the (real, know) classes
+# state counts are of Adam's game on the (real, know) knowledge states
 SOLVE_CANDIDATES_DIGEST = "333d9712e35d01637f902196e06aa044673e8d38144caf36bcc5d9732945433b"
 
 
