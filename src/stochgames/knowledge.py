@@ -6,7 +6,10 @@ the support of the distribution she just played.  The knowledge arena pairs
 each real state with Eve's knowledge, and her letters name the support she
 plays, so that strategies over it may depend on knowledge alone; this
 module also provides the two strategy translations between the base arena
-and the knowledge arena.
+and the knowledge arena, and lowers a knowledge-only strategy to a witness
+on the base arena whose memory is Eve's knowledge: the next knowledge reads
+the support of the current knowledge's choice, which the knowledge already
+determines, so the support she last played need not be remembered.
 
 A knowledge is a bitmask over the state index, and an action set a
 bitmask over Eve's actions, for O(1) set algebra and canonical hashing; a
@@ -182,13 +185,18 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
     strategy or any probability.  Knowledge states are numbered in order of
     discovery, targets in the order of the base distributions.
     ``max_states`` caps the knowledge states; a cap below 0 is invalid
-    input.
+    input.  Every knowledge state stores one row per support, so the build
+    is refused before it starts when the 2^k - 1 supports alone exceed
+    ``max_states``.
     """
     if max_states < 0:
         raise ValidationError(f"knowledge arena cap must be at least 0, got {max_states}")
     if max_states == 0:  # not even the initial state fits
         raise ResourceLimit("knowledge arena exceeds 0 states")
     n_eve = len(arena.eve_actions)
+    supports = (1 << n_eve) - 1
+    if supports > max_states:
+        raise ResourceLimit(f"knowledge arena needs {supports} support rows per state, more than the cap of {max_states}")
     eve_block_masks = block_masks(arena.eve_obs)
     block_mask_of = [eve_block_masks[b] for b in arena.eve_block_of]
     n_adam = len(arena.adam_actions)
@@ -200,7 +208,7 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
 
     for real, kmask in kstates:  # grows while it is walked
         rows = []
-        for dom in range(1, 1 << n_eve):
+        for dom in range(1, supports + 1):
             # the successor knowledge of a target depends only on the played
             # domain and the target's block, not on the action drawn from it
             after = successors(arena.post, kmask, dom)
@@ -280,50 +288,39 @@ def lower_strategy(arena: Arena, choice: Mapping[int, int]) -> FiniteMemoryStrat
     ``choice`` maps knowledge masks to the mask of the action set Eve plays
     uniformly there.  An action set outside 1 to 2^k - 1 is invalid input,
     and so is a knowledge the strategy reaches without one.  The memory is
-    the set of reachable (knowledge, domain) mask pairs; the update applies
-    the knowledge update on the fly and the move is uniform over the chosen
-    action set of the current knowledge.
+    the knowledges reachable from ``{init}`` in breadth-first order, each
+    named by its label, such as ``{s0,s1}``: memory ``know`` plays
+    uniformly over ``choice[know]`` and on block b moves to the knowledge
+    update of ``know`` under that action set.  Knowledge is all the memory
+    the strategy needs: the update reads the support of the current
+    knowledge's choice, which the memory already determines.
     """
     m = (1 << len(arena.eve_actions)) - 1
     if not all(0 < acts <= m for acts in choice.values()):
         raise ValidationError(f"knowledge-only strategy must choose action sets in 1..{m}")
     eve_block_masks = block_masks(arena.eve_obs)
 
-    initial = (1 << arena.init, 0)
-    mems: list[tuple[int, int]] = [initial]
-    seen = {initial}
-    update_raw: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
-    for mem in mems:  # grows while it is walked: breadth-first order
-        know, _dom = mem
+    knows = [1 << arena.init]
+    names = {knows[0]: label(arena.states, knows[0])}
+    update: dict[str, dict[int, str]] = {}
+    for know in knows:  # grows while it is walked: breadth-first order
         if know not in choice:
             raise ValidationError(
                 f"knowledge-only strategy undefined for knowledge {label(arena.states, know)}"
             )
-        played = choice[know]
-        after = successors(arena.post, know, played)
-        row = {}
+        after = successors(arena.post, know, choice[know])
+        row = update[names[know]] = {}
         for b, block_mask in enumerate(eve_block_masks):
-            result = after & block_mask
-            if result == 0:
-                row[b] = mem  # observation impossible under this strategy
-                continue
-            succ = (result, played)
-            row[b] = succ
-            if succ not in seen:
-                seen.add(succ)
-                mems.append(succ)
-        update_raw[mem] = row
+            succ = after & block_mask or know  # an impossible observation keeps the memory
+            if succ not in names:
+                names[succ] = label(arena.states, succ)
+                knows.append(succ)
+            row[b] = names[succ]
 
-    names = {
-        (know, dom): f"{label(arena.states, know)}|{label(arena.eve_actions, dom)}" for know, dom in mems
-    }
     return FiniteMemoryStrategy(
         owner=EVE,
         memory=tuple(names.values()),
-        init_mem=names[initial],
-        move={
-            name: Distribution.uniform(arena.eve_actions[i] for i in bits(choice[know]))
-            for (know, _dom), name in names.items()
-        },
-        update={names[mem]: {b: names[t] for b, t in row.items()} for mem, row in update_raw.items()},
+        init_mem=names[knows[0]],
+        move={names[k]: Distribution.uniform(arena.eve_actions[i] for i in bits(choice[k])) for k in knows},
+        update=update,
     )

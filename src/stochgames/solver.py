@@ -29,7 +29,9 @@ state; the search then stops with the report a search without a winner
 gives, caps included.  A debug solve runs the same search and lists a
 diagnostic per Adam check, with the canonical positions it decides.  The
 first successful candidate in canonical order is lowered to a
-finite-memory witness on the base arena.
+finite-memory witness on the base arena, whose memory is Eve's knowledge
+alone: the next knowledge reads the support of the current knowledge's
+choice, which the memory already determines.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ come from one dense Gauss-Jordan solve, a distribution's weights are
 checked with ``Fraction`` adds, a candidate is folded into Adam's game
 on exact weights rather than on support masks, and the knowledge census
 is counted on a closure over the paper's triples rather than read off the
-support tables.  The product
-chain and the adversary's decision process are built by summing
+support tables, and a knowledge-only strategy is lowered with memory
+keyed by (knowledge, last support) pairs rather than by knowledge alone.
+The product chain and the adversary's decision process are built by summing
 ``Fraction`` weights edge by edge, and plays are sampled by a linear scan
 over float cumulative rows, one step at a time to the full horizon.  The
 candidates are enumerated in product order, independently of the solver's
@@ -22,7 +23,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
 
@@ -40,8 +41,9 @@ from stochgames import (
     lower_strategy,
     parse_game,
 )
-from stochgames.bitset import bits, block_masks, mask_of, split_masks
+from stochgames.bitset import bits, block_masks, label, mask_of, split_masks
 from stochgames.evaluation import almost_sure
+from stochgames.knowledge import successors
 from stochgames.model import ADAM, EVE
 from instances import make_doc
 
@@ -570,6 +572,68 @@ def triple_census(arena: Arena) -> tuple[int, int, int]:
                 seen.add(triple)
                 triples.append(triple)
     return len(triples), len({know for _real, know, _last in triples}), edges
+
+
+# ---------------------------------------------------------------------------
+# Witness lowering keyed by (knowledge, last support) pairs
+
+
+def pair_lowering(arena: Arena, choice: Mapping[int, int]) -> FiniteMemoryStrategy:
+    """The library's former ``lower_strategy``, kept as the reference for
+    the knowledge-keyed lowering: the same strategy with memory keyed by
+    (knowledge, last support) pairs, so a knowledge reached under two
+    supports has two memories.
+
+    ``choice`` maps knowledge masks to the mask of the action set Eve plays
+    uniformly there.  An action set outside 1 to 2^k - 1 is invalid input,
+    and so is a knowledge the strategy reaches without one.  The memory is
+    the set of reachable (knowledge, domain) mask pairs; the update applies
+    the knowledge update on the fly and the move is uniform over the chosen
+    action set of the current knowledge.
+    """
+    m = (1 << len(arena.eve_actions)) - 1
+    if not all(0 < acts <= m for acts in choice.values()):
+        raise ValidationError(f"knowledge-only strategy must choose action sets in 1..{m}")
+    eve_block_masks = block_masks(arena.eve_obs)
+
+    initial = (1 << arena.init, 0)
+    mems: list[tuple[int, int]] = [initial]
+    seen = {initial}
+    update_raw: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
+    for mem in mems:  # grows while it is walked: breadth-first order
+        know, _dom = mem
+        if know not in choice:
+            raise ValidationError(
+                f"knowledge-only strategy undefined for knowledge {label(arena.states, know)}"
+            )
+        played = choice[know]
+        after = successors(arena.post, know, played)
+        row = {}
+        for b, block_mask in enumerate(eve_block_masks):
+            result = after & block_mask
+            if result == 0:
+                row[b] = mem  # observation impossible under this strategy
+                continue
+            succ = (result, played)
+            row[b] = succ
+            if succ not in seen:
+                seen.add(succ)
+                mems.append(succ)
+        update_raw[mem] = row
+
+    names = {
+        (know, dom): f"{label(arena.states, know)}|{label(arena.eve_actions, dom)}" for know, dom in mems
+    }
+    return FiniteMemoryStrategy(
+        owner=EVE,
+        memory=tuple(names.values()),
+        init_mem=names[initial],
+        move={
+            name: Distribution.uniform(arena.eve_actions[i] for i in bits(choice[know]))
+            for (know, _dom), name in names.items()
+        },
+        update={names[mem]: {b: names[t] for b, t in row.items()} for mem, row in update_raw.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -169,6 +170,21 @@ def test_cli_solve_knowledge_cap_checks_no_candidate(tmp_path):
     partial = _solve_partial(game, "reach", 5, tmp_path / "partial.json")
     assert partial["error"] == "knowledge arena exceeds 5 states"
     assert partial["candidates_checked"] == 0
+
+
+def test_cli_support_rows_cap_exit_3(tmp_path, capsys):
+    # 24 Eve actions give 2^24 - 1 support rows per knowledge state: both
+    # commands stop before the build, whose first state alone would not finish
+    game = tmp_path / "wide.json"
+    assert main(["gen", "--states", "2", "--eve-actions", "24", "--seed", "1", "--out", str(game)]) == 0
+    error = "knowledge arena needs 16777215 support rows per state, more than the cap of 5"
+    start = time.monotonic()
+    partial = _solve_partial(game, "reach", 5, tmp_path / "partial.json")
+    assert main(["knowledge", "--game", str(game), "--max-beliefs", "5"]) == 3
+    assert time.monotonic() - start < 10
+    assert (partial["error"], partial["candidates_checked"]) == (error, 0)
+    records = _run_records(capsys.readouterr().err)
+    assert [r["outcome"] for r in records[1:]] == [f"resource-limit: {error}"] * 2
 
 
 def test_cli_solve_belief_cap_counts_finished_candidates(tmp_path):

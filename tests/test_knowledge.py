@@ -20,13 +20,14 @@ from stochgames import (
     serialize_game,
     validate_strategy,
 )
-from stochgames.bitset import bits, mask_of
+from stochgames.bitset import bits, label, mask_of
 from stochgames.model import EVE, ADAM, Objective, parse_game
 from stochgames.evaluation import simulate_play, _Compiled
-from stochgames.gen import generate_arena, random_params
+from stochgames.gen import GenParams, generate_arena, random_params
+from stochgames.knowledge import DEFAULT_KNOWLEDGE_CAP
 
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin, one_state_doc
-from oracles import triple_census
+from oracles import pair_lowering, triple_census
 from util import random_strategy
 
 
@@ -193,6 +194,21 @@ def test_resource_limit():
     assert len(build_knowledge_arena(one_state, max_states=1).kstates) == 1
 
 
+def test_support_rows_count_against_the_cap():
+    # every knowledge state stores 2^k - 1 support rows, so a cap below that
+    # refuses the build before the first state's rows, which at 24 Eve
+    # actions would not finish
+    wide = generate_arena(GenParams(2, 24, 2, 1.0, 1, 1, 1, seed=1))
+    for cap in (5, DEFAULT_KNOWLEDGE_CAP):
+        message = f"^knowledge arena needs 16777215 support rows per state, more than the cap of {cap}$"
+        with pytest.raises(ResourceLimit, match=message):
+            build_knowledge_arena(wide, max_states=cap)
+    four = generate_arena(GenParams(2, 4, 2, 1.0, 1, 1, 1, seed=1))
+    with pytest.raises(ResourceLimit, match="needs 15 support rows per state, more than the cap of 14$"):
+        build_knowledge_arena(four, max_states=14)
+    assert build_knowledge_arena(four, max_states=15).kstates[0] == (four.init, 1 << four.init)
+
+
 def test_lift_uniform_is_well_formed():
     arena = g1()
     ka = build_knowledge_arena(arena)
@@ -242,12 +258,47 @@ def test_lower_constant_choice():
     assert all(list(dist.support) == ["a"] for dist in strat.move.values())
 
 
-def test_lower_g1_memory_is_reachable_pairs():
+def test_lower_g1_memory_is_reachable_knowledges():
     arena = g1()
     strat = lower_strategy(arena, {mask_of([0]): 0b11, mask_of([1]): 0b01})
     validate_strategy(arena, EVE, strat)
-    # ({s},-), ({s},{a,b}), ({f},{a,b}), ({f},{a})
-    assert len(strat.memory) == 4
+    # one memory per knowledge, whichever support led there
+    assert strat.memory == ("{s}", "{f}")
+
+
+def _reachable_knowledges(arena, choice) -> list[int]:
+    """The knowledges a knowledge-only strategy reaches from {init}, in
+    breadth-first order, by the knowledge update."""
+    knows = [1 << arena.init]
+    for know in knows:  # grows while it is walked
+        for block in range(len(arena.eve_obs)):
+            try:
+                succ = knowledge_update(arena, know, block, choice[know])
+            except InconsistentObservation:
+                continue
+            if succ not in knows:
+                knows.append(succ)
+    return knows
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(((5, 2), (6, 3))), strat_seed=st.integers(0, 10**4))
+def test_lower_keeps_the_pair_lowering_strategy(seed, shape, strat_seed):
+    """The knowledge-keyed witness has one memory per knowledge it reaches
+    and wins with the same exact probability as the (knowledge, last
+    support) keyed one against random Adam strategies."""
+    max_states, max_actions = shape
+    arena = generate_arena(random_params(seed, max_states=max_states, max_actions=max_actions, max_blocks=3))
+    rng = random.Random(strat_seed)
+    choice = {k: rng.randrange(1, 1 << len(arena.eve_actions)) for k in build_knowledge_arena(arena).knowledges}
+    lowered = lower_strategy(arena, choice)
+    assert lowered.memory == tuple(label(arena.states, k) for k in _reachable_knowledges(arena, choice))
+    reference = pair_lowering(arena, choice)
+    for _ in range(2):
+        adam = random_strategy(arena, ADAM, rng)
+        for objective in Objective:
+            p_lowered = objective_probability(build_chain(arena, lowered, adam), objective)
+            assert p_lowered == objective_probability(build_chain(arena, reference, adam), objective)
 
 
 def test_lower_requires_total_choice():

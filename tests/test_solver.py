@@ -424,9 +424,9 @@ def test_threads_below_one_rejected():
 
 
 # the solve reports without their ``candidates`` arrays, which is all a
-# debug report adds to the plain one; recorded before debug solves ran the
-# search, so it shows that the search changed no report
-SOLVE_REPORTS_DIGEST = "17d225d4e869e909c1ff544a9429e802913b30206a5017ff72caf846f6dd97ff"
+# debug report adds to the plain one; re-recorded when the witnesses' memory
+# became Eve's knowledges, with every other field unchanged
+SOLVE_REPORTS_DIGEST = "c29fa2cfafe854cafd58673113a913377a21000d082a038656901827880f3bba"
 # the ``candidates`` arrays, one entry per Adam check of the search, whose
 # state counts are of Adam's game on the (real, know) knowledge states
 SOLVE_CANDIDATES_DIGEST = "333d9712e35d01637f902196e06aa044673e8d38144caf36bcc5d9732945433b"
