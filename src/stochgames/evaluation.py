@@ -8,15 +8,15 @@ by ``_hit_probability``, which alone takes the 0/1 shortcuts.  Graph
 analysis pins every node of value 0 (no path to the targets) or 1 (no
 path to a value-0 node that avoids the targets); the remaining nodes are
 solved one strongly connected component at a time in reverse topological
-order, each block by fraction-free integer (Bareiss) elimination with the
-values of the components below it substituted.  The same pinning alone
-decides whether an objective holds almost surely.  The evaluation runs on
-integers from start to finish: each node's row is summed over one
-denominator, and that integer row, scaled by its denominator, already is
-the node's equation, which the solver reads as it is.  ``Fraction``s
-appear only for the values of solved components and the returned values;
-``ProductChain.edges``, the ``Fraction`` view of the rows, is built only
-when something reads it.
+order, each block by sparse, fraction-free integer elimination with
+diagonal pivots, with the values of the components below it substituted.
+The same pinning alone decides whether an objective holds almost surely.
+The evaluation runs on integers from start to finish: each node's row is
+summed over one denominator, and that integer row, scaled by its
+denominator, already is the node's equation, which the solver reads as
+it is.  ``Fraction``s appear only for the values of solved components and
+the returned values; ``ProductChain.edges``, the ``Fraction`` view of the
+rows, is built only when something reads it.
 
 Monte Carlo simulation gives an independent statistical cross-check and
 never decides anything.  It compiles the pair once into float cumulative
@@ -353,62 +353,99 @@ def _solve_component(comp: list[int], rows, values: list[Fraction]) -> None:
     successor outside ``comp`` already carries its final value.
 
     The integer row is the equation scaled by its denominator:
-    den x_u - sum_{v in comp} num_v x_v = sum_{v not in comp} num_v x_v.
-    The constant column is scaled by the lcm of the denominators of the
-    fractional values it reads; the integer system is then solved by
-    Bareiss's fraction-free elimination, in which every division is exact,
-    and the solution x = y / (det * scale) is recovered by integer
-    back-substitution with y = det * x.
+    den x_u - sum_{v in comp} num_v x_v = sum_{v not in comp} num_v x_v,
+    kept sparse as a {column: coefficient} dict and a constant.  The
+    constant is scaled by the lcm of the denominators of the fractional
+    values it reads, so the system solves for scale * x.
+
+    Elimination takes the diagonal pivots in one static, fill-reducing
+    order (cheapest first by the row's length times the number of rows
+    holding the column, ties by column), with no pivot search.  That is
+    safe: every unknown reaches a target outside ``comp``, so P, the
+    probabilities within ``comp``, is irreducible and substochastic with
+    at least one row summing below 1, and the matrix den (I - P) is an
+    irreducibly diagonally dominant, hence nonsingular, M-matrix.  Every
+    Schur complement of a nonsingular M-matrix is again one, whatever
+    the symmetric order of elimination, so each diagonal pivot stays
+    positive; a pivot that is not, which only rows breaking the contract
+    of ``absorption_values`` can produce, is reported as a singular
+    system.  A row update p * row - f * pivot row stays in integers and
+    is divided by the gcd of its entries, constant included.  The values
+    then follow by integer back-substitution in reverse pivot order, each
+    a gcd-reduced (den, num) pair, and become a ``Fraction`` only at the
+    end, as num / (den * scale).  On these sparse rows (about three
+    entries each) the elimination touches a few hundred entries where a
+    dense one touches thousands; it is state elimination for Markov-chain
+    reachability (Daws 2004) in integer arithmetic.
     """
     col = {u: i for i, u in enumerate(comp)}
     k = len(comp)
-    m: list[list[int]] = []
+    eqs: list[dict[int, int]] = []
+    consts: list[int] = []
     mixed: list[list[tuple[int, Fraction]]] = []  # per equation: num_v, x_v for fractional x_v
     for u in comp:
         den, row = rows[u]
-        ints = [0] * (k + 1)
-        ints[col[u]] = den
+        eq = {col[u]: den}
+        const = 0
         part = []
         for v, w in row.items():
             j = col.get(v)
             if j is not None:
-                ints[j] -= w
+                eq[j] = eq.get(j, 0) - w
             else:
                 x = values[v]
                 if x is _ONE:
-                    ints[k] += w
+                    const += w
                 elif x is not _ZERO:
                     part.append((w, x))
-        m.append(ints)
+        eqs.append(eq)
+        consts.append(const)
         mixed.append(part)
     scale = math.lcm(*(x.denominator for part in mixed for _w, x in part))
-    for ints, part in zip(m, mixed):
-        ints[k] = ints[k] * scale + sum(w * x.numerator * (scale // x.denominator) for w, x in part)
-    prev = 1
-    for j in range(k):
-        pivot = next((r for r in range(j, k) if m[r][j]), None)
-        if pivot is None:
+    for i, part in enumerate(mixed):
+        consts[i] = consts[i] * scale + sum(w * x.numerator * (scale // x.denominator) for w, x in part)
+    holders: list[set[int]] = [set() for _ in range(k)]  # per column: the other rows holding it
+    for r, eq in enumerate(eqs):
+        for j in eq:
+            if j != r:
+                holders[j].add(r)
+    order = sorted(range(k), key=lambda j: (len(eqs[j]) * (len(holders[j]) + 1), j))
+    pivots = [0] * k
+    for j in order:
+        top = eqs[j]
+        p = pivots[j] = top.pop(j)
+        if p <= 0:
             raise ValidationError("singular linear system in exact solve")
-        m[j], m[pivot] = m[pivot], m[j]
-        top = m[j]
-        p = top[j]
-        for r in range(j + 1, k):
-            row = m[r]
-            f = row[j]
-            if f:
-                m[r] = [(a * p - f * b) // prev for a, b in zip(row, top)]
-            elif p != prev:
-                m[r] = [a * p // prev for a in row]
-        prev = p
-    det = prev
-    y = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = m[i]
-        acc = det * row[k] - sum(row[j] * y[j] for j in range(i + 1, k))
-        y[i] = acc // row[i]
-    den = det * scale
-    for u, num in zip(comp, y):
-        values[u] = Fraction(num, den)
+        c_top = consts[j]
+        for l in top:
+            holders[l].discard(j)
+        for r in holders[j]:
+            row = eqs[r]
+            f = row.pop(j)
+            new = {l: a * p for l, a in row.items()}
+            for l, b in top.items():
+                if l in new:
+                    new[l] -= f * b
+                else:
+                    new[l] = -f * b
+                    holders[l].add(r)
+            c = consts[r] * p - f * c_top
+            g = math.gcd(c, *new.values())
+            if g > 1:
+                new = {l: a // g for l, a in new.items()}
+                c //= g
+            eqs[r] = new
+            consts[r] = c
+    xs: list[tuple[int, int]] = [(1, 0)] * k  # per column: (den, num) of scale * x
+    for j in reversed(order):
+        top = eqs[j]
+        d = math.lcm(*(xs[l][0] for l in top))
+        n = consts[j] * d - sum(a * xs[l][1] * (d // xs[l][0]) for l, a in top.items())
+        d *= pivots[j]
+        g = math.gcd(n, d)
+        xs[j] = (d // g, n // g)
+    for u, (d, n) in zip(comp, xs):
+        values[u] = Fraction(n, d * scale)
 
 
 def _targets(chain: ProductChain, objective: Objective) -> set[int]:

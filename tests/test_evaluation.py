@@ -197,9 +197,12 @@ def sparse_chains(draw):
     targets, possibly none; "pinned" gives every node the value 0 or 1;
     "one_component" puts all but two nodes on one cycle that leaks to a
     target and to a trap, so that they form a single component of
-    unknowns.  Any chain may get one more target that no node enters.
+    unknowns; "stacked" puts two or three such cycles in series, each
+    leaking into the next one (the last into the target) and to the trap,
+    so that every component above the last reads fractional values of the
+    one below.  Any chain may get one more target that no node enters.
     """
-    shape = draw(st.sampled_from(["random", "pinned", "one_component"]))
+    shape = draw(st.sampled_from(["random", "pinned", "one_component", "stacked"]))
     n = draw(st.integers(1, 24))
 
     def row(succs):
@@ -229,6 +232,25 @@ def sparse_chains(draw):
                 targets.add(u)
             else:
                 edges.append({} if draw(st.booleans()) else {u: Fraction(1)})
+    elif shape == "stacked":
+        sizes = draw(st.lists(st.integers(1, 15), min_size=2, max_size=3))
+        target, trap = sum(sizes), sum(sizes) + 1
+        edges = []
+        for c, size in enumerate(sizes):
+            start = len(edges)
+            cycle = range(start, start + size)
+            below = range(start + size, start + size + sizes[c + 1]) if c + 1 < len(sizes) else [target]
+            for i, u in enumerate(cycle):
+                succs = [cycle[(i + 1) % size]] + some(cycle, 1)
+                if i == 0:
+                    succs.append(draw(st.sampled_from(below)))
+                elif draw(st.booleans()):
+                    succs.append(draw(st.sampled_from([*below, trap])))
+                if i == size - 1:
+                    succs.append(trap)
+                edges.append(row(succs))
+        edges += [{target: Fraction(1)}, {}]
+        targets = {target}
     else:
         target, trap = n, n + 1
         edges = []
@@ -256,17 +278,25 @@ def test_absorption_values_match_dense_oracle(chain):
     assert all(0 <= x <= 1 for x in values)
 
 
-@pytest.mark.parametrize("seed", [168, 389])
-def test_scale_chain(seed):
-    """About 200 product nodes; the reach systems have components of 41
-    and 126 unknowns, on which one dense solve of all unknowns together
-    takes seconds."""
-    arena = generate_arena(GenParams(46, 2, 2, 0.3, 3, 4, 1, seed=seed))
+@pytest.mark.parametrize(
+    "n, seed, nodes",
+    [
+        pytest.param(46, 168, (190, 215), id="168"),
+        pytest.param(46, 389, (190, 215), id="389"),
+        pytest.param(200, 389, (500, 535), id="389-n200"),
+    ],
+)
+def test_scale_chain(n, seed, nodes):
+    """About 200 and 517 product nodes; the reach systems have components
+    of 41, 126 and 351 unknowns.  The sparse elimination solves the
+    351-unknown one in a fraction of a second, about an eighth of the time
+    a dense elimination of the same component took."""
+    arena = generate_arena(GenParams(n, 2, 2, 0.3, 3, 4, 1, seed=seed))
     rng = random.Random(seed)
     chain = build_chain(
         arena, random_strategy(arena, EVE, rng, max_memory=3), random_strategy(arena, ADAM, rng, max_memory=3)
     )
-    assert 190 <= len(chain.nodes) <= 215
+    assert nodes[0] <= len(chain.nodes) <= nodes[1]
     reach = objective_probability(chain, Objective.REACHABILITY)
     buchi = objective_probability(chain, Objective.BUCHI)
     assert 0 <= buchi <= reach <= 1
@@ -279,6 +309,13 @@ def test_scale_chain(seed):
     for u, row in enumerate(chain.edges):
         if u not in chain.final and values[u]:
             assert values[u] == sum((p * values[v] for v, p in row.items()), Fraction(0))
+
+
+def test_absorption_values_rejects_singular_system():
+    """Node 0's nums sum to three times its den, breaking the rows'
+    contract: its self-loop leaves a zero pivot, which the solver reports."""
+    with pytest.raises(ValidationError, match="singular linear system in exact solve"):
+        absorption_values([(1, {0: 1, 1: 1, 2: 1}), (1, {1: 1}), (1, {})], {1})
 
 
 def test_monte_carlo_deterministic_chain():
