@@ -11,18 +11,24 @@ solved one strongly connected component at a time in reverse topological
 order, each block by sparse, fraction-free integer elimination with
 diagonal pivots, with the values of the components below it substituted.
 The same pinning alone decides whether an objective holds almost surely.
-The evaluation runs on integers from start to finish: each node's row is
-summed over one denominator, and that integer row, scaled by its
-denominator, already is the node's equation, which the solver reads as
-it is.  ``Fraction``s appear only for the values of solved components and
-the returned values; ``ProductChain.edges``, the ``Fraction`` view of the
-rows, is built only when something reads it.
+The evaluation runs on integers from start to finish.  It reads every
+weight in the integer form each ``Distribution`` keeps (``den`` and
+``nums``), for the transition rows and the strategies' moves alike: each
+node's row is mixed from those integers over one denominator (``_mix``),
+and that integer row, scaled by its denominator, already is the node's
+equation, which the solver reads as it is.  ``Fraction``s appear only for
+the values of solved components and the returned values; neither the
+distributions' ``Fraction`` views nor ``ProductChain.edges``, the
+``Fraction`` view of the chain's rows, is built unless something else
+reads it.
 
 Monte Carlo simulation gives an independent statistical cross-check and
 never decides anything.  It compiles the pair once into float cumulative
-tables searched by bisection, stops a play once its outcome is fixed, and
-advances the generator past the skipped steps as drawing them would, so
-an estimate is a function of the seed and GENERATOR_ID alone.  A play's
+tables searched by bisection, each weight the correctly rounded quotient
+of its integer numerator and denominator, stops a play once its outcome
+is fixed, and advances the generator past the skipped steps as drawing
+them would, so an estimate is a function of the seed and GENERATOR_ID
+alone.  A play's
 outcome is fixed at its first final state (inside the trailing window for
 Buchi and co-Buchi), and also at its first node of the product from which
 no final state is reachable: a support-only graph search marks those
@@ -74,9 +80,10 @@ _TAIL = (Objective.BUCHI, Objective.COBUCHI)
 class _Compiled:
     """Index-level view of a strategy against a fixed arena.
 
-    ``move[m]`` lists (action index, weight) in action-name order, and
-    ``update[m][t]`` is the memory after a step into state t, the update of
-    t's observation block looked up once here.
+    ``move[m]`` is the move at memory m as an integer row (den, {action
+    index: num}), the strategy's ``Distribution.den`` and ``nums`` with the
+    actions in name order, and ``update[m][t]`` is the memory after a step
+    into state t, the update of t's observation block looked up once here.
     """
 
     def __init__(self, arena: Arena, strat: FiniteMemoryStrategy, owner: str):
@@ -84,10 +91,8 @@ class _Compiled:
         action_index = {a: i for i, a in enumerate(arena.actions(owner))}
         mem_index = {m: i for i, m in enumerate(strat.memory)}
         self.init = mem_index[strat.init_mem]
-        self.move = [
-            [(action_index[a], p) for a, p in sorted(strat.move[m].items())]
-            for m in strat.memory
-        ]
+        moves = [strat.move[m] for m in strat.memory]
+        self.move = [(dist.den, {action_index[a]: num for a, num in sorted(dist.nums.items())}) for dist in moves]
         block_of = arena.block_of(owner)
         self.update = [[mem_index[strat.update[m][b]] for b in block_of] for m in strat.memory]
 
@@ -97,24 +102,33 @@ def _transition_rows(arena: Arena) -> list:
     at index (s * |E| + e) * |A| + a."""
     n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
     return [
-        arena.transition[(s, e, a)].items()
+        arena.transition[(s, e, a)]
         for s in range(arena.n_states)
         for e in range(n_eve)
         for a in range(n_adam)
     ]
 
 
-def _int_row(pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """A row of (element, weight) pairs as (den, ((element, num), ...)) with
-    each weight num / den, den the lcm of the weights' denominators."""
-    den = math.lcm(*(p.denominator for _x, p in pairs))
-    return den, tuple((x, p.numerator * (den // p.denominator)) for x, p in pairs)
+def _mix(rows: list, reads) -> tuple[int, dict[int, int]]:
+    """The mixture of the transition rows ``reads``, pairs (row index,
+    integer weight), as (lcm, {successor: integer weight}): each weight is
+    over the reads' common denominator times the lcm of the rows'
+    denominators, and successors come in order of first appearance."""
+    lcm = math.lcm(*[rows[k].den for k, _w in reads])
+    out: dict[int, int] = {}
+    get = out.get
+    for k, w in reads:
+        dist = rows[k]
+        w *= lcm // dist.den
+        for t, q in dist.nums.items():
+            out[t] = get(t, 0) + w * q
+    return lcm, out
 
 
 class _LazyRows(dict):
     """The rows ``rows`` as ``compile`` turns them, keyed by index and each
-    compiled when first read: a chain or a play reads only the transition
-    rows of the states it reaches."""
+    compiled when first read: a play reads only the transition rows of the
+    states it reaches."""
 
     def __init__(self, rows: list, compile):
         super().__init__()
@@ -124,28 +138,6 @@ class _LazyRows(dict):
     def __missing__(self, k: int):
         row = self[k] = self._compile(self._rows[k])
         return row
-
-
-class _IntRows(_LazyRows):
-    """The transition rows as ``_int_row`` tables, keyed like
-    ``_transition_rows``."""
-
-    def __init__(self, arena: Arena):
-        super().__init__(_transition_rows(arena), _int_row)
-
-    def mix(self, reads) -> tuple[int, dict[int, int]]:
-        """The mixture of the rows ``reads``, pairs (row index, integer
-        weight), as (lcm, {successor: integer weight}): each weight is over
-        the reads' common denominator times the lcm of the rows'
-        denominators, and successors come in order of first appearance."""
-        lcm = math.lcm(*(self[k][0] for k, _w in reads))
-        out: dict[int, int] = {}
-        for k, w in reads:
-            den, row = self[k]
-            w *= lcm // den
-            for t, q in row:
-                out[t] = out.get(t, 0) + w * q
-        return lcm, out
 
 
 @dataclass(frozen=True)
@@ -188,9 +180,10 @@ def build_chain(
     """Reachable product construction; each edge weight is the one-step
     mixture of the transition function under both moves.
 
-    A node's row is summed in integers over one denominator: the product
-    of the two move rows' denominators and the lcm of the denominators of
-    the transition rows the node reads.  The chain keeps that integer row
+    A node's row is summed in integers over one denominator, from the
+    integer weights of the moves and transition rows (``_mix``): the
+    product of the two move rows' denominators and the lcm of the
+    denominators of the transition rows the node reads.  The chain keeps that integer row
     (``ProductChain.rows``).  Raises ResourceLimit once the chain would exceed
     ``max_nodes`` nodes; without a cap the chain is at most states x memory
     x memory.  A cap below 0 is invalid input.
@@ -199,9 +192,7 @@ def build_chain(
         raise ValidationError(f"product chain cap must be at least 0, got {max_nodes}")
     ce = _Compiled(arena, eve, EVE)
     ca = _Compiled(arena, adam, ADAM)
-    eve_rows = [_int_row(row) for row in ce.move]
-    adam_rows = [_int_row(row) for row in ca.move]
-    trans = _IntRows(arena)
+    trans = _transition_rows(arena)
     n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
     cap = math.inf if max_nodes is None else max_nodes
     start = (arena.init, ce.init, ca.init)
@@ -212,10 +203,10 @@ def build_chain(
     while qi < len(nodes):
         s, me, ma = nodes[qi]
         qi += 1
-        den_e, eve_row = eve_rows[me]
-        den_a, adam_row = adam_rows[ma]
-        reads = [((s * n_eve + e) * n_adam + a, pe * pa) for e, pe in eve_row for a, pa in adam_row]
-        lcm, mix = trans.mix(reads)
+        den_e, eve_row = ce.move[me]
+        den_a, adam_row = ca.move[ma]
+        reads = [((s * n_eve + e) * n_adam + a, pe * pa) for e, pe in eve_row.items() for a, pa in adam_row.items()]
+        lcm, mix = _mix(trans, reads)
         den = den_e * den_a * lcm
         up_e, up_a = ce.update[me], ca.update[ma]
         out: dict[int, int] = {}
@@ -508,16 +499,19 @@ def simulate_play(
     return _sampler(arena, eve, adam)(horizon, rng, horizon + 1)
 
 
-def _cdf(pairs) -> tuple[list[float], list[int]]:
-    """A row of (element, weight) pairs as (cumulative floats, elements).
+def _cdf(den: int, nums: dict) -> tuple[list[float], list]:
+    """An integer row, each element's weight ``nums[x] / den``, as
+    (cumulative floats, elements).
 
-    The last cumulative is ``inf``, so ``bisect_right(cum, r)`` is the first
-    element whose cumulative exceeds r, and the last element when rounding
-    left every cumulative sum at or below r.
+    Each weight is the integer quotient ``num / den``, the same correctly
+    rounded float as ``float(Fraction(num, den))``.  The last cumulative is
+    ``inf``, so ``bisect_right(cum, r)`` is the first element whose
+    cumulative exceeds r, and the last element when rounding left every
+    cumulative sum at or below r.
     """
-    cum = list(accumulate(float(p) for _x, p in pairs))
+    cum = list(accumulate([num / den for num in nums.values()]))
     cum[-1] = math.inf
-    return cum, [x for x, _p in pairs]
+    return cum, list(nums)
 
 
 def _skip(rng: random.Random, steps: int) -> None:
@@ -544,19 +538,20 @@ def _dead_nodes(arena: Arena, ce: _Compiled, ca: _Compiled, rows, max_nodes: int
     if max_nodes < 1:
         return frozenset()
     n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
-    supports = [mask_of(t for t, _q in row) for row in rows]
-    eve_supp = [[e for e, _p in row] for row in ce.move]
-    adam_supp = [[a for a, _p in row] for row in ca.move]
+    supports: dict[int, int] = {}  # support masks of the rows read so far
     start = (arena.init, ce.init, ca.init)
     nodes = [start]
     index = {start: 0}
     reverse: list[list[int]] = [[]]
     for u, (s, me, ma) in enumerate(nodes):  # grows while it is walked
         post = 0
-        for e in eve_supp[me]:
+        for e in ce.move[me][1]:
             base = (s * n_eve + e) * n_adam
-            for a in adam_supp[ma]:
-                post |= supports[base + a]
+            for a in ca.move[ma][1]:
+                mask = supports.get(base + a)
+                if mask is None:
+                    mask = supports[base + a] = mask_of(rows[base + a].nums)
+                post |= mask
         up_e, up_a = ce.update[me], ca.update[ma]
         for t in bits(post):
             node = (t, up_e[t], up_a[t])
@@ -592,9 +587,9 @@ def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy
     ca = _Compiled(arena, adam, ADAM)
     rows = _transition_rows(arena)
     dead = _dead_nodes(arena, ce, ca, rows, max_nodes)
-    eve_cdf = [_cdf(row) for row in ce.move]
-    adam_cdf = [_cdf(row) for row in ca.move]
-    trans_cdf = _LazyRows(rows, _cdf)
+    eve_cdf = [_cdf(den, row) for den, row in ce.move]
+    adam_cdf = [_cdf(den, row) for den, row in ca.move]
+    trans_cdf = _LazyRows(rows, lambda dist: _cdf(dist.den, dist.nums))
     up_e, up_a = ce.update, ca.update
     final = [s in arena.final for s in range(arena.n_states)]
     n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
@@ -689,8 +684,7 @@ class _Mdp:
 
     def __init__(self, arena: Arena, eve: FiniteMemoryStrategy):
         ce = _Compiled(arena, eve, EVE)
-        eve_rows = [_int_row(row) for row in ce.move]
-        rows = _IntRows(arena)
+        rows = _transition_rows(arena)
         n_eve, n_adam = len(arena.eve_actions), len(arena.adam_actions)
         start = (arena.init, ce.init)
         nodes = [start]
@@ -700,11 +694,11 @@ class _Mdp:
         while qi < len(nodes):
             s, me = nodes[qi]
             qi += 1
-            den_e, eve_row = eve_rows[me]
+            den_e, eve_row = ce.move[me]
             up = ce.update[me]
             per_action = []
             for a in range(n_adam):
-                lcm, mix = rows.mix([((s * n_eve + e) * n_adam + a, pe) for e, pe in eve_row])
+                lcm, mix = _mix(rows, [((s * n_eve + e) * n_adam + a, pe) for e, pe in eve_row.items()])
                 out: dict[int, int] = {}
                 for t, w in mix.items():
                     node = (t, up[t])

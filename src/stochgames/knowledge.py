@@ -216,7 +216,7 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
             row = [0] * n_adam
             for e in bits(dom):
                 for a in range(n_adam):
-                    for t, _q in arena.transition[(real, e, a)].items():
+                    for t in arena.transition[(real, e, a)].nums:
                         bit = bit_of.get(t)
                         if bit is None:
                             ks = (t, after & block_mask_of[t])

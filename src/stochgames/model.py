@@ -1,9 +1,13 @@
 """Core data model: arenas, exact distributions, strategies, objectives.
 
 Also owns the JSON game/strategy file formats.  Probabilities are exact
-rationals end to end; nothing in this module ever rounds.  State and action
-ids are strings in files and dense integers internally, ordered by file
-order, so every enumeration downstream is canonical.
+rationals end to end; nothing in this module ever rounds.  A
+``Distribution`` keeps its weights once, as integer numerators over one
+denominator, the form its sum check computes; solving and evaluation read
+that form or the support, and the ``Fraction`` mapping is a view built
+when something reads it.  State and action ids are strings in files and
+dense integers internally, ordered by file order, so every enumeration
+downstream is canonical.
 
 Parsers translate and constructors validate: ``parse_game`` and
 ``parse_strategy`` check a document's shape and resolve its names, while
@@ -93,9 +97,16 @@ class Distribution:
     Weights are exact rationals, each strictly positive, summing to exactly 1.
     The support is exactly the key set; zero entries are rejected rather than
     dropped so that a declared support is always intentional.
+
+    The weights are stored once, in integers over one denominator: ``den``
+    is the lcm of their reduced denominators, and ``nums`` maps each element,
+    in insertion order, to its numerator over ``den``, so the weight of x is
+    ``nums[x] / den`` and the nums sum to ``den``.  Both are read-only.  The
+    ``Fraction`` mapping that ``items()`` and ``[]`` read is built from them
+    when first read; solving and evaluation read the integers alone.
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ("den", "nums", "_fractions")
 
     def __init__(self, weights: Mapping):
         w = {}
@@ -109,12 +120,14 @@ class Distribution:
             w[elem] = p
         if not w:
             raise ValidationError("distribution must have a non-empty support")
-        # the total in integers, over the lcm of the denominators
         den = lcm(*[p.denominator for p in w.values()])
-        num = sum([p.numerator * (den // p.denominator) for p in w.values()])
-        if num != den:
-            raise ValidationError(f"distribution weights sum to {Fraction(num, den)}, expected exactly 1")
-        self._weights = w
+        nums = {elem: p.numerator * (den // p.denominator) for elem, p in w.items()}
+        total = sum(nums.values())
+        if total != den:
+            raise ValidationError(f"distribution weights sum to {Fraction(total, den)}, expected exactly 1")
+        self.den = den
+        self.nums = nums
+        self._fractions = None
 
     @classmethod
     def point(cls, elem) -> "Distribution":
@@ -125,34 +138,42 @@ class Distribution:
         elems = list(elems)
         return cls({e: Fraction(1, len(elems)) for e in elems})
 
+    def _weights(self) -> dict:
+        """The ``Fraction`` view of the weights, built on first read."""
+        view = self._fractions
+        if view is None:
+            den = self.den
+            view = self._fractions = {e: Fraction(n, den) for e, n in self.nums.items()}
+        return view
+
     @property
     def support(self) -> tuple:
-        return tuple(sorted(self._weights))
+        return tuple(sorted(self.nums))
 
     def items(self):
-        return self._weights.items()
+        return self._weights().items()
 
     def __getitem__(self, elem) -> Fraction:
-        return self._weights.get(elem, Fraction(0))
+        return self._weights().get(elem, Fraction(0))
 
     def __contains__(self, elem) -> bool:
-        return elem in self._weights
+        return elem in self.nums
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Distribution) and self._weights == other._weights
+        return isinstance(other, Distribution) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self._weights.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{e!r}: {format_probability(p)}" for e, p in sorted(self._weights.items(), key=repr))
+        inner = ", ".join(f"{e!r}: {format_probability(p)}" for e, p in sorted(self.items(), key=repr))
         return f"Distribution({{{inner}}})"
 
     def __reduce__(self):
-        return (Distribution, (self._weights,))
+        return (Distribution, (self._weights(),))
 
 
 class Objective(Enum):
@@ -224,7 +245,7 @@ class Arena:
         for (s, e, a), dist in self.transition.items():
             if not (0 <= s < n and 0 <= e < n_eve and 0 <= a < n_adam):
                 raise ValidationError(f"transition key ({s},{e},{a}) out of range")
-            for t, _q in dist.items():
+            for t in dist.nums:
                 if not 0 <= t < n:
                     raise ValidationError(f"transition from ({s},{e},{a}) targets a non-state index")
         if len(self.transition) != n * n_eve * n_adam:
@@ -258,7 +279,7 @@ class Arena:
         adam = range(len(self.adam_actions))
         return tuple(
             tuple(
-                mask_of(t for a in adam for t, _q in self.transition[(s, e, a)].items())
+                mask_of(t for a in adam for t in self.transition[(s, e, a)].nums)
                 for e in range(len(self.eve_actions))
             )
             for s in range(len(self.states))
@@ -495,6 +516,13 @@ def parse_game(text: str) -> Arena:
         raise ValidationError(f"game: {exc}") from exc
 
 
+def _weight_strings(dist: Distribution) -> list[tuple]:
+    """(element, "num/den") pairs of ``dist`` in element order, each weight
+    reduced, formatted from the integer form without building the
+    ``Fraction`` view."""
+    return [(x, format_probability(Fraction(num, dist.den))) for x, num in sorted(dist.nums.items())]
+
+
 def serialize_game(arena: Arena) -> str:
     """Canonical document for an arena; parse_game(serialize_game(a)) == a."""
     doc = {
@@ -510,10 +538,7 @@ def serialize_game(arena: Arena) -> str:
                 "from": arena.states[s],
                 "eve": arena.eve_actions[e],
                 "adam": arena.adam_actions[a],
-                "to": {
-                    arena.states[t]: format_probability(p)
-                    for t, p in sorted(arena.transition[(s, e, a)].items())
-                },
+                "to": {arena.states[t]: w for t, w in _weight_strings(arena.transition[(s, e, a)])},
             }
             for (s, e, a) in sorted(arena.transition)
         ],
@@ -569,10 +594,7 @@ def serialize_strategy(strat: FiniteMemoryStrategy) -> str:
         "owner": strat.owner,
         "memory": list(strat.memory),
         "init": strat.init_mem,
-        "move": {
-            m: {a: format_probability(p) for a, p in sorted(strat.move[m].items())}
-            for m in strat.memory
-        },
+        "move": {m: dict(_weight_strings(strat.move[m])) for m in strat.memory},
         "update": {
             m: {str(b): strat.update[m][b] for b in sorted(strat.update[m])}
             for m in strat.memory

@@ -180,7 +180,7 @@ def test_criterion_6_knowledge_accuracy():
             know = mask_of([arena.init])
             mem = ce.init
             for t in states[1:]:
-                dom = mask_of(e for e, _p in ce.move[mem])
+                dom = mask_of(ce.move[mem][1])
                 know = knowledge_update(arena, know, arena.eve_block_of[t], dom)
                 mem = ce.update[mem][t]
                 if not know >> t & 1:

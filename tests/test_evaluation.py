@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,13 +17,17 @@ from stochgames import (
     ValidationError,
     best_response_full_info,
     build_chain,
+    decide_almost_sure_buchi,
+    decide_almost_sure_reach,
     monte_carlo,
     objective_probability,
+    serialize_game,
 )
 from stochgames import evaluation
 from stochgames.evaluation import (
     _Compiled,
     _Mdp,
+    _cdf,
     _dead_nodes,
     _skip,
     _transition_rows,
@@ -36,6 +42,7 @@ from stochgames.gen import GenParams, generate_arena, random_params
 
 from instances import coin_chain, g1, g1_prime, g2, hidden_coin, make_doc
 from oracles import (
+    _float_cdf,
     brute_force_verdict,
     dense_absorption_values,
     enumerate_policies,
@@ -618,6 +625,65 @@ def test_fraction_edges_built_only_when_read():
     assert "edges" not in vars(chain)
     assert len(chain.edges) == len(chain.nodes)
     assert "edges" in vars(chain)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_transition_fraction_views_built_only_when_read(seed):
+    """Exact evaluation, the best response, Monte Carlo, both decisions and
+    serialization read the integer weights of a parsed game; none of them
+    builds the ``Fraction`` view of a transition row."""
+    rng = random.Random(seed)
+    arena = parse_game(serialize_game(generate_arena(random_params(seed))))
+    eve = random_strategy(arena, EVE, rng, max_memory=3)
+    adam = random_strategy(arena, ADAM, rng, max_memory=3)
+    chain = build_chain(arena, eve, adam)
+    objective_probability(chain, Objective.REACHABILITY)
+    objective_probability(chain, Objective.BUCHI)
+    best_response_full_info(arena, eve, Objective.REACHABILITY)
+    monte_carlo(arena, eve, adam, Objective.REACHABILITY, 20, 30, seed)
+    decide_almost_sure_reach(arena)
+    decide_almost_sure_buchi(arena)
+    assert parse_game(serialize_game(arena)) == arena
+    rows = list(arena.transition.values())
+    assert all(dist._fractions is None for dist in rows)
+    assert all(len(dist.items()) == len(dist) for dist in rows)
+    assert all(dist._fractions is not None for dist in rows)
+
+
+def _bits(xs) -> list[bytes]:
+    return [struct.pack("<d", x) for x in xs]
+
+
+# small primes, the Mersenne primes 2^61 - 1 and 2^89 - 1, and other
+# denominators above 2^53
+_CDF_DENOMINATORS = [2, 3, 7, 13, 97, 65537, 2**61 - 1, 2**89 - 1, 3**40, 10**17 + 3, 2**53 + 1, 2**64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(_CDF_DENOMINATORS), st.integers(1, 10**20)), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_integer_cdf_matches_fraction_floats(parts, one_denominator):
+    """The sampler's cumulative rows, summed from ``num / den``, equal the
+    oracle's sums of ``float(Fraction)`` bit for bit, so Monte Carlo draws
+    what the ``Fraction`` weights would draw.  ``one_denominator`` splits
+    the first denominator into the parts' numerators, as in a row over one
+    prime; otherwise the parts are normalized, mixing the denominators."""
+    if one_denominator:
+        den = parts[0][0]
+        cuts = sorted({num % den for _d, num in parts} - {0})
+        weights = [Fraction(hi - lo, den) for lo, hi in zip([0] + cuts, cuts + [den])]
+    else:
+        raw = [Fraction(num % d or 1, d) for d, num in parts]
+        weights = [w / sum(raw) for w in raw]
+    dist = Distribution(dict(enumerate(weights)))
+    cum, elems = _cdf(dist.den, dist.nums)
+    want = _float_cdf(dist.items())
+    assert elems == [elem for _acc, elem in want]
+    assert _bits(cum[:-1]) == _bits(acc for acc, _elem in want[:-1])
+    assert cum[-1] == math.inf
+    assert _bits(num / dist.den for num in dist.nums.values()) == _bits(float(p) for _e, p in dist.items())
 
 
 @settings(max_examples=80, deadline=None)

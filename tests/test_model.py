@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -163,6 +165,54 @@ def test_distribution_matches_fraction_oracle(raw, complete):
         with pytest.raises(ValidationError) as rejected:
             Distribution(raw)
         assert str(rejected.value) == want
+
+
+@st.composite
+def written_weights(draw):
+    """(elements in insertion order, {element: weight}) for positive weights
+    summing to 1, each written as an int, a "num/den" string (not always
+    reduced) or a ``Fraction``."""
+    elems = draw(st.lists(st.one_of(st.integers(0, 20), st.text("abc", min_size=1, max_size=2)),
+                          min_size=1, max_size=6, unique_by=repr))
+    parts = [draw(st.fractions(min_value=Fraction(1, 10**4), max_value=50, max_denominator=10**4)) for _ in elems]
+    total = sum(parts)
+    raw = {}
+    for elem, part in zip(elems, parts):
+        w = part / total
+        form = draw(st.sampled_from(["int", "str", "fraction"] if w == 1 else ["str", "fraction"]))
+        if form == "int":
+            raw[elem] = 1
+        elif form == "str":
+            k = draw(st.integers(1, 5))
+            raw[elem] = f"{w.numerator * k}/{w.denominator * k}"
+        else:
+            raw[elem] = w
+    return elems, raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_weights(), st.randoms(use_true_random=False))
+def test_distribution_keeps_integer_weights(written, rng):
+    """A distribution stores its weights once, as integers over the lcm of
+    their reduced denominators; its ``Fraction`` view, equality, hash and
+    pickling read the same weights in any key order."""
+    elems, raw = written
+    want = {e: Fraction(p) for e, p in raw.items()}
+    dist = Distribution(raw)
+    assert dist.den == math.lcm(*(p.denominator for p in want.values()))
+    assert list(dist.nums) == elems
+    assert all(Fraction(num, dist.den) == want[e] for e, num in dist.nums.items())
+    assert sum(dist.nums.values()) == dist.den
+    shuffled = list(elems)
+    rng.shuffle(shuffled)
+    other = Distribution({e: want[e] for e in shuffled})
+    assert other == dist and hash(other) == hash(dist)
+    copy = pickle.loads(pickle.dumps(dist))
+    assert copy == dist and hash(copy) == hash(dist)
+    assert copy.den == dist.den and list(copy.nums.items()) == list(dist.nums.items())
+    items = list(dist.items())
+    assert [e for e, _p in items] == elems
+    assert all(type(p) is Fraction and p == want[e] for e, p in items)
 
 
 def test_malformed_weight_reported_before_bad_one():
