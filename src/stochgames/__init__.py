@@ -4,7 +4,6 @@ evaluation oracles."""
 
 from .errors import (
     GameError,
-    InconsistentObservation,
     ResourceLimit,
     SchemaError,
     ValidationError,
@@ -26,10 +25,7 @@ from .halfplayer import (
 )
 from .knowledge import (
     KnowledgeArena,
-    adapt_adam_strategy,
     build_knowledge_arena,
-    knowledge_update,
-    lift_strategy,
     lower_strategy,
 )
 from .model import (

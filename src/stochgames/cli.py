@@ -66,9 +66,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _read(path: str, what: str) -> str:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GameError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 

@@ -13,10 +13,6 @@ class ValidationError(GameError):
     """Document is well-formed but violates a model invariant."""
 
 
-class InconsistentObservation(GameError):
-    """An observation cannot follow the current knowledge under the played domain."""
-
-
 class ResourceLimit(GameError):
     """A configured cap on materialized states or candidates was exceeded."""
 

@@ -10,7 +10,6 @@ path to a value-0 node that avoids the targets); the remaining nodes are
 solved one strongly connected component at a time in reverse topological
 order, each block by sparse, fraction-free integer elimination with
 diagonal pivots, with the values of the components below it substituted.
-The same pinning alone decides whether an objective holds almost surely.
 The evaluation runs on integers from start to finish.  It reads every
 weight in the integer form each ``Distribution`` keeps (``den`` and
 ``nums``), for the transition rows and the strategies' moves alike: each
@@ -465,16 +464,6 @@ def objective_probability(chain: ProductChain, objective: Objective) -> Fraction
     return p if objective in _HIT else _ONE - p
 
 
-def almost_sure(chain: ProductChain, objective: Objective) -> bool:
-    """Qualitative check that the objective probability is exactly 1, read
-    off the 0/1 pinning: reach and Buchi hold almost surely iff the initial
-    node is pinned to 1, safety and co-Buchi iff it is pinned to 0."""
-    zero, below = _pin(chain.rows, _targets(chain, objective))
-    if objective in _HIT:
-        return chain.init not in below
-    return chain.init in zero
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -483,20 +472,6 @@ def almost_sure(chain: ProductChain, objective: Objective) -> bool:
 # generator: getrandbits(_STEP_BITS * n) consumes what n steps consume
 _STEP_BITS = 192
 _SKIP_CHUNK = 4096  # steps skipped per getrandbits call, bounding its integer
-
-
-def simulate_play(
-    arena: Arena,
-    eve: FiniteMemoryStrategy,
-    adam: FiniteMemoryStrategy,
-    horizon: int,
-    rng: random.Random,
-) -> list[int]:
-    """Sample one play of ``horizon`` steps; returns the state sequence,
-    ``horizon + 1`` states.  A horizon below 0 is invalid input."""
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
-    return _sampler(arena, eve, adam)(horizon, rng, horizon + 1)
 
 
 def _cdf(den: int, nums: dict) -> tuple[list[float], list]:
@@ -568,7 +543,7 @@ def _dead_nodes(arena: Arena, ce: _Compiled, ca: _Compiled, rows, max_nodes: int
     return frozenset(node for v, node in enumerate(nodes) if v not in alive)
 
 
-def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy, max_nodes: int = 0):
+def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy, max_nodes: int):
     """A function (horizon, rng, first) -> state sequence of one sampled play.
 
     The strategy pair is compiled once here into flat tables: a cumulative
@@ -578,9 +553,10 @@ def _sampler(arena: Arena, eve: FiniteMemoryStrategy, adam: FiniteMemoryStrategy
     first reads it.  Each step draws Eve's action, Adam's action and then
     the successor, in that order.  The play stops at the first final state
     at step ``first`` or later, and at the first dead node, one from which
-    no final state is reachable (``_dead_nodes``; the default
-    ``max_nodes`` of 0 searches none).  Monte Carlo knows the outcome at either
-    stop: a play that meets a dead node never visits a final state again.
+    no final state is reachable (``_dead_nodes``, searched while the
+    product has at most ``max_nodes`` nodes).  Monte Carlo knows the
+    outcome at either stop: a play that meets a dead node never visits a
+    final state again.
     The play then advances ``rng`` past the steps it skips.
     """
     ce = _Compiled(arena, eve, EVE)

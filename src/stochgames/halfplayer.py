@@ -5,8 +5,9 @@ whichever player has a real alphabet; the other side has a single action, so
 the game is a partially observable Markov decision process.  Only supports
 matter, so a game is given by bitmask tables: the successor mask of every
 state and protagonist action, the final mask, and the protagonist's
-observation cells; no game keeps weights (the tests build games from
-weighted arenas, and fold candidates on exact weights, with their
+observation cells; no game keeps weights or names (the tests build games
+from weighted arenas, fold candidates on exact weights, and lower a
+positively winning play to a finite-memory strategy with their
 oracles).  Beliefs are the protagonist's knowledges over game states;
 every belief node is refined by final-membership so that "visits a final
 state" is a property of the node.  The refinement is realized once and for
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .bitset import bits, label
+from .bitset import bits
 from .errors import ResourceLimit
-from .model import Distribution, FiniteMemoryStrategy
 
 DEFAULT_BELIEF_CAP = 10**6
 
@@ -34,12 +34,12 @@ class OneHalfGame:
 
     ``post[s][a]`` is the mask of the states reachable from s under the
     protagonist's action a; ``cells`` are the protagonist's observation
-    blocks split by final-membership (non-final part first), as masks.
-    ``states`` names the states; only the labels of the witness read it.
+    blocks split by final-membership (non-final part first), as masks;
+    ``actions`` names the protagonist's actions.  The game does not say
+    which player the protagonist is, nor name its states: only a strategy
+    built from its play would read them, and the tests build those.
     """
 
-    protagonist: str
-    states: Sequence[str]
     actions: tuple[str, ...]
     post: tuple[tuple[int, ...], ...]
     cells: tuple[int, ...]
@@ -106,6 +106,8 @@ class PositivePlay:
     shortest path to a surely winning state, then, from that state's
     singleton belief, the sure choice ``choice`` of each belief of
     ``closure``: the beliefs that choice reaches, in discovery order.
+    ``game`` and ``graph`` are what the play was found on; the tests read
+    them to lower the play to a finite-memory strategy.
     """
 
     game: OneHalfGame = field(repr=False)
@@ -144,9 +146,8 @@ class PositiveWinReport:
 
     ``sure_beliefs`` are the surely winning beliefs, as state masks.
     ``play`` is present exactly when the game's initial state is
-    positively winning; ``build_play`` finds it on first read.  ``witness``
-    lowers it to a finite-memory strategy, and ``footprint`` gives the
-    states it reads, each on first read.
+    positively winning; ``build_play`` finds it on first read, and
+    ``footprint`` gives the states it reads.
     """
 
     winning_states: frozenset[int]
@@ -157,10 +158,6 @@ class PositiveWinReport:
     @cached_property
     def play(self) -> PositivePlay | None:
         return None if self.build_play is None else self.build_play()
-
-    @cached_property
-    def witness(self) -> FiniteMemoryStrategy | None:
-        return None if self.play is None else _assemble_witness(self.play)
 
     @property
     def footprint(self) -> int | None:
@@ -268,10 +265,6 @@ def _winning_path(
     return None
 
 
-def _belief_label(g: OneHalfGame, mask: int) -> str:
-    return "b" + label(g.states, mask)
-
-
 def _positive_play(
     g: OneHalfGame,
     graph: BeliefGraph,
@@ -303,46 +296,6 @@ def _positive_play(
         path_actions=tuple(path_actions),
         closure=tuple(closure),
         choice=choice,
-    )
-
-
-def _assemble_witness(play: PositivePlay) -> FiniteMemoryStrategy:
-    g, graph = play.game, play.graph
-    path_actions, closure, sure_choice = play.path_actions, play.closure, play.choice
-    actions = g.actions
-    n_blocks = len(g.cells)
-    start_belief = closure[0]
-
-    memory = [f"path{i}" for i in range(len(path_actions))]
-    memory += [_belief_label(g, b) for b in closure]
-    move = {}
-    update = {}
-    for i, a in enumerate(path_actions):
-        name = f"path{i}"
-        move[name] = Distribution.point(actions[a])
-        nxt = f"path{i + 1}" if i + 1 < len(path_actions) else _belief_label(g, start_belief)
-        update[name] = {b: nxt for b in range(n_blocks)}
-    for b in closure:
-        name = _belief_label(g, b)
-        a = sure_choice[b]
-        move[name] = Distribution.point(actions[a])
-        row = {}
-        by_cell = {c: _belief_label(g, c) for c in graph.succ[b][a]}
-        for blk in range(n_blocks):
-            target = name  # unreachable observations loop in place
-            for c, label in by_cell.items():
-                if c & g.cells[blk]:
-                    target = label
-                    break
-            row[blk] = target
-        update[name] = row
-    init_mem = memory[0]
-    return FiniteMemoryStrategy(
-        owner=g.protagonist,
-        memory=tuple(memory),
-        init_mem=init_mem,
-        move=move,
-        update=update,
     )
 
 
@@ -386,8 +339,8 @@ def positive_safety(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> Po
     """States from which the protagonist wins safety with positive probability.
 
     A state is positively winning iff a path of non-final states leads to a
-    state whose singleton belief is surely winning; the witness plays such a
-    path and then the memoryless sure strategy.
+    state whose singleton belief is surely winning; the report's ``play``
+    follows such a path and then the memoryless sure strategy.
     """
     return _positive(g, through_final=False, max_beliefs=max_beliefs)
 

@@ -4,12 +4,13 @@ The knowledge of Eve is the set of states she considers possible.  It is
 updated deterministically from the observation block of the new state and
 the support of the distribution she just played.  The knowledge arena pairs
 each real state with Eve's knowledge, and her letters name the support she
-plays, so that strategies over it may depend on knowledge alone; this
-module also provides the two strategy translations between the base arena
-and the knowledge arena, and lowers a knowledge-only strategy to a witness
-on the base arena whose memory is Eve's knowledge: the next knowledge reads
-the support of the current knowledge's choice, which the knowledge already
-determines, so the support she last played need not be remembered.
+plays, so that strategies over it may depend on knowledge alone.  This
+module also lowers a knowledge-only strategy to a witness on the base
+arena whose memory is Eve's knowledge: the next knowledge reads the
+support of the current knowledge's choice, which the knowledge already
+determines, so the support she last played need not be remembered.  (The
+tests keep the knowledge update and the strategy translations between the
+base arena and the knowledge arena as their references.)
 
 A knowledge is a bitmask over the state index, and an action set a
 bitmask over Eve's actions, for O(1) set algebra and canonical hashing; a
@@ -17,8 +18,8 @@ knowledge-only strategy is a mapping from knowledge masks to action masks.
 The knowledge arena itself is built as bitmask support tables, which is
 all the solver reads: whether a knowledge-only strategy wins almost surely
 depends on supports only.  Its exact ``Fraction``-weighted ``Arena`` is
-derived from the base arena on first access, for dumps and for evaluating
-lifted strategies.
+derived from the base arena on first access; only ``knowledge --dump``
+and the tests read it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from operator import mul, or_
 from typing import Mapping
 
 from .bitset import bits, block_masks, label, mask_of, split_masks
-from .errors import InconsistentObservation, ResourceLimit, ValidationError
-from .model import ADAM, EVE, Arena, Distribution, FiniteMemoryStrategy, validate_strategy
+from .errors import ResourceLimit, ValidationError
+from .model import ADAM, EVE, Arena, Distribution, FiniteMemoryStrategy
 
 DEFAULT_KNOWLEDGE_CAP = 10**6
 
@@ -58,7 +59,9 @@ class KnowledgeArena:
     the base arena's weights, built on first use: Eve observes the
     knowledge, and her letters there are the playable (action, support)
     pairs ``eve_pairs``, grouped by support in ascending order; Adam keeps
-    his alphabet and his observation of the real state.
+    his alphabet and his observation of the real state.  ``arena``,
+    ``eve_pairs``, ``pair_name`` and ``state_names`` serve only
+    ``knowledge --dump`` and the tests: no solve reads them.
     """
 
     base: Arena
@@ -148,33 +151,6 @@ def successors(post, kmask: int, dom: int) -> int:
     return acc
 
 
-def knowledge_update(arena: Arena, know: int, obs_block: int, dom: int) -> int:
-    """New knowledge after observing block ``obs_block`` having played a
-    distribution with support ``dom``.
-
-    ``know`` is a state mask and ``dom`` an action mask.  Returns the mask
-    of the states in the observed block that are reachable from some state
-    of ``know`` under some action of ``dom`` and any adam action.  A
-    ``know`` that is not a non-empty set of the arena's states, an
-    ``obs_block`` that is not one of Eve's blocks, or a ``dom`` outside 1
-    to 2^k - 1 is invalid input; raises InconsistentObservation when the
-    result is empty.
-    """
-    if not 0 < know < 1 << arena.n_states:
-        raise ValidationError(f"knowledge must be a non-empty set of the {arena.n_states} states")
-    if not 0 <= obs_block < len(arena.eve_obs):
-        raise ValidationError(f"observation block must be one of Eve's {len(arena.eve_obs)} blocks")
-    m = (1 << len(arena.eve_actions)) - 1
-    if not 0 < dom <= m:
-        raise ValidationError(f"played domain must be an action set in 1..{m}")
-    result = successors(arena.post, know, dom) & mask_of(arena.eve_obs[obs_block])
-    if result == 0:
-        raise InconsistentObservation(
-            f"observation block {obs_block} cannot follow knowledge {label(arena.states, know)} under the played domain"
-        )
-    return result
-
-
 def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP) -> KnowledgeArena:
     """Breadth-first closure of the knowledge arena from (init, {init}).
 
@@ -241,44 +217,6 @@ def build_knowledge_arena(arena: Arena, max_states: int = DEFAULT_KNOWLEDGE_CAP)
         position=tuple(position_of[know] for _t, know in kstates),
         final_mask=final_mask,
         adam_cells=split_masks(_obs_groups(arena, kstates, ADAM).values(), final_mask),
-    )
-
-
-def lift_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> FiniteMemoryStrategy:
-    """Translate an Eve strategy on the base arena to the knowledge arena.
-
-    Each move distribution d becomes the well-formed distribution that plays
-    (action, support of d) with the same weights; memory is preserved and
-    updates are re-keyed through the knowledge-arena observation blocks.
-    """
-    base = ka.base
-    validate_strategy(base, EVE, strat)
-
-    move = {}
-    for m, dist in strat.move.items():
-        supp = mask_of(base.eve_action_index[a] for a in dist.support)
-        move[m] = Distribution(
-            {ka.pair_name(base.eve_action_index[a], supp): p for a, p in dist.items()}
-        )
-
-    base_block = [base.eve_block_of[next(bits(know))] for know in _obs_groups(base, ka.kstates, EVE)]
-    update = {m: {kb: strat.update[m][b] for kb, b in enumerate(base_block)} for m in strat.memory}
-    return FiniteMemoryStrategy(
-        owner=EVE, memory=strat.memory, init_mem=strat.init_mem, move=move, update=update
-    )
-
-
-def adapt_adam_strategy(ka: KnowledgeArena, strat: FiniteMemoryStrategy) -> FiniteMemoryStrategy:
-    """Re-key an Adam strategy to the knowledge arena's observation blocks.
-
-    Adam observes exactly what he observes in the base arena, so this only
-    translates block indices; moves and memory are untouched.
-    """
-    validate_strategy(ka.base, ADAM, strat)
-    base_block = list(_obs_groups(ka.base, ka.kstates, ADAM))
-    update = {m: {kb: strat.update[m][b] for kb, b in enumerate(base_block)} for m in strat.memory}
-    return FiniteMemoryStrategy(
-        owner=ADAM, memory=strat.memory, init_mem=strat.init_mem, move=strat.move, update=update
     )
 
 

@@ -398,6 +398,8 @@ def _load_object(text: str, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{what}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: top level must be an object")
     return doc

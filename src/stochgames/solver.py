@@ -37,7 +37,6 @@ choice, which the memory already determines.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -52,7 +51,7 @@ from .halfplayer import (
     positive_safety,
 )
 from .knowledge import KnowledgeArena, build_knowledge_arena, lower_strategy
-from .model import ADAM, Arena, FiniteMemoryStrategy, Objective, validate_strategy
+from .model import Arena, FiniteMemoryStrategy, Objective, validate_strategy
 
 DEFAULT_CANDIDATE_CAP = 10**7
 
@@ -93,28 +92,10 @@ def fix_candidate(ka: KnowledgeArena, cand: tuple[int, ...]) -> OneHalfGame:
     return _adam_game(ka, tuple(rows[cand[j] - 1] for rows, j in zip(ka.post, ka.position)))
 
 
-class _StateNames(Sequence):
-    """``ka.state_names``, formatted on first read: only the labels of
-    Adam's witness read them, and a solve assembles it only to debug."""
-
-    __slots__ = ("_ka",)
-
-    def __init__(self, ka: KnowledgeArena):
-        self._ka = ka
-
-    def __len__(self) -> int:
-        return len(self._ka.kstates)
-
-    def __getitem__(self, u):
-        return self._ka.state_names[u]
-
-
 def _adam_game(ka: KnowledgeArena, post: tuple[tuple[int, ...], ...]) -> OneHalfGame:
     """Adam's game against chance on the knowledge states, ``post[u]`` the
     row of state u, with his observation refined by final-membership."""
     return OneHalfGame(
-        protagonist=ADAM,
-        states=_StateNames(ka),
         actions=ka.base.adam_actions,
         post=post,
         cells=ka.adam_cells,
@@ -164,7 +145,9 @@ def _diag_entry(ka: KnowledgeArena, index: int, cand: tuple[int, ...], rep: Posi
         "adam_winning_states": len(rep.winning_states),
         "sure_beliefs": len(rep.sure_beliefs),
         "iterations": rep.iterations,
-        "adam_witness_memory": len(rep.witness.memory) if rep.witness else None,
+        # the memory of Adam's play lowered to a strategy: a step per path
+        # action, then a belief per closure belief
+        "adam_witness_memory": len(rep.play.path_actions) + len(rep.play.closure) if rep.play else None,
     }
 
 

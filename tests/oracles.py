@@ -9,9 +9,16 @@ on exact weights rather than on support masks, and the knowledge census
 is counted on a closure over the paper's triples rather than read off the
 support tables, and a knowledge-only strategy is lowered with memory
 keyed by (knowledge, last support) pairs rather than by knowledge alone.
+Eve's knowledge update reads the transition supports directly rather than
+the arena's ``post`` table, and strategies are translated to the weighted
+knowledge arena through its observation blocks.  Adam's positively
+winning play is lowered to a finite-memory strategy here; the library
+only finds the play.
 The product chain and the adversary's decision process are built by summing
-``Fraction`` weights edge by edge, and plays are sampled by a linear scan
-over float cumulative rows, one step at a time to the full horizon.  The
+``Fraction`` weights edge by edge, plays are sampled by a linear scan
+over float cumulative rows, one step at a time to the full horizon, and
+whether an objective holds almost surely is read off graph searches on the
+chain's supports rather than off the evaluation's 0/1 pinning.  The
 candidates are enumerated in product order, independently of the solver's
 positional ``_candidate_at``; the brute-force verdict walks that
 enumeration and judges each candidate on exact product chains, without
@@ -40,9 +47,9 @@ from stochgames import (
     build_knowledge_arena,
     lower_strategy,
     parse_game,
+    validate_strategy,
 )
 from stochgames.bitset import bits, block_masks, label, mask_of, split_masks
-from stochgames.evaluation import almost_sure
 from stochgames.knowledge import successors
 from stochgames.model import ADAM, EVE
 from instances import make_doc
@@ -236,6 +243,43 @@ def scan_estimate(
     return Fraction(wins, samples)
 
 
+def _closure(succ, sources, blocked=frozenset()) -> set[int]:
+    """The nodes reachable from ``sources`` along ``succ``, never entering
+    ``blocked``."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for v in succ[stack.pop()]:
+            if v not in seen and v not in blocked:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def almost_sure(chain, objective: Objective) -> bool:
+    """Whether ``objective`` holds with probability exactly 1 on ``chain``,
+    by graph searches on its supports.  The targets are the final nodes,
+    or for Buchi and co-Buchi the bottom SCCs holding one.  Reach and Buchi
+    hold almost surely iff every node the initial node reaches before a
+    target still has a path to one; safety and co-Buchi iff the initial
+    node has none."""
+    edges = [row for _den, row in chain.rows]
+    targets = set(chain.final)
+    if objective in (Objective.BUCHI, Objective.COBUCHI):
+        targets = set().union(*(comp for comp in nx_bottom_sccs(edges) if comp & targets))
+    hit = objective in (Objective.REACHABILITY, Objective.BUCHI)
+    if chain.init in targets:
+        return hit
+    reverse = [[] for _ in edges]
+    for u, row in enumerate(edges):
+        for v in row:
+            reverse[v].append(u)
+    reaching = _closure(reverse, targets)
+    if not hit:
+        return chain.init not in reaching
+    return _closure(edges, [chain.init], blocked=targets) <= reaching
+
+
 # ---------------------------------------------------------------------------
 # One-and-a-half-player games from weighted arenas
 
@@ -272,8 +316,6 @@ def game_from_arena(arena: Arena, protagonist: str) -> tuple[OneHalfGame, Arena]
     key = (lambda s, a: (s, a, 0)) if protagonist == EVE else (lambda s, a: (s, 0, a))
     final_mask = mask_of(arena.final)
     game = OneHalfGame(
-        protagonist=protagonist,
-        states=arena.states,
         actions=actions,
         post=tuple(
             tuple(mask_of(arena.transition[key(s, a)].support) for a in range(len(actions)))
@@ -284,6 +326,42 @@ def game_from_arena(arena: Arena, protagonist: str) -> tuple[OneHalfGame, Arena]
         init=arena.init,
     )
     return game, refine_obs_by_final(arena, protagonist)
+
+
+def positive_witness(play, owner: str, states) -> FiniteMemoryStrategy:
+    """A positively winning play (``PositiveWinReport.play``) of the game
+    ``play.game``, whose protagonist is ``owner`` and whose states are named
+    by ``states``, as a finite-memory strategy on the game refined by
+    final-membership.
+
+    Memory ``path{i}`` plays the i-th path action whatever is observed;
+    after the path, memory ``b`` + the label of a closure belief plays the
+    belief's sure choice and, on each observation cell, moves to the
+    successor belief inside it; an observation no successor meets keeps the
+    memory.
+    """
+    g, graph = play.game, play.graph
+    n_blocks = len(g.cells)
+
+    def name(belief: int) -> str:
+        return "b" + label(states, belief)
+
+    path = [f"path{i}" for i in range(len(play.path_actions))]
+    move = {}
+    update = {}
+    for i, a in enumerate(play.path_actions):
+        move[path[i]] = Distribution.point(g.actions[a])
+        nxt = path[i + 1] if i + 1 < len(path) else name(play.closure[0])
+        update[path[i]] = {blk: nxt for blk in range(n_blocks)}
+    for b in play.closure:
+        a = play.choice[b]
+        move[name(b)] = Distribution.point(g.actions[a])
+        row = {}
+        for blk in range(n_blocks):
+            row[blk] = next((name(c) for c in graph.succ[b][a] if c & g.cells[blk]), name(b))
+        update[name(b)] = row
+    memory = tuple(path + [name(b) for b in play.closure])
+    return FiniteMemoryStrategy(owner=owner, memory=memory, init_mem=memory[0], move=move, update=update)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +650,61 @@ def triple_census(arena: Arena) -> tuple[int, int, int]:
                 seen.add(triple)
                 triples.append(triple)
     return len(triples), len({know for _real, know, _last in triples}), edges
+
+
+# ---------------------------------------------------------------------------
+# Knowledge update and strategy translations
+
+
+def knowledge_update(arena: Arena, know: int, obs_block: int, dom: int) -> int:
+    """Eve's knowledge after she observes block ``obs_block`` having played
+    a distribution with support ``dom`` (an action mask) from knowledge
+    ``know`` (a state mask): the states of the block that some state of
+    ``know`` reaches under some action of ``dom`` and any Adam action, read
+    off the transition supports; 0 when the observation cannot follow."""
+    block = arena.eve_obs[obs_block]
+    return mask_of(
+        t
+        for r in bits(know)
+        for e in bits(dom)
+        for a in range(len(arena.adam_actions))
+        for t in arena.transition[(r, e, a)].support
+        if t in block
+    )
+
+
+def _base_blocks(ka, blocks, block_of) -> list[int]:
+    """For each knowledge-arena block of ``blocks``, the base block of the
+    real state of its first knowledge state, by ``block_of``."""
+    return [block_of[ka.kstates[block[0]][0]] for block in blocks]
+
+
+def lift_strategy(ka, strat: FiniteMemoryStrategy) -> FiniteMemoryStrategy:
+    """Eve's strategy on the base arena translated to ``ka.arena``.
+
+    Each move distribution d becomes the distribution that plays (action,
+    support of d) with the same weights; memory is kept, and the update on
+    a knowledge-arena block is that on the base block it lies in.
+    """
+    base = ka.base
+    validate_strategy(base, EVE, strat)
+    move = {}
+    for m, dist in strat.move.items():
+        supp = mask_of(base.eve_action_index[a] for a in dist.support)
+        move[m] = Distribution({ka.pair_name(base.eve_action_index[a], supp): p for a, p in dist.items()})
+    blocks = _base_blocks(ka, ka.arena.eve_obs, base.eve_block_of)
+    update = {m: {kb: strat.update[m][b] for kb, b in enumerate(blocks)} for m in strat.memory}
+    return FiniteMemoryStrategy(owner=EVE, memory=strat.memory, init_mem=strat.init_mem, move=move, update=update)
+
+
+def adapt_adam_strategy(ka, strat: FiniteMemoryStrategy) -> FiniteMemoryStrategy:
+    """Adam's strategy on the base arena re-keyed to the observation blocks
+    of ``ka.arena``, where he observes what he observes in the base arena;
+    moves and memory are kept."""
+    validate_strategy(ka.base, ADAM, strat)
+    blocks = _base_blocks(ka, ka.arena.adam_obs, ka.base.adam_block_of)
+    update = {m: {kb: strat.update[m][b] for kb, b in enumerate(blocks)} for m in strat.memory}
+    return FiniteMemoryStrategy(owner=ADAM, memory=strat.memory, init_mem=strat.init_mem, move=strat.move, update=update)
 
 
 # ---------------------------------------------------------------------------

@@ -15,27 +15,29 @@ from stochgames import (
     build_knowledge_arena,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
-    knowledge_update,
-    lift_strategy,
-    adapt_adam_strategy,
     monte_carlo,
     objective_probability,
 )
 from stochgames.bitset import mask_of
 from stochgames.cli import main
-from stochgames.evaluation import _Compiled, simulate_play
+from stochgames.evaluation import _Compiled
 from stochgames.gen import generate_arena, random_params
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy
 from stochgames.solver import candidate_count, check_candidate
 
 from instances import coin_chain, cycle_arena, g1, g1_doc, g1_prime, g2
 from oracles import (
+    adapt_adam_strategy,
     attractor_verdict,
     brute_force_verdict,
     dense_fold,
     enumerate_candidates,
     game_from_arena,
+    knowledge_update,
+    lift_strategy,
+    positive_witness,
     random_turn_based,
+    scan_sampler,
 )
 from util import random_strategy
 
@@ -115,12 +117,13 @@ def test_criterion_3_internal_completeness_of_no(corpus_results):
         ka = build_knowledge_arena(arena)
         for index, cand in enumerate(enumerate_candidates(ka, 100_000)):
             wins, adam_report = check_candidate(ka, cand, objective)
-            if wins or adam_report.witness is None:
+            if wins or adam_report.play is None:
                 failures.append((i, objective.value, index, "missing witness"))
                 continue
             adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
             trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
-            chain = build_chain(adam_game, trivial, adam_report.witness)
+            witness = positive_witness(adam_report.play, ADAM, ka.state_names)
+            chain = build_chain(adam_game, trivial, witness)
             value = objective_probability(chain, objective)
             checked += 1
             if value >= 1:
@@ -174,9 +177,10 @@ def test_criterion_6_knowledge_accuracy():
         eve = random_strategy(arena, EVE, rng)
         adam = random_strategy(arena, ADAM, rng)
         ce = _Compiled(arena, eve, EVE)
+        play = scan_sampler(arena, eve, adam)
         for _ in range(100):
             plays += 1
-            states = simulate_play(arena, eve, adam, horizon=12, rng=rng)
+            states = play(12, rng)
             know = mask_of([arena.init])
             mem = ce.init
             for t in states[1:]:
@@ -220,7 +224,7 @@ def test_criterion_8_named_instances():
         _wins, adam_report = check_candidate(ka, cand, Objective.REACHABILITY)
         adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
         trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
-        chain = build_chain(adam_game, trivial, adam_report.witness)
+        chain = build_chain(adam_game, trivial, positive_witness(adam_report.play, ADAM, ka.state_names))
         assert objective_probability(chain, Objective.REACHABILITY) < 1
     assert decide_almost_sure_buchi(arena2).verdict == "no"
 

@@ -32,9 +32,7 @@ from stochgames.evaluation import (
     _skip,
     _transition_rows,
     absorption_values,
-    almost_sure,
     bottom_sccs,
-    simulate_play,
     tail_window,
 )
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy, parse_game
@@ -43,13 +41,13 @@ from stochgames.gen import GenParams, generate_arena, random_params
 from instances import coin_chain, g1, g1_prime, g2, hidden_coin, make_doc
 from oracles import (
     _float_cdf,
+    almost_sure,
     brute_force_verdict,
     dense_absorption_values,
     enumerate_policies,
     fraction_chain,
     fraction_mdp,
     int_rows,
-    is_play_prefix,
     nx_bottom_sccs,
     scan_estimate,
     scan_sampler,
@@ -473,14 +471,6 @@ def test_brute_force_named_instances():
     assert brute_force_verdict(hidden_coin(), Objective.REACHABILITY) == "unknown"
 
 
-def test_simulate_play_is_consistent():
-    arena = g1()
-    rng = random.Random(2)
-    states = simulate_play(arena, uniform_eve(arena), constant_adam(arena, "x"), 25, rng)
-    assert len(states) == 26
-    assert is_play_prefix(arena, states)
-
-
 def _partition(rng, n):
     order = rng.sample(range(n), n)
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
@@ -711,8 +701,7 @@ def test_mdp_matches_fraction_oracle_on_acceptance_corpus():
 def test_sampler_matches_linear_scan_oracle(seed, mixed, init_final, mc_seed):
     """``monte_carlo``, which stops a play once its outcome is fixed and
     skips the generator past the rest, estimates exactly what full-horizon
-    linear-scan plays give, for every objective; ``simulate_play`` returns
-    the oracle's plays and leaves the generator where the oracle does."""
+    linear-scan plays give, for every objective."""
     arena, eve, adam = _random_pair(seed, mixed)
     if init_final and arena.final:
         arena = replace(arena, init=min(arena.final))
@@ -720,11 +709,6 @@ def test_sampler_matches_linear_scan_oracle(seed, mixed, init_final, mc_seed):
         for objective in Objective:
             expected = scan_estimate(arena, eve, adam, objective, 15, horizon, mc_seed)
             assert monte_carlo(arena, eve, adam, objective, 15, horizon, mc_seed).probability == expected
-        rng, ref = random.Random(mc_seed), random.Random(mc_seed)
-        play = scan_sampler(arena, eve, adam)
-        for _ in range(3):
-            assert simulate_play(arena, eve, adam, horizon, rng) == play(horizon, ref)
-        assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4321, 2**40 + 7])
@@ -875,24 +859,3 @@ def test_dead_nodes_are_the_value_zero_nodes(seed, mixed):
     n = len(chain.nodes)
     assert _dead_nodes(arena, ce, ca, rows, n) == zero
     assert _dead_nodes(arena, ce, ca, rows, n - 1) == frozenset()
-
-
-def test_simulate_play_from_dead_initial_node():
-    """``simulate_play`` neither searches dead nodes nor stops early: from
-    a dead initial node it still returns horizon + 1 states, the oracle's,
-    and leaves the generator where the oracle does."""
-    arena, eve, adam = _trap_arena(TRAP), _trap_eve(), _TRAP_ADAMS["x"]
-    rng, ref = random.Random(5), random.Random(5)
-    play = scan_sampler(arena, eve, adam)
-    for horizon in (0, 1, 10, 100):
-        states = simulate_play(arena, eve, adam, horizon, rng)
-        assert len(states) == horizon + 1
-        assert states == play(horizon, ref)
-    assert rng.random() == ref.random()
-
-
-def test_simulate_play_rejects_negative_horizon():
-    arena, eve, adam = _trap_arena(GO), _trap_eve(), _TRAP_ADAMS["x"]
-    with pytest.raises(ValidationError, match="horizon must be >= 0"):
-        simulate_play(arena, eve, adam, -5, random.Random(0))
-    assert simulate_play(arena, eve, adam, 0, random.Random(0)) == [GO]

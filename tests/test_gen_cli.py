@@ -122,6 +122,39 @@ def test_cli_solve_missing_file_exit_2(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "none.json"), "--objective", "reach"]) == 2
 
 
+def _invalid_input_record(capsys, command: str) -> dict:
+    """The one run record of a command refused as invalid input."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    records = _run_records(captured.err)
+    assert len(records) == 1
+    assert records[0]["command"] == command
+    assert records[0]["outcome"].startswith("invalid-input: ")
+    return records[0]
+
+
+def test_cli_undecodable_file_exit_2(tmp_path, capsys):
+    """A game or strategy file that is not UTF-8 is invalid input."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", "--game", str(bad), "--objective", "reach"]) == 2
+    record = _invalid_input_record(capsys, "solve")
+    assert record["outcome"].startswith(f"invalid-input: cannot read game file {str(bad)!r}: 'utf-8' codec")
+    args = _eval_g1_args(tmp_path)
+    args[args.index("--eve") + 1] = str(bad)
+    assert main(args) == 2
+    record = _invalid_input_record(capsys, "eval")
+    assert record["outcome"].startswith(f"invalid-input: cannot read eve strategy file {str(bad)!r}")
+
+
+def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
+    game = tmp_path / "deep.json"
+    game.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["knowledge", "--game", str(game)]) == 2
+    record = _invalid_input_record(capsys, "knowledge")
+    assert record["outcome"] == "invalid-input: game: JSON nested too deeply"
+
+
 def test_cli_unwritable_out_exit_2(tmp_path, capsys):
     existing = tmp_path / "dir"
     existing.mkdir()

@@ -13,7 +13,7 @@ from stochgames.model import ADAM, EVE, Arena, FiniteMemoryStrategy, parse_game,
 from stochgames.gen import generate_arena, random_params
 
 from instances import g2, g4, make_doc
-from oracles import game_from_arena, mdp_positive_safety, refine_obs_by_final
+from oracles import game_from_arena, mdp_positive_safety, positive_witness, refine_obs_by_final
 
 
 def half_doc(states, init, final, actions, obs, rule):
@@ -28,7 +28,7 @@ def test_from_arena_requires_singleton_antagonist():
     arena = g2()  # eve has one action, adam has two
     with pytest.raises(ValidationError):
         game_from_arena(arena, EVE)  # the antagonist would have two actions
-    assert game_from_arena(arena, ADAM)[0].protagonist == ADAM
+    assert game_from_arena(arena, ADAM)[0].actions == arena.adam_actions
 
 
 def test_refine_obs_by_final():
@@ -78,7 +78,7 @@ def test_positive_safety_trivial_path():
     g = eve_half(["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]], lambda s, e, a: {s: 1})
     rep = positive_safety(g)
     assert 0 in rep.winning_states
-    assert rep.witness is not None and len(rep.witness.memory) == 1
+    assert len(positive_witness(rep.play, EVE, ("s", "f")).memory) == 1
 
 
 def test_positive_safety_unreachable_island():
@@ -90,17 +90,17 @@ def test_positive_safety_unreachable_island():
     rep = positive_safety(g)
     assert 0 not in rep.winning_states
     assert rep.winning_states == frozenset({1})
-    assert rep.witness is None
+    assert rep.play is None
 
 
 def test_positive_safety_g2_fold():
     g, refined = game_from_arena(g2(), ADAM)
     rep = positive_safety(g)
     assert refined.init in rep.winning_states
-    assert rep.witness is not None
-    validate_strategy(refined, ADAM, rep.witness)
+    witness = positive_witness(rep.play, ADAM, refined.states)
+    validate_strategy(refined, ADAM, witness)
     trivial = FiniteMemoryStrategy.constant(EVE, "a", len(refined.eve_obs))
-    chain = build_chain(refined, trivial, rep.witness)
+    chain = build_chain(refined, trivial, witness)
     assert objective_probability(chain, Objective.SAFETY) > 0
 
 
@@ -158,10 +158,10 @@ def test_positive_safety_witness_value_positive():
         arena = generate_arena(random_params(seed, max_actions=1))
         g, refined = game_from_arena(arena, ADAM)
         rep = positive_safety(g)
-        if rep.witness is None:
+        if rep.play is None:
             continue
         trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(refined.eve_obs))
-        chain = build_chain(refined, trivial, rep.witness)
+        chain = build_chain(refined, trivial, positive_witness(rep.play, ADAM, refined.states))
         assert objective_probability(chain, Objective.SAFETY) > 0
 
 
@@ -222,9 +222,8 @@ def test_positive_cobuchi_through_final():
     g, refined = game_from_arena(g4(), EVE)
     rep = positive_cobuchi(g)
     assert rep.winning_states == frozenset({0, 1, 2})
-    assert rep.witness is not None
     trivial = FiniteMemoryStrategy.constant(ADAM, "x", len(refined.adam_obs))
-    chain = build_chain(refined, rep.witness, trivial)
+    chain = build_chain(refined, positive_witness(rep.play, EVE, refined.states), trivial)
     assert objective_probability(chain, Objective.COBUCHI) > 0
 
 
@@ -232,7 +231,7 @@ def test_positive_cobuchi_all_final_self_loops():
     g = eve_half(["s"], "s", ["s"], ["a"], [["s"]], lambda s, e, a: {s: 1})
     rep = positive_cobuchi(g)
     assert rep.winning_states == frozenset()
-    assert rep.witness is None
+    assert rep.play is None
 
 
 def test_positive_cobuchi_witness_value_positive():
@@ -240,8 +239,8 @@ def test_positive_cobuchi_witness_value_positive():
         arena = generate_arena(random_params(seed, max_actions=1))
         g, refined = game_from_arena(arena, ADAM)
         rep = positive_cobuchi(g)
-        if rep.witness is None:
+        if rep.play is None:
             continue
         trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(refined.eve_obs))
-        chain = build_chain(refined, trivial, rep.witness)
+        chain = build_chain(refined, trivial, positive_witness(rep.play, ADAM, refined.states))
         assert objective_probability(chain, Objective.COBUCHI) > 0

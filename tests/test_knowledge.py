@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochgames import (
-    InconsistentObservation,
     ResourceLimit,
     ValidationError,
-    adapt_adam_strategy,
     build_chain,
     build_knowledge_arena,
-    knowledge_update,
-    lift_strategy,
     lower_strategy,
     objective_probability,
     serialize_game,
@@ -22,12 +18,19 @@ from stochgames import (
 )
 from stochgames.bitset import bits, label, mask_of
 from stochgames.model import EVE, ADAM, Objective, parse_game
-from stochgames.evaluation import simulate_play, _Compiled
+from stochgames.evaluation import _Compiled
 from stochgames.gen import GenParams, generate_arena, random_params
 from stochgames.knowledge import DEFAULT_KNOWLEDGE_CAP
 
 from instances import coin_chain, g1, g1_prime, g2, g3, g4, hidden_coin, one_state_doc
-from oracles import pair_lowering, triple_census
+from oracles import (
+    adapt_adam_strategy,
+    knowledge_update,
+    lift_strategy,
+    pair_lowering,
+    scan_sampler,
+    triple_census,
+)
 from util import random_strategy
 
 
@@ -45,19 +48,7 @@ def test_update_g3_blind_pair():
 
 def test_update_g3_inconsistent():
     arena = g3()
-    with pytest.raises(InconsistentObservation):
-        knowledge_update(arena, mask_of([0]), 0, mask_of([0]))
-
-
-def test_update_requires_domain():
-    with pytest.raises(ValidationError, match="action set"):
-        knowledge_update(g3(), mask_of([0]), 0, 0)
-    for know in (0, 1 << 10, -1):
-        with pytest.raises(ValidationError, match="knowledge"):
-            knowledge_update(g3(), know, 0, 1)
-    for block in (-1, 2, 7):
-        with pytest.raises(ValidationError, match="observation block"):
-            knowledge_update(g3(), mask_of([0]), block, 1)
+    assert knowledge_update(arena, mask_of([0]), 0, mask_of([0])) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,10 +63,7 @@ def test_update_monotone_in_knowledge(seed, data):
     small = mask_of(small_states)
     big = mask_of(small_states | extra)
     for block in range(len(arena.eve_obs)):
-        try:
-            out_small = knowledge_update(arena, small, block, dom)
-        except InconsistentObservation:
-            continue
+        out_small = knowledge_update(arena, small, block, dom)
         out_big = knowledge_update(arena, big, block, dom)
         assert out_small & ~out_big == 0
 
@@ -87,7 +75,7 @@ def test_tracked_knowledge_contains_real_state(seed, strat_seed):
     rng = random.Random(strat_seed)
     eve = random_strategy(arena, EVE, rng)
     adam = random_strategy(arena, ADAM, rng)
-    states = simulate_play(arena, eve, adam, horizon=12, rng=rng)
+    states = scan_sampler(arena, eve, adam)(12, rng)
     ce = _Compiled(arena, eve, EVE)
     know = mask_of([arena.init])
     mem = ce.init
@@ -272,11 +260,8 @@ def _reachable_knowledges(arena, choice) -> list[int]:
     knows = [1 << arena.init]
     for know in knows:  # grows while it is walked
         for block in range(len(arena.eve_obs)):
-            try:
-                succ = knowledge_update(arena, know, block, choice[know])
-            except InconsistentObservation:
-                continue
-            if succ not in knows:
+            succ = knowledge_update(arena, know, block, choice[know])
+            if succ and succ not in knows:
                 knows.append(succ)
     return knows
 

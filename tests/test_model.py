@@ -272,6 +272,13 @@ def test_schema_errors():
         parse_game(json.dumps(doc))
 
 
+@pytest.mark.parametrize("parse,what", [(parse_game, "game"), (parse_strategy, "strategy")])
+def test_deeply_nested_json_is_a_schema_error(parse, what):
+    for text in ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000):
+        with pytest.raises(SchemaError, match=f"^{what}: JSON nested too deeply$"):
+            parse(text)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
     lambda children: st.lists(children, max_size=3)

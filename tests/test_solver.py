@@ -25,7 +25,7 @@ from stochgames import (
     serialize_strategy,
     validate_strategy,
 )
-from stochgames import halfplayer, solver
+from stochgames import solver
 from stochgames.cli import _report_dict
 from stochgames.bitset import bits, block_masks, mask_of, split_masks
 from stochgames.gen import GenParams, generate_arena, random_params
@@ -38,6 +38,7 @@ from oracles import (
     dense_fold,
     enumerate_candidates,
     game_from_arena,
+    positive_witness,
     random_turn_based,
 )
 
@@ -262,10 +263,10 @@ def test_no_verdict_candidates_all_defeated_by_witness():
     ka = build_knowledge_arena(arena)
     for cand in enumerate_candidates(ka):
         wins, rep = check_candidate(ka, cand, Objective.REACHABILITY)
-        assert not wins and rep.witness is not None
+        assert not wins and rep.play is not None
         adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
         trivial = FiniteMemoryStrategy.constant("eve", "*", len(adam_game.eve_obs))
-        chain = build_chain(adam_game, trivial, rep.witness)
+        chain = build_chain(adam_game, trivial, positive_witness(rep.play, ADAM, ka.state_names))
         assert objective_probability(chain, Objective.REACHABILITY) < 1
 
 
@@ -351,7 +352,8 @@ def test_check_matches_dense_fold(seed, shape, objective, data):
 
 # Adam's reports on the (real, know) knowledge states, as computed by a separate
 # fixpoint loop per objective with an eagerly built witness; a rewrite of his
-# side must not move any of them
+# side must not move any of them (the witnesses are now lowered from his play
+# by the oracle ``positive_witness``)
 ADAM_REPORTS_DIGEST = "e57e0ec6b5440db3eecc72d7016fbe4d247738c4985c66ad587839d1b2493e8e"
 
 
@@ -363,7 +365,10 @@ def test_adam_reports_pinned():
         for cand in islice(enumerate_candidates(ka), 20):
             for objective in (Objective.REACHABILITY, Objective.BUCHI):
                 wins, rep = check_candidate(ka, cand, objective)
-                witness = None if rep.witness is None else serialize_strategy(rep.witness)
+                witness = None if rep.play is None else positive_witness(rep.play, ADAM, ka.state_names)
+                if witness is not None:
+                    assert solver._diag_entry(ka, 0, cand, rep, 1)["adam_witness_memory"] == len(witness.memory)
+                    witness = serialize_strategy(witness)
                 key = (
                     wins,
                     sorted(rep.winning_states),
@@ -377,28 +382,9 @@ def test_adam_reports_pinned():
     assert digest.hexdigest() == ADAM_REPORTS_DIGEST
 
 
-def test_adam_witness_assembled_only_when_read(monkeypatch):
-    calls = []
-    assemble = halfplayer._assemble_witness
-
-    def counting(*args):
-        calls.append(args)
-        return assemble(*args)
-
-    monkeypatch.setattr(halfplayer, "_assemble_witness", counting)
-    for arena in (g1(), g1_prime(), g2(), hidden_coin()):
-        decide_almost_sure_reach(arena)
-        decide_almost_sure_buchi(arena)
-    assert calls == []
-    rep = decide_almost_sure_reach(g1(), debug=True)
-    losing = [d for d in rep.diagnostics if d["adam_positively_wins"]]
-    assert len(calls) == len(losing) == len(rep.diagnostics) - 1
-    assert all(d["adam_witness_memory"] for d in losing)
-
-
 def test_knowledge_states_named_only_when_read(monkeypatch):
-    """A solve names the knowledge states only to label Adam's witness,
-    which only a debug solve assembles."""
+    """No solve names the knowledge states, a debug solve included: its
+    diagnostics count the memory of Adam's witness without building it."""
     built = []
 
     def recording(*args):
@@ -410,11 +396,10 @@ def test_knowledge_states_named_only_when_read(monkeypatch):
     for arena in arenas:
         decide_almost_sure_reach(arena)
         decide_almost_sure_buchi(arena)
-    assert len(built) == 2 * len(arenas)
-    assert not any("state_names" in vars(ka) for ka in built)
     rep = decide_almost_sure_reach(g1(), debug=True)
     assert any(d["adam_witness_memory"] for d in rep.diagnostics)
-    assert "state_names" in vars(built[-1])
+    assert len(built) == 2 * len(arenas) + 1
+    assert not any("state_names" in vars(ka) for ka in built)
 
 
 def test_threads_below_one_rejected():
