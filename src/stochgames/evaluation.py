@@ -4,22 +4,22 @@ A pair of finite-memory strategies induces a finite Markov chain over
 (state, eve memory, adam memory) triples; objective probabilities are
 computed on it exactly, in rational arithmetic.  Each is the probability
 (or one minus it) of hitting the targets ``_targets`` chooses, computed
-by ``_hit_probability``, which alone takes the 0/1 shortcuts.  Graph
+by ``_hit_probability``, which alone takes the 0/1 shortcuts.  The
+targets are the final nodes, or for Buchi and co-Buchi the nodes from
+which Buchi holds almost surely, found by two backward searches.  Graph
 analysis pins every node of value 0 (no path to the targets) or 1 (no
 path to a value-0 node that avoids the targets); the remaining nodes are
-solved one strongly connected component at a time in reverse topological
-order, each block by sparse, fraction-free integer elimination with
-diagonal pivots, with the values of the components below it substituted.
+solved together by one sparse, fraction-free integer elimination with
+diagonal pivots, in which every other node reads as exactly 0 or 1.
 The evaluation runs on integers from start to finish.  It reads every
 weight in the integer form each ``Distribution`` keeps (``den`` and
 ``nums``), for the transition rows and the strategies' moves alike: each
 node's row is mixed from those integers over one denominator (``_mix``),
 and that integer row, scaled by its denominator, already is the node's
 equation, which the solver reads as it is.  ``Fraction``s appear only for
-the values of solved components and the returned values; neither the
-distributions' ``Fraction`` views nor ``ProductChain.edges``, the
-``Fraction`` view of the chain's rows, is built unless something else
-reads it.
+the returned values; neither the distributions' ``Fraction`` views nor
+``ProductChain.edges``, the ``Fraction`` view of the chain's rows, is
+built unless something else reads it.
 
 Monte Carlo simulation gives an independent statistical cross-check and
 never decides anything.  It compiles the pair once into float cumulative
@@ -228,68 +228,6 @@ def build_chain(
 # Graph machinery
 
 
-def strongly_connected_components(edges) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    n = len(edges)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    result: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(edges[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(edges[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                result.append(comp)
-    return result
-
-
-def bottom_sccs(edges) -> list[list[int]]:
-    sccs = strongly_connected_components(edges)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
-    out = []
-    for i, comp in enumerate(sccs):
-        if all(comp_of[w] == i for v in comp for w in edges[v]):
-            out.append(comp)
-    return out
-
-
 def _reachable(edges, sources, blocked=()) -> set[int]:
     """``sources`` and every node reachable from them along ``edges``
     without entering a node of ``blocked``."""
@@ -304,16 +242,21 @@ def _reachable(edges, sources, blocked=()) -> set[int]:
     return seen
 
 
+def _reverse(rows) -> list[list[int]]:
+    """The predecessors of every node of the integer rows ``rows``."""
+    reverse: list[list[int]] = [[] for _ in rows]
+    for u, (_den, row) in enumerate(rows):
+        for v in row:
+            reverse[v].append(u)
+    return reverse
+
+
 def _pin(rows, targets) -> tuple[set[int], set[int]]:
     """The 0/1 pinning of the absorption values of ``targets``: the nodes
     without a path to the targets (value 0), and the nodes that can reach
     one of those without passing a target (value below 1)."""
-    n = len(rows)
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for u, (_den, row) in enumerate(rows):
-        for v in row:
-            reverse[v].append(u)
-    zero = set(range(n)) - _reachable(reverse, targets)
+    reverse = _reverse(rows)
+    zero = set(range(len(rows))) - _reachable(reverse, targets)
     return zero, _reachable(reverse, zero, targets)
 
 
@@ -324,76 +267,62 @@ def absorption_values(rows, targets: set[int]) -> list[Fraction]:
     summing to den, each probability num / den; an empty row makes u a
     dead end.  Nodes without a path to the targets get 0, nodes that
     cannot reach such a node without passing a target get 1, and only the
-    rest (whose values lie strictly between) are solved, one strongly
-    connected component at a time, sinks first, so that every equation
-    sees the values of its other successors already fixed.
+    rest (whose values lie strictly between) are solved, all of them as
+    one linear system (``_solve``) in which every other successor reads as
+    exactly 0 or 1.
     """
     zero, below = _pin(rows, targets)
     values = [_ZERO if u in zero else _ONE for u in range(len(rows))]
     unknowns = sorted(below - zero)
-    pos = {u: i for i, u in enumerate(unknowns)}
-    inner = [[pos[v] for v in rows[u][1] if v in pos] for u in unknowns]
-    for comp in strongly_connected_components(inner):
-        _solve_component([unknowns[i] for i in comp], rows, values)
+    for u, x in zip(unknowns, _solve(unknowns, rows, zero)):
+        values[u] = x
     return values
 
 
-def _solve_component(comp: list[int], rows, values: list[Fraction]) -> None:
-    """Fill in ``values`` on ``comp`` from x_u = sum_v p_uv x_v, where every
-    successor outside ``comp`` already carries its final value.
+def _solve(unknowns: list[int], rows, zero: set[int]) -> list[Fraction]:
+    """The values of ``unknowns`` from x_u = sum_v p_uv x_v, where every
+    successor outside ``unknowns`` has the value 0 if it is in ``zero``
+    and 1 otherwise.
 
     The integer row is the equation scaled by its denominator:
-    den x_u - sum_{v in comp} num_v x_v = sum_{v not in comp} num_v x_v,
-    kept sparse as a {column: coefficient} dict and a constant.  The
-    constant is scaled by the lcm of the denominators of the fractional
-    values it reads, so the system solves for scale * x.
+    den x_u - sum_{v unknown} num_v x_v = sum_{v of value 1} num_v,
+    kept sparse as a {column: coefficient} dict and an integer constant.
 
     Elimination takes the diagonal pivots in one static, fill-reducing
     order (cheapest first by the row's length times the number of rows
     holding the column, ties by column), with no pivot search.  That is
-    safe: every unknown reaches a target outside ``comp``, so P, the
-    probabilities within ``comp``, is irreducible and substochastic with
-    at least one row summing below 1, and the matrix den (I - P) is an
-    irreducibly diagonally dominant, hence nonsingular, M-matrix.  Every
-    Schur complement of a nonsingular M-matrix is again one, whatever
-    the symmetric order of elimination, so each diagonal pivot stays
-    positive; a pivot that is not, which only rows breaking the contract
-    of ``absorption_values`` can produce, is reported as a singular
-    system.  A row update p * row - f * pivot row stays in integers and
-    is divided by the gcd of its entries, constant included.  The values
-    then follow by integer back-substitution in reverse pivot order, each
-    a gcd-reduced (den, num) pair, and become a ``Fraction`` only at the
-    end, as num / (den * scale).  On these sparse rows (about three
+    safe: every unknown has a path, through unknowns, to a node outside
+    them, so P, the probabilities among the unknowns, is substochastic
+    with spectral radius below 1, and the matrix den (I - P) is a
+    nonsingular M-matrix.  Every Schur complement of a nonsingular
+    M-matrix is again one, whatever the symmetric order of elimination,
+    so each diagonal pivot stays positive; a pivot that is not, which only
+    rows breaking the contract of ``absorption_values`` can produce, is
+    reported as a singular system.  A row update p * row - f * pivot row
+    stays in integers and is divided by the gcd of its entries, constant
+    included.  The values then follow by integer back-substitution in
+    reverse pivot order, each a gcd-reduced (den, num) pair, and become a
+    ``Fraction`` only at the end.  On these sparse rows (about three
     entries each) the elimination touches a few hundred entries where a
     dense one touches thousands; it is state elimination for Markov-chain
     reachability (Daws 2004) in integer arithmetic.
     """
-    col = {u: i for i, u in enumerate(comp)}
-    k = len(comp)
+    col = {u: i for i, u in enumerate(unknowns)}
+    k = len(unknowns)
     eqs: list[dict[int, int]] = []
     consts: list[int] = []
-    mixed: list[list[tuple[int, Fraction]]] = []  # per equation: num_v, x_v for fractional x_v
-    for u in comp:
+    for u in unknowns:
         den, row = rows[u]
         eq = {col[u]: den}
         const = 0
-        part = []
         for v, w in row.items():
             j = col.get(v)
             if j is not None:
                 eq[j] = eq.get(j, 0) - w
-            else:
-                x = values[v]
-                if x is _ONE:
-                    const += w
-                elif x is not _ZERO:
-                    part.append((w, x))
+            elif v not in zero:
+                const += w
         eqs.append(eq)
         consts.append(const)
-        mixed.append(part)
-    scale = math.lcm(*(x.denominator for part in mixed for _w, x in part))
-    for i, part in enumerate(mixed):
-        consts[i] = consts[i] * scale + sum(w * x.numerator * (scale // x.denominator) for w, x in part)
     holders: list[set[int]] = [set() for _ in range(k)]  # per column: the other rows holding it
     for r, eq in enumerate(eqs):
         for j in eq:
@@ -426,7 +355,7 @@ def _solve_component(comp: list[int], rows, values: list[Fraction]) -> None:
                 c //= g
             eqs[r] = new
             consts[r] = c
-    xs: list[tuple[int, int]] = [(1, 0)] * k  # per column: (den, num) of scale * x
+    xs: list[tuple[int, int]] = [(1, 0)] * k  # per column: (den, num) of x
     for j in reversed(order):
         top = eqs[j]
         d = math.lcm(*(xs[l][0] for l in top))
@@ -434,20 +363,26 @@ def _solve_component(comp: list[int], rows, values: list[Fraction]) -> None:
         d *= pivots[j]
         g = math.gcd(n, d)
         xs[j] = (d // g, n // g)
-    for u, (d, n) in zip(comp, xs):
-        values[u] = Fraction(n, d * scale)
+    return [Fraction(n, d) for d, n in xs]
 
 
 def _targets(chain: ProductChain, objective: Objective) -> set[int]:
     """The nodes whose hitting probability settles ``objective``: the final
-    nodes, or for Buchi and co-Buchi the bottom SCCs holding one."""
+    nodes, or for Buchi and co-Buchi the nodes from which Buchi holds
+    almost surely, those that cannot reach a node without a path to a
+    final node.
+
+    Almost every play of a finite chain ends in a bottom strongly
+    connected component and visits all of its nodes infinitely often, so
+    Buchi holds almost surely from a node exactly when every node it
+    reaches can still reach a final node, and its probability elsewhere
+    is that of reaching such a node (Baier and Katoen 2008, section 10.1).
+    """
     if objective not in _TAIL:
         return set(chain.final)
-    targets: set[int] = set()
-    for comp in bottom_sccs([row for _den, row in chain.rows]):
-        if any(v in chain.final for v in comp):
-            targets.update(comp)
-    return targets
+    reverse = _reverse(chain.rows)
+    nodes = set(range(len(chain.rows)))
+    return nodes - _reachable(reverse, nodes - _reachable(reverse, chain.final))
 
 
 def _hit_probability(chain: ProductChain, targets: set[int]) -> Fraction:

@@ -124,7 +124,11 @@ class Distribution:
         nums = {elem: p.numerator * (den // p.denominator) for elem, p in w.items()}
         total = sum(nums.values())
         if total != den:
-            raise ValidationError(f"distribution weights sum to {Fraction(total, den)}, expected exactly 1")
+            try:
+                message = f"distribution weights sum to {Fraction(total, den)}, expected exactly 1"
+            except ValueError:  # a sum past the int-string conversion limit
+                message = "distribution weights do not sum to exactly 1"
+            raise ValidationError(message)
         self.den = den
         self.nums = nums
         self._fractions = None
@@ -400,6 +404,8 @@ def _load_object(text: str, what: str) -> dict:
         raise SchemaError(f"{what}: not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"{what}: JSON nested too deeply") from None
+    except ValueError:  # an integer literal past the int-string conversion limit
+        raise SchemaError(f"{what}: a JSON integer has too many digits to read") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: top level must be an object")
     return doc
@@ -577,7 +583,10 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
         for b, target in row.items():
             if not (b.isascii() and b.isdigit()):
                 raise SchemaError(f"strategy: update[{m!r}] block key {b!r} is not an index")
-            parsed[int(b)] = target
+            try:
+                parsed[int(b)] = target
+            except ValueError:  # past the int-string conversion limit
+                raise SchemaError(f"strategy: update[{m!r}] block key of {len(b)} digits is not an index") from None
         update[m] = parsed
     names = [doc["init"], *(target for row in update.values() for target in row.values())]
     if any(isinstance(name, (list, dict)) for name in names):

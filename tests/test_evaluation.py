@@ -31,8 +31,8 @@ from stochgames.evaluation import (
     _dead_nodes,
     _skip,
     _transition_rows,
+    _targets,
     absorption_values,
-    bottom_sccs,
     tail_window,
 )
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy, parse_game
@@ -155,18 +155,6 @@ def test_objective_probability_complements():
     assert objective_probability(chain, Objective.COBUCHI) == Fraction(1, 2)
 
 
-def test_bottom_sccs_against_networkx():
-    rng = random.Random(5)
-    for seed in range(20):
-        arena = generate_arena(random_params(seed))
-        chain = build_chain(
-            arena, random_strategy(arena, EVE, rng), random_strategy(arena, ADAM, rng)
-        )
-        mine = {frozenset(c) for c in bottom_sccs(chain.edges)}
-        theirs = {frozenset(c) for c in nx_bottom_sccs(chain.edges)}
-        assert mine == theirs
-
-
 def test_almost_sure_matches_exact_value():
     rng = random.Random(9)
     for seed in range(30):
@@ -193,6 +181,21 @@ def test_buchi_equals_reach_of_winning_bsccs():
         assert objective_probability(chain, Objective.BUCHI) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_buchi_targets_are_the_value_one_nodes(seed, mixed):
+    """The Buchi targets are exactly the nodes of Buchi value 1, transient
+    ones included, under the dense oracle over the bottom SCCs holding a
+    final node; the probabilities of hitting them match that oracle at
+    every node."""
+    chain = build_chain(*_random_pair(seed, mixed))
+    winning = set().union(*(comp for comp in nx_bottom_sccs(chain.edges) if comp & chain.final))
+    expected = dense_absorption_values(chain.edges, winning)
+    targets = _targets(chain, Objective.BUCHI)
+    assert targets == {u for u, x in enumerate(expected) if x == 1}
+    assert absorption_values(chain.rows, targets) == expected
+
+
 @st.composite
 def sparse_chains(draw):
     """(edges, targets) of a random Markov chain: every row is a dead end
@@ -204,8 +207,9 @@ def sparse_chains(draw):
     target and to a trap, so that they form a single component of
     unknowns; "stacked" puts two or three such cycles in series, each
     leaking into the next one (the last into the target) and to the trap,
-    so that every component above the last reads fractional values of the
-    one below.  Any chain may get one more target that no node enters.
+    so that one elimination runs across several strongly connected
+    components, each feeding the next.  Any chain may get one more target
+    that no node enters.
     """
     shape = draw(st.sampled_from(["random", "pinned", "one_component", "stacked"]))
     n = draw(st.integers(1, 24))
@@ -292,10 +296,11 @@ def test_absorption_values_match_dense_oracle(chain):
     ],
 )
 def test_scale_chain(n, seed, nodes):
-    """About 200 and 517 product nodes; the reach systems have components
-    of 41, 126 and 351 unknowns.  The sparse elimination solves the
-    351-unknown one in a fraction of a second, about an eighth of the time
-    a dense elimination of the same component took."""
+    """About 200 and 517 product nodes; the reach systems have 97, 130 and
+    353 unknowns, the last one strongly connected block of 351 and two
+    more.  The sparse elimination solves the 353-unknown system in a
+    fraction of a second, about an eighth of the time a dense elimination
+    of its 351-unknown block took."""
     arena = generate_arena(GenParams(n, 2, 2, 0.3, 3, 4, 1, seed=seed))
     rng = random.Random(seed)
     chain = build_chain(
@@ -561,7 +566,7 @@ EXACT_RATIONALS_DIGEST = "7e5191335af89659e6f719e46c6de288a0a5cec74b1a59a1e68c59
 
 def test_exact_rationals_pinned():
     """The same figures on pairs whose values are mostly neither 0 nor 1,
-    so the pins reach the component solves and not only the 0/1 pinning."""
+    so the pins reach the linear solve and not only the 0/1 pinning."""
     digest = hashlib.sha256()
     fractional = 0
     for seed in range(100):

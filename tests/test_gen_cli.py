@@ -155,6 +155,25 @@ def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
     assert record["outcome"] == "invalid-input: game: JSON nested too deeply"
 
 
+def test_cli_overlong_json_integer_exit_2(tmp_path, capsys):
+    """An integer literal past Python's 4,300-digit conversion limit."""
+    game = tmp_path / "long.json"
+    game.write_text('{"states": %s}' % ("1" * 5000))
+    assert main(["knowledge", "--game", str(game)]) == 2
+    record = _invalid_input_record(capsys, "knowledge")
+    assert record["outcome"] == "invalid-input: game: a JSON integer has too many digits to read"
+
+
+def test_cli_unprintable_wrong_sum_exit_2(tmp_path, capsys):
+    doc = json.loads(g1_doc())
+    doc["transitions"][0]["to"] = {"f": "1e-5000"}
+    game = tmp_path / "g1.json"
+    game.write_text(json.dumps(doc))
+    assert main(["solve", "--game", str(game), "--objective", "reach"]) == 2
+    record = _invalid_input_record(capsys, "solve")
+    assert record["outcome"].endswith("distribution weights do not sum to exactly 1")
+
+
 def test_cli_unwritable_out_exit_2(tmp_path, capsys):
     existing = tmp_path / "dir"
     existing.mkdir()

@@ -279,6 +279,31 @@ def test_deeply_nested_json_is_a_schema_error(parse, what):
             parse(text)
 
 
+# past the 4,300-digit limit on int-string conversion (Python 3.10.7 and later)
+_LONG_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("parse,what", [(parse_game, "game"), (parse_strategy, "strategy")])
+def test_overlong_json_integer_is_a_schema_error(parse, what):
+    with pytest.raises(SchemaError, match=f"^{what}: a JSON integer has too many digits to read$"):
+        parse('{"states": %s}' % _LONG_DIGITS)
+
+
+def test_overlong_block_key_is_a_schema_error():
+    doc = json.loads(_two_memory_strategy_doc())
+    doc["update"]["m0"][_LONG_DIGITS] = "m0"
+    with pytest.raises(SchemaError, match=r"^strategy: update\['m0'\] block key of 5000 digits is not an index$"):
+        parse_strategy(json.dumps(doc))
+
+
+def test_unprintable_wrong_sum_is_a_validation_error():
+    """The message names the wrong sum when it can be printed."""
+    with pytest.raises(ValidationError, match="^distribution weights do not sum to exactly 1$"):
+        Distribution({"f": "1e-5000"})
+    with pytest.raises(ValidationError, match="^distribution weights sum to 3/2, expected exactly 1$"):
+        Distribution({"f": 1, "s": Fraction(1, 2)})
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
     lambda children: st.lists(children, max_size=3)
