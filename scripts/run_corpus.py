@@ -2,11 +2,13 @@
 """Solve a seeded corpus of random games and cross-check the verdicts.
 
 For every game the solver runs for reachability and/or Buchi; each "yes"
-witness is re-evaluated against the fully informed best response, and the
-brute-force oracle of ``tests/oracles.py`` is consulted where affordable.
-A summary goes to stdout and per-game rows to --out as JSON lines.  Exits
-1 on an oracle disagreement or a "yes" witness that the best response does
-not certify, 0 otherwise.
+witness is certified twice: against the fully informed best response, and
+by the exact evaluation of its product chain with Adam's uniform
+memoryless strategy; both values must be exactly 1.  The brute-force
+oracle of ``tests/oracles.py`` is consulted where affordable.  A summary
+goes to stdout and per-game rows to --out as JSON lines.  Exits 1 on an
+oracle disagreement or a "yes" witness that either check does not
+certify, 0 otherwise.
 """
 
 import argparse
@@ -18,12 +20,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from stochgames import (  # noqa: E402
+    FiniteMemoryStrategy,
     Objective,
     best_response_full_info,
+    build_chain,
     decide_almost_sure_buchi,
     decide_almost_sure_reach,
+    objective_probability,
 )
 from stochgames.gen import generate_arena, random_params  # noqa: E402
+from stochgames.model import ADAM  # noqa: E402
 from oracles import brute_force_verdict  # noqa: E402
 
 
@@ -50,6 +56,7 @@ def main(argv=None) -> int:
     tally = {"yes": 0, "no": 0}
     oracle_tally = {"yes": 0, "no": 0, "unknown": 0, "skipped": 0}
     sound = unsound = disagreements = 0
+    misses = {"best_response": 0, "uniform_adam": 0}  # checks below 1
     t0 = time.perf_counter()
     for i in range(args.games):
         params = random_params(args.master_seed + i, max_states=args.max_states)
@@ -67,9 +74,15 @@ def main(argv=None) -> int:
                 "elapsed_ms": report.elapsed_ms,
             }
             if report.verdict == "yes":
-                value = best_response_full_info(arena, report.witness, objective).probability
-                row["best_response"] = f"{value.numerator}/{value.denominator}"
-                if value == 1:
+                adam = FiniteMemoryStrategy.memoryless_uniform(ADAM, arena.adam_actions, len(arena.adam_obs))
+                values = {
+                    "best_response": best_response_full_info(arena, report.witness, objective).probability,
+                    "uniform_adam": objective_probability(build_chain(arena, report.witness, adam), objective),
+                }
+                for check, value in values.items():
+                    row[check] = f"{value.numerator}/{value.denominator}"
+                    misses[check] += value != 1
+                if all(value == 1 for value in values.values()):
                     sound += 1
                 else:
                     unsound += 1
@@ -85,7 +98,8 @@ def main(argv=None) -> int:
 
     elapsed = time.perf_counter() - t0
     print(f"games={args.games} verdicts={tally} oracle={oracle_tally}")
-    print(f"yes-witnesses certified by best response: {sound}, not certified: {unsound}")
+    print(f"yes-witnesses certified: {sound}, not certified: {unsound}")
+    print(f"values below 1: best response {misses['best_response']}, uniform adam {misses['uniform_adam']}")
     print(f"oracle disagreements: {disagreements}")
     print(f"elapsed: {elapsed:.1f}s")
     if args.out:

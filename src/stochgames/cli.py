@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -200,6 +201,18 @@ class _Parser(argparse.ArgumentParser):
         raise GameError(message)
 
 
+def _finite(text: str) -> float:
+    """A finite float: the run record echoes it, and JSON has no NaN or
+    infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _option(*names, **kwargs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **kwargs)
@@ -256,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--states", type=int, required=True)
     p_gen.add_argument("--eve-actions", type=int, default=2)
     p_gen.add_argument("--adam-actions", type=int, default=2)
-    p_gen.add_argument("--density", type=float, default=1.0)
+    p_gen.add_argument("--density", type=_finite, default=1.0)
     p_gen.add_argument("--eve-blocks", type=int, default=1)
     p_gen.add_argument("--adam-blocks", type=int, default=1)
     p_gen.add_argument("--final", type=int, default=1)

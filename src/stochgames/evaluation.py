@@ -8,9 +8,13 @@ by ``_hit_probability``, which alone takes the 0/1 shortcuts.  The
 targets are the final nodes, or for Buchi and co-Buchi the nodes from
 which Buchi holds almost surely, found by two backward searches.  Graph
 analysis pins every node of value 0 (no path to the targets) or 1 (no
-path to a value-0 node that avoids the targets); the remaining nodes are
-solved together by one sparse, fraction-free integer elimination with
-diagonal pivots, in which every other node reads as exactly 0 or 1.
+path to a value-0 node that avoids the targets); the remaining nodes form
+one linear system, in which every other node reads as exactly 0 or 1,
+eliminated by one sparse, fraction-free integer elimination with diagonal
+pivots.  Only the initial node's value is wanted, so the elimination
+takes that node last, its value follows from its own pivot, and no other
+node is solved; the best response's policy iteration, which reads every
+value, solves every node.
 The evaluation runs on integers from start to finish.  It reads every
 weight in the integer form each ``Distribution`` keeps (``den`` and
 ``nums``), for the transition rows and the strategies' moves alike: each
@@ -260,29 +264,32 @@ def _pin(rows, targets) -> tuple[set[int], set[int]]:
     return zero, _reachable(reverse, zero, targets)
 
 
-def absorption_values(rows, targets: set[int]) -> list[Fraction]:
-    """Exact probability, from every node, of ever hitting ``targets``.
+def absorption_values(rows, targets: set[int], at=None) -> list[Fraction]:
+    """Exact probability of ever hitting ``targets``, from every node, or
+    from each node of the sequence ``at``, in its order.
 
     ``rows[u]`` is (den, {successor: num}) with positive integer nums
     summing to den, each probability num / den; an empty row makes u a
     dead end.  Nodes without a path to the targets get 0, nodes that
     cannot reach such a node without passing a target get 1, and only the
-    rest (whose values lie strictly between) are solved, all of them as
-    one linear system (``_solve``) in which every other successor reads as
-    exactly 0 or 1.
+    rest (whose values lie strictly between) are unknowns, all of them one
+    linear system (``_solve``) in which every other successor reads as
+    exactly 0 or 1.  With ``at``, only the unknowns of ``at`` are solved:
+    the system is eliminated with them last, and no other unknown gets a
+    value; a node of ``at`` that is 0 or 1 needs no solve at all.
     """
     zero, below = _pin(rows, targets)
-    values = [_ZERO if u in zero else _ONE for u in range(len(rows))]
-    unknowns = sorted(below - zero)
-    for u, x in zip(unknowns, _solve(unknowns, rows, zero)):
-        values[u] = x
-    return values
+    nodes = range(len(rows)) if at is None else at
+    unknowns = below - zero
+    wanted = [u for u in nodes if u in unknowns]
+    solved = _solve(sorted(unknowns), rows, zero, wanted) if wanted else {}
+    return [_ZERO if u in zero else solved.get(u, _ONE) for u in nodes]
 
 
-def _solve(unknowns: list[int], rows, zero: set[int]) -> list[Fraction]:
-    """The values of ``unknowns`` from x_u = sum_v p_uv x_v, where every
-    successor outside ``unknowns`` has the value 0 if it is in ``zero``
-    and 1 otherwise.
+def _solve(unknowns: list[int], rows, zero: set[int], at) -> dict[int, Fraction]:
+    """The values of the unknowns ``at`` from x_u = sum_v p_uv x_v over all
+    of ``unknowns``, where every successor outside ``unknowns`` has the
+    value 0 if it is in ``zero`` and 1 otherwise.
 
     The integer row is the equation scaled by its denominator:
     den x_u - sum_{v unknown} num_v x_v = sum_{v of value 1} num_v,
@@ -290,22 +297,26 @@ def _solve(unknowns: list[int], rows, zero: set[int]) -> list[Fraction]:
 
     Elimination takes the diagonal pivots in one static, fill-reducing
     order (cheapest first by the row's length times the number of rows
-    holding the column, ties by column), with no pivot search.  That is
-    safe: every unknown has a path, through unknowns, to a node outside
-    them, so P, the probabilities among the unknowns, is substochastic
-    with spectral radius below 1, and the matrix den (I - P) is a
-    nonsingular M-matrix.  Every Schur complement of a nonsingular
-    M-matrix is again one, whatever the symmetric order of elimination,
-    so each diagonal pivot stays positive; a pivot that is not, which only
-    rows breaking the contract of ``absorption_values`` can produce, is
-    reported as a singular system.  A row update p * row - f * pivot row
-    stays in integers and is divided by the gcd of its entries, constant
-    included.  The values then follow by integer back-substitution in
-    reverse pivot order, each a gcd-reduced (den, num) pair, and become a
-    ``Fraction`` only at the end.  On these sparse rows (about three
-    entries each) the elimination touches a few hundred entries where a
-    dense one touches thousands; it is state elimination for Markov-chain
-    reachability (Daws 2004) in integer arithmetic.
+    holding the column, ties by column), with the columns of ``at`` last
+    and no pivot search.  That is safe: every unknown has a path, through
+    unknowns, to a node outside them, so P, the probabilities among the
+    unknowns, is substochastic with spectral radius below 1, and the
+    matrix den (I - P) is a nonsingular M-matrix.  Every Schur complement
+    of a nonsingular M-matrix is again one, whatever the symmetric order
+    of elimination, so each diagonal pivot stays positive; a pivot that is
+    not, which only rows breaking the contract of ``absorption_values``
+    can produce, is reported as a singular system.  A row update
+    p * row - f * pivot row stays in integers and is divided by the gcd of
+    its entries, constant included.  Once the other columns are
+    eliminated, the last pivot row holds its pivot alone, and the rows of
+    ``at`` hold columns of ``at`` only, so integer back-substitution runs
+    over those trailing rows only, in reverse pivot order, each value a
+    gcd-reduced (den, num) pair that becomes a ``Fraction`` only at the
+    end; the other unknowns are never solved.  On these sparse rows (about
+    three entries each) the elimination touches a few hundred entries
+    where a dense one touches thousands; it is state elimination for
+    Markov-chain reachability (Daws 2004) in integer arithmetic, which
+    leaves the value of the state eliminated last.
     """
     col = {u: i for i, u in enumerate(unknowns)}
     k = len(unknowns)
@@ -328,7 +339,8 @@ def _solve(unknowns: list[int], rows, zero: set[int]) -> list[Fraction]:
         for j in eq:
             if j != r:
                 holders[j].add(r)
-    order = sorted(range(k), key=lambda j: (len(eqs[j]) * (len(holders[j]) + 1), j))
+    last = {col[u] for u in at}
+    order = sorted(range(k), key=lambda j: (j in last, len(eqs[j]) * (len(holders[j]) + 1), j))
     pivots = [0] * k
     for j in order:
         top = eqs[j]
@@ -355,15 +367,15 @@ def _solve(unknowns: list[int], rows, zero: set[int]) -> list[Fraction]:
                 c //= g
             eqs[r] = new
             consts[r] = c
-    xs: list[tuple[int, int]] = [(1, 0)] * k  # per column: (den, num) of x
-    for j in reversed(order):
+    xs: dict[int, tuple[int, int]] = {}  # per column of ``at``: (den, num) of x
+    for j in reversed(order[k - len(last) :]):
         top = eqs[j]
         d = math.lcm(*(xs[l][0] for l in top))
         n = consts[j] * d - sum(a * xs[l][1] * (d // xs[l][0]) for l, a in top.items())
         d *= pivots[j]
         g = math.gcd(n, d)
         xs[j] = (d // g, n // g)
-    return [Fraction(n, d) for d, n in xs]
+    return {unknowns[j]: Fraction(n, d) for j, (d, n) in xs.items()}
 
 
 def _targets(chain: ProductChain, objective: Objective) -> set[int]:
@@ -386,12 +398,14 @@ def _targets(chain: ProductChain, objective: Objective) -> set[int]:
 
 
 def _hit_probability(chain: ProductChain, targets: set[int]) -> Fraction:
-    """Exact probability of hitting ``targets`` from the initial node."""
+    """Exact probability of hitting ``targets`` from the initial node,
+    the only value solved for: the solve eliminates the initial node last
+    (``absorption_values`` with ``at``)."""
     if chain.init in targets:
         return _ONE
     if not targets:
         return _ZERO
-    return absorption_values(chain.rows, targets)[chain.init]
+    return absorption_values(chain.rows, targets, (chain.init,))[0]
 
 
 def objective_probability(chain: ProductChain, objective: Objective) -> Fraction:

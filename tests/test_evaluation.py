@@ -287,6 +287,35 @@ def test_absorption_values_match_dense_oracle(chain):
     assert all(0 <= x <= 1 for x in values)
 
 
+@settings(max_examples=120, deadline=None)
+@given(sparse_chains(), st.data())
+def test_absorption_values_at_match_full_solve(chain, data):
+    """Solving for the nodes of ``at`` alone gives the full solve's values
+    there, in the order of ``at``: node 0, a few nodes (repeats allowed),
+    a node pinned to 0 or 1 among unknown ones, and every node."""
+    edges, targets = chain
+    rows = int_rows(edges)
+    full = absorption_values(rows, targets)
+    n = len(rows)
+    some = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    pinned = [u for u, x in enumerate(full) if x in (0, 1)]
+    unknown = [u for u, x in enumerate(full) if x not in (0, 1)]
+    cases = [(0,), some, range(n), list(reversed(range(n)))]
+    if pinned:
+        cases.append([*unknown[:2], data.draw(st.sampled_from(pinned)), *unknown[2:3]])
+    for at in cases:
+        assert absorption_values(rows, targets, at) == [full[u] for u in at]
+
+
+def test_absorption_values_at_pinned_nodes_solve_nothing(monkeypatch):
+    """Node 0 has the value 1/2 and nodes 1 and 2 are pinned to 1 and 0;
+    asking for those two alone runs no solve."""
+    rows = [(2, {1: 1, 2: 1}), (1, {1: 1}), (1, {})]
+    assert absorption_values(rows, {1}, (0,)) == [Fraction(1, 2)]
+    monkeypatch.setattr(evaluation, "_solve", None)
+    assert absorption_values(rows, {1}, (2, 1, 2)) == [0, 1, 0]
+
+
 @pytest.mark.parametrize(
     "n, seed, nodes",
     [
@@ -324,8 +353,10 @@ def test_scale_chain(n, seed, nodes):
 def test_absorption_values_rejects_singular_system():
     """Node 0's nums sum to three times its den, breaking the rows'
     contract: its self-loop leaves a zero pivot, which the solver reports."""
-    with pytest.raises(ValidationError, match="singular linear system in exact solve"):
-        absorption_values([(1, {0: 1, 1: 1, 2: 1}), (1, {1: 1}), (1, {})], {1})
+    rows = [(1, {0: 1, 1: 1, 2: 1}), (1, {1: 1}), (1, {})]
+    for at in (None, (0,)):
+        with pytest.raises(ValidationError, match="singular linear system in exact solve"):
+            absorption_values(rows, {1}, at)
 
 
 def test_monte_carlo_deterministic_chain():

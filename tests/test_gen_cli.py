@@ -65,8 +65,17 @@ def test_cli_solve_g1(tmp_path, capsys):
     assert record["command"] == "solve" and record["outcome"] == "verdict=yes"
 
 
+def _strict_json(line: str) -> dict:
+    """``line`` parsed as JSON proper, which has no NaN or Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
 def _run_records(err: str) -> list[dict]:
-    return [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    return [_strict_json(line) for line in err.splitlines() if line.startswith("{")]
 
 
 def test_cli_solve_debug_lists_search_checks(tmp_path, capsys):
@@ -278,6 +287,16 @@ def test_cli_usage_error_exit_2(tmp_path, capsys):
     assert _invalid_input(solve + ["--bogus", "1"], capsys) == "unrecognized arguments: --bogus 1"
     assert _invalid_input(solve + ["--max-candidates", "x"], capsys) == (
         "argument --max-candidates: invalid int value: 'x'"
+    )
+
+
+@pytest.mark.parametrize("density", ["nan", "inf", "Infinity", "1e400", "x"])
+def test_cli_gen_non_finite_density_exit_2(density, capsys):
+    """A --density that is not a finite number is a usage error, whose run
+    record is strict JSON: echoing a NaN or infinite float would write a
+    bare NaN or Infinity."""
+    assert _invalid_input(["gen", "--states", "3", "--density", density], capsys) == (
+        f"argument --density: expected a finite number, got {density!r}"
     )
 
 

@@ -22,16 +22,23 @@ def _load(name, directory=SCRIPTS):
 
 
 def test_run_corpus_fails_on_uncertified_witness(monkeypatch, capsys):
+    """A "yes" witness is certified only when the best response and the
+    exact value against Adam's uniform strategy are both 1; either one
+    reading 1/2 fails the run."""
     run_corpus = _load("run_corpus")
     args = ["--games", "4", "--objective", "reach"]
     assert run_corpus.main(args) == 0
-    assert "not certified: 0" in capsys.readouterr().out
-    monkeypatch.setattr(
-        run_corpus, "best_response_full_info", lambda *_args: EvalResult(Fraction(1, 2), "exact")
-    )
+    out = capsys.readouterr().out
+    assert "not certified: 0" in out and "values below 1: best response 0, uniform adam 0" in out
+    with monkeypatch.context() as patch:
+        patch.setattr(run_corpus, "best_response_full_info", lambda *_args: EvalResult(Fraction(1, 2), "exact"))
+        assert run_corpus.main(args + ["--skip-oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "yes-witnesses certified: 0," in out and "uniform adam 0" in out and "oracle disagreements: 0" in out
+    monkeypatch.setattr(run_corpus, "objective_probability", lambda *_args: Fraction(1, 2))
     assert run_corpus.main(args + ["--skip-oracle"]) == 1
     out = capsys.readouterr().out
-    assert "certified by best response: 0," in out and "oracle disagreements: 0" in out
+    assert "yes-witnesses certified: 0," in out and "best response 0," in out
 
 
 def test_mc_calibration_reports_coverage(capsys):
