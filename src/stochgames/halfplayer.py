@@ -13,7 +13,10 @@ every belief node is refined by final-membership so that "visits a final
 state" is a property of the node.  The refinement is realized once and for
 all by splitting the protagonist's observation partition along the final
 set into those cells, which can only strengthen the protagonist's
-information.
+information.  A state is positively winning exactly when a path leads from
+it to a state whose singleton belief is surely winning, so one backward
+search from those states gives both the positive region and, by each
+state's distance to them, the path of the protagonist's play.
 """
 
 from __future__ import annotations
@@ -46,14 +49,6 @@ class OneHalfGame:
     final_mask: int
     init: int
 
-    @cached_property
-    def n(self) -> int:
-        return len(self.post)
-
-    @cached_property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
     def belief_successors(self, belief: int, action: int) -> tuple[int, ...]:
         """Refined successor beliefs: intersection with each observation
         cell."""
@@ -68,23 +63,21 @@ class BeliefGraph:
     """Deterministic graph of protagonist beliefs.
 
     ``succ[belief][action]`` lists the refined successor beliefs, one per
-    compatible (observation block, final-part) cell; ``touching`` flags the
-    beliefs made of final states.
+    compatible (observation block, final-part) cell.
     """
 
     nodes: tuple[int, ...]
     succ: Mapping[int, tuple[tuple[int, ...], ...]]
-    touching: frozenset[int]
 
 
 def build_belief_graph(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> BeliefGraph:
     """Closure of the belief space from all singleton beliefs, breadth first."""
-    nodes: list[int] = [1 << s for s in range(g.n)]
+    nodes: list[int] = [1 << s for s in range(len(g.post))]
     seen = set(nodes)
     succ: dict[int, tuple[tuple[int, ...], ...]] = {}
     for b in nodes:  # grows while it is walked
         rows = []
-        for a in range(g.n_actions):
+        for a in range(len(g.actions)):
             row = g.belief_successors(b, a)
             rows.append(row)
             for c in row:
@@ -94,24 +87,20 @@ def build_belief_graph(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) ->
                     seen.add(c)
                     nodes.append(c)
         succ[b] = tuple(rows)
-    touching = frozenset(b for b in nodes if b & g.final_mask)
-    return BeliefGraph(nodes=tuple(nodes), succ=succ, touching=touching)
+    return BeliefGraph(nodes=tuple(nodes), succ=succ)
 
 
 @dataclass(frozen=True, eq=False)
 class PositivePlay:
     """The protagonist's positively winning play from the initial state.
 
-    He plays the actions ``path_actions`` along the states ``path`` of a
-    shortest path to a surely winning state, then, from that state's
-    singleton belief, the sure choice ``choice`` of each belief of
-    ``closure``: the beliefs that choice reaches, in discovery order.
-    ``game`` and ``graph`` are what the play was found on; the tests read
-    them to lower the play to a finite-memory strategy.
+    He plays the actions ``path_actions`` along the states ``path`` of the
+    lexicographically least shortest path to a surely winning state, then,
+    from that state's singleton belief, the sure choice ``choice`` of each
+    belief of ``closure``: the beliefs that choice reaches, in discovery
+    order.
     """
 
-    game: OneHalfGame = field(repr=False)
-    graph: BeliefGraph = field(repr=False)
     path: tuple[int, ...]
     path_actions: tuple[int, ...]
     closure: tuple[int, ...]
@@ -193,10 +182,10 @@ def _shrink(graph: BeliefGraph, alive: set[int], kept: set[int]) -> int:
 Layers = list[tuple[set[int], set[int]]]
 
 
-def _sure_region(graph: BeliefGraph, through_final: bool) -> tuple[set[int], int, Layers]:
-    """Beliefs from which the protagonist can surely avoid final-touching
-    beliefs forever (safety) or visit them finitely often (co-Buchi), the
-    observation being chosen adversarially.
+def _sure_region(graph: BeliefGraph, final_mask: int, through_final: bool) -> tuple[set[int], int, Layers]:
+    """Beliefs from which the protagonist can surely avoid the beliefs
+    touching ``final_mask`` forever (safety) or visit them finitely often
+    (co-Buchi), the observation being chosen adversarially.
 
     Returns (region, rounds, layers).  Co-Buchi is a least fixpoint over
     rounds: from z, the next set y keeps the beliefs that progress (have an
@@ -207,7 +196,7 @@ def _sure_region(graph: BeliefGraph, through_final: bool) -> tuple[set[int], int
     progresses into the empty z, as no successor row is empty.  Its rounds
     count the sweeps that deleted a belief.
     """
-    nontouching = {b for b in graph.nodes if b not in graph.touching}
+    nontouching = {b for b in graph.nodes if not b & final_mask}
     if not through_final:
         return nontouching, _shrink(graph, nontouching, set()), [(set(), nontouching)]
     z: set[int] = set()
@@ -226,60 +215,33 @@ def _sure_region(graph: BeliefGraph, through_final: bool) -> tuple[set[int], int
         z = y
 
 
-def _winning_path(
-    g: OneHalfGame, init: int, sure_states: set[int], through_final: bool
-) -> tuple[list[int], list[int]] | None:
-    """Shortest path of positive-probability edges from init to a surely
-    winning state; restricted to non-final states unless ``through_final``.
-    Ties are broken by canonical state and action order."""
-    if not through_final and (g.final_mask >> init) & 1:
-        return None
-    if init in sure_states:
-        return [init], []
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {init}
-    queue = [init]
-    for s in queue:  # grows while it is walked
-        least_action: dict[int, int] = {}
-        for a, mask in enumerate(g.post[s]):
-            for t in bits(mask):
-                least_action.setdefault(t, a)
-        for t, a in sorted(least_action.items()):
-            if t in seen:
-                continue
-            if not through_final and (g.final_mask >> t) & 1:
-                continue
-            parent[t] = (s, a)
-            if t in sure_states:
-                path = [t]
-                actions = []
-                cur = t
-                while cur != init:
-                    p, act = parent[cur]
-                    path.append(p)
-                    actions.append(act)
-                    cur = p
-                return list(reversed(path)), list(reversed(actions))
-            seen.add(t)
-            queue.append(t)
-    return None
+def _positive_play(g: OneHalfGame, graph: BeliefGraph, dist: Mapping[int, int], layers: Layers) -> PositivePlay:
+    """The play from ``g.init``, which must have a ``dist``.
 
-
-def _positive_play(
-    g: OneHalfGame,
-    graph: BeliefGraph,
-    sure_states: set[int],
-    layers: Layers,
-    through_final: bool,
-) -> PositivePlay:
-    found = _winning_path(g, g.init, sure_states, through_final)
-    assert found is not None  # found only when the initial state wins
-    path, path_actions = found
+    The path steps from each state s to the least successor t with
+    ``dist[t] == dist[s] - 1``, by the least action reaching t, so it is
+    the lexicographically least shortest path to a surely winning state:
+    its next state must be one step closer, and the least such state
+    begins the least path.  A breadth-first search from init that expands
+    each state's successors in ascending order finds the same path: within
+    a layer it queues states in the lexicographic order of their tree
+    paths, so the first surely winning state it meets ends the least
+    shortest path.  Under safety every state with a ``dist`` is non-final
+    (the sure beliefs avoid final states, and the backward search expands
+    non-final states only), so the walk enters no state the search skips.
+    """
+    s = g.init
+    path, path_actions = [s], []
+    while dist[s]:
+        closer = dist[s] - 1
+        s, a = min((t, a) for a, mask in enumerate(g.post[s]) for t in bits(mask) if dist.get(t) == closer)
+        path.append(s)
+        path_actions.append(a)
     # a belief that entered the region in round (z, y) moves into z if it
     # can, and otherwise stays in y; the rounds' y grow, so the first y
     # holding a belief is its round
     choice = {}
-    closure = [1 << path[-1]]
+    closure = [1 << s]
     seen = set(closure)
     for b in closure:  # grows while it is walked
         z, y = next((z, y) for z, y in layers if b in y)
@@ -289,25 +251,18 @@ def _positive_play(
             if c not in seen:
                 seen.add(c)
                 closure.append(c)
-    return PositivePlay(
-        game=g,
-        graph=graph,
-        path=tuple(path),
-        path_actions=tuple(path_actions),
-        closure=tuple(closure),
-        choice=choice,
-    )
+    return PositivePlay(path=tuple(path), path_actions=tuple(path_actions), closure=tuple(closure), choice=choice)
 
 
 def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> PositiveWinReport:
     graph = build_belief_graph(g, max_beliefs)
-    sure, rounds, layers = _sure_region(graph, through_final)
-    sure_states = {s for s in range(g.n) if (1 << s) in sure}
+    sure, rounds, layers = _sure_region(graph, g.final_mask, through_final)
 
     # positively winning states are those connected to a surely winning
     # state; the connecting path avoids final states for safety and is
-    # unrestricted for co-Buchi, so the search expands only such states
-    pred: list[list[int]] = [[] for _ in range(g.n)]
+    # unrestricted for co-Buchi, so the search expands only such states;
+    # dist[s] is the length of a shortest such path from s
+    pred: list[list[int]] = [[] for _ in g.post]
     for s, row in enumerate(g.post):
         if through_final or not (g.final_mask >> s) & 1:
             reach = 0
@@ -315,23 +270,19 @@ def _positive(g: OneHalfGame, through_final: bool, max_beliefs: int) -> Positive
                 reach |= mask
             for t in bits(reach):
                 pred[t].append(s)
-    winning = set(sure_states)
-    queue = list(winning)
+    dist = {s: 0 for s in range(len(g.post)) if (1 << s) in sure}
+    queue = list(dist)
     for t in queue:  # grows while it is walked
         for s in pred[t]:
-            if s not in winning:
-                winning.add(s)
+            if s not in dist:
+                dist[s] = dist[t] + 1
                 queue.append(s)
 
     return PositiveWinReport(
-        winning_states=frozenset(winning),
+        winning_states=frozenset(dist),
         sure_beliefs=frozenset(sure),
         iterations=rounds,
-        build_play=(
-            partial(_positive_play, g, graph, sure_states, layers, through_final)
-            if g.init in winning
-            else None
-        ),
+        build_play=partial(_positive_play, g, graph, dist, layers) if g.init in dist else None,
     )
 
 
@@ -340,7 +291,9 @@ def positive_safety(g: OneHalfGame, max_beliefs: int = DEFAULT_BELIEF_CAP) -> Po
 
     A state is positively winning iff a path of non-final states leads to a
     state whose singleton belief is surely winning; the report's ``play``
-    follows such a path and then the memoryless sure strategy.
+    follows the least shortest such path, read off the distances of the
+    backward search that finds those states, and then the memoryless sure
+    strategy.
     """
     return _positive(g, through_final=False, max_beliefs=max_beliefs)
 

@@ -265,10 +265,6 @@ class Arena:
         return len(self.states)
 
     @cached_property
-    def eve_action_index(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.eve_actions)}
-
-    @cached_property
     def eve_block_of(self) -> tuple[int, ...]:
         return self._block_lookup(self.eve_obs)
 
@@ -556,8 +552,9 @@ def serialize_game(arena: Arena) -> str:
 
 def parse_strategy(text: str) -> FiniteMemoryStrategy:
     """Translate a strategy document into a FiniteMemoryStrategy, which
-    checks its own invariants.  Arena-dependent checks (action names, block
-    totality) are left to validate_strategy."""
+    checks its own invariants.  Raises ValidationError for a block listed
+    twice in an update row, which a dict would hide.  Arena-dependent checks
+    (action names, block totality) are left to validate_strategy."""
     doc = _load_object(text, "strategy")
     _check_keys(doc, _STRATEGY_KEYS, "strategy")
     memory = _string_list(doc, "memory", "strategy")
@@ -584,9 +581,12 @@ def parse_strategy(text: str) -> FiniteMemoryStrategy:
             if not (b.isascii() and b.isdigit()):
                 raise SchemaError(f"strategy: update[{m!r}] block key {b!r} is not an index")
             try:
-                parsed[int(b)] = target
+                block = int(b)
             except ValueError:  # past the int-string conversion limit
                 raise SchemaError(f"strategy: update[{m!r}] block key of {len(b)} digits is not an index") from None
+            if block in parsed:  # "0" and "00" name one block
+                raise ValidationError(f"strategy: update[{m!r}] lists block {block} twice")
+            parsed[block] = target
         update[m] = parsed
     names = [doc["init"], *(target for row in update.values() for target in row.values())]
     if any(isinstance(name, (list, dict)) for name in names):

@@ -328,10 +328,10 @@ def game_from_arena(arena: Arena, protagonist: str) -> tuple[OneHalfGame, Arena]
     return game, refine_obs_by_final(arena, protagonist)
 
 
-def positive_witness(play, owner: str, states) -> FiniteMemoryStrategy:
+def positive_witness(g, play, owner: str, states) -> FiniteMemoryStrategy:
     """A positively winning play (``PositiveWinReport.play``) of the game
-    ``play.game``, whose protagonist is ``owner`` and whose states are named
-    by ``states``, as a finite-memory strategy on the game refined by
+    ``g``, whose protagonist is ``owner`` and whose states are named by
+    ``states``, as a finite-memory strategy on the game refined by
     final-membership.
 
     Memory ``path{i}`` plays the i-th path action whatever is observed;
@@ -340,7 +340,6 @@ def positive_witness(play, owner: str, states) -> FiniteMemoryStrategy:
     successor belief inside it; an observation no successor meets keeps the
     memory.
     """
-    g, graph = play.game, play.graph
     n_blocks = len(g.cells)
 
     def name(belief: int) -> str:
@@ -358,10 +357,53 @@ def positive_witness(play, owner: str, states) -> FiniteMemoryStrategy:
         move[name(b)] = Distribution.point(g.actions[a])
         row = {}
         for blk in range(n_blocks):
-            row[blk] = next((name(c) for c in graph.succ[b][a] if c & g.cells[blk]), name(b))
+            row[blk] = next((name(c) for c in g.belief_successors(b, a) if c & g.cells[blk]), name(b))
         update[name(b)] = row
     memory = tuple(path + [name(b) for b in play.closure])
     return FiniteMemoryStrategy(owner=owner, memory=memory, init_mem=memory[0], move=move, update=update)
+
+
+def bfs_winning_path(
+    g, init: int, sure_states: set[int], through_final: bool
+) -> tuple[list[int], list[int]] | None:
+    """Shortest path of positive-probability edges from init to a surely
+    winning state; restricted to non-final states unless ``through_final``.
+    Ties are broken by canonical state and action order.
+
+    The library's former forward search, kept as the reference for the
+    path of ``PositivePlay``, which is read off the backward search's
+    distances instead."""
+    if not through_final and (g.final_mask >> init) & 1:
+        return None
+    if init in sure_states:
+        return [init], []
+    parent: dict[int, tuple[int, int]] = {}
+    seen = {init}
+    queue = [init]
+    for s in queue:  # grows while it is walked
+        least_action: dict[int, int] = {}
+        for a, mask in enumerate(g.post[s]):
+            for t in bits(mask):
+                least_action.setdefault(t, a)
+        for t, a in sorted(least_action.items()):
+            if t in seen:
+                continue
+            if not through_final and (g.final_mask >> t) & 1:
+                continue
+            parent[t] = (s, a)
+            if t in sure_states:
+                path = [t]
+                actions = []
+                cur = t
+                while cur != init:
+                    p, act = parent[cur]
+                    path.append(p)
+                    actions.append(act)
+                    cur = p
+                return list(reversed(path)), list(reversed(actions))
+            seen.add(t)
+            queue.append(t)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +730,11 @@ def lift_strategy(ka, strat: FiniteMemoryStrategy) -> FiniteMemoryStrategy:
     """
     base = ka.base
     validate_strategy(base, EVE, strat)
+    index = {name: e for e, name in enumerate(base.eve_actions)}
     move = {}
     for m, dist in strat.move.items():
-        supp = mask_of(base.eve_action_index[a] for a in dist.support)
-        move[m] = Distribution({ka.pair_name(base.eve_action_index[a], supp): p for a, p in dist.items()})
+        supp = mask_of(index[a] for a in dist.support)
+        move[m] = Distribution({ka.pair_name(index[a], supp): p for a, p in dist.items()})
     blocks = _base_blocks(ka, ka.arena.eve_obs, base.eve_block_of)
     update = {m: {kb: strat.update[m][b] for kb, b in enumerate(blocks)} for m in strat.memory}
     return FiniteMemoryStrategy(owner=EVE, memory=strat.memory, init_mem=strat.init_mem, move=move, update=update)

@@ -23,7 +23,7 @@ from stochgames.cli import main
 from stochgames.evaluation import _Compiled
 from stochgames.gen import generate_arena, random_params
 from stochgames.model import ADAM, EVE, FiniteMemoryStrategy
-from stochgames.solver import candidate_count, check_candidate
+from stochgames.solver import candidate_count, check_candidate, fix_candidate
 
 from instances import coin_chain, cycle_arena, g1, g1_doc, g1_prime, g2
 from oracles import (
@@ -122,7 +122,7 @@ def test_criterion_3_internal_completeness_of_no(corpus_results):
                 continue
             adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
             trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
-            witness = positive_witness(adam_report.play, ADAM, ka.state_names)
+            witness = positive_witness(fix_candidate(ka, cand), adam_report.play, ADAM, ka.state_names)
             chain = build_chain(adam_game, trivial, witness)
             value = objective_probability(chain, objective)
             checked += 1
@@ -224,7 +224,8 @@ def test_criterion_8_named_instances():
         _wins, adam_report = check_candidate(ka, cand, Objective.REACHABILITY)
         adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
         trivial = FiniteMemoryStrategy.constant(EVE, "*", len(adam_game.eve_obs))
-        chain = build_chain(adam_game, trivial, positive_witness(adam_report.play, ADAM, ka.state_names))
+        witness = positive_witness(fix_candidate(ka, cand), adam_report.play, ADAM, ka.state_names)
+        chain = build_chain(adam_game, trivial, witness)
         assert objective_probability(chain, Objective.REACHABILITY) < 1
     assert decide_almost_sure_buchi(arena2).verdict == "no"
 

@@ -355,6 +355,15 @@ def test_cli_eval_g1(tmp_path, capsys):
     assert json.loads(out) == {"probability": "1/1", "method": "exact"}
 
 
+def test_cli_eval_block_listed_twice_exit_2(tmp_path, capsys):
+    args = _eval_g1_args(tmp_path)
+    eve = tmp_path / "eve.json"
+    doc = json.loads(eve.read_text())
+    doc["update"]["m"] = {"0": "m", "00": "m", "1": "m"}
+    eve.write_text(json.dumps(doc))
+    assert _invalid_input(args, capsys) == "strategy: update['m'] lists block 0 twice"
+
+
 def test_cli_eval_node_cap_exit_3(tmp_path, capsys):
     args = _eval_g1_args(tmp_path)
     assert main(args + ["--max-nodes", "1"]) == 3

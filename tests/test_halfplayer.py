@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stochgames import (
     Objective,
     ValidationError,
     build_chain,
+    build_knowledge_arena,
+    fix_candidate,
     objective_probability,
     positive_cobuchi,
     positive_safety,
@@ -11,9 +15,10 @@ from stochgames import (
 from stochgames.halfplayer import OneHalfGame, build_belief_graph
 from stochgames.model import ADAM, EVE, Arena, FiniteMemoryStrategy, parse_game, validate_strategy
 from stochgames.gen import generate_arena, random_params
+from stochgames.solver import _candidate_at, candidate_count
 
 from instances import g2, g4, make_doc
-from oracles import game_from_arena, mdp_positive_safety, positive_witness, refine_obs_by_final
+from oracles import bfs_winning_path, game_from_arena, mdp_positive_safety, positive_witness, refine_obs_by_final
 
 
 def half_doc(states, init, final, actions, obs, rule):
@@ -78,7 +83,7 @@ def test_positive_safety_trivial_path():
     g = eve_half(["s", "f"], "s", ["f"], ["a"], [["s"], ["f"]], lambda s, e, a: {s: 1})
     rep = positive_safety(g)
     assert 0 in rep.winning_states
-    assert len(positive_witness(rep.play, EVE, ("s", "f")).memory) == 1
+    assert len(positive_witness(g, rep.play, EVE, ("s", "f")).memory) == 1
 
 
 def test_positive_safety_unreachable_island():
@@ -97,7 +102,7 @@ def test_positive_safety_g2_fold():
     g, refined = game_from_arena(g2(), ADAM)
     rep = positive_safety(g)
     assert refined.init in rep.winning_states
-    witness = positive_witness(rep.play, ADAM, refined.states)
+    witness = positive_witness(g, rep.play, ADAM, refined.states)
     validate_strategy(refined, ADAM, witness)
     trivial = FiniteMemoryStrategy.constant(EVE, "a", len(refined.eve_obs))
     chain = build_chain(refined, trivial, witness)
@@ -161,7 +166,7 @@ def test_positive_safety_witness_value_positive():
         if rep.play is None:
             continue
         trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(refined.eve_obs))
-        chain = build_chain(refined, trivial, positive_witness(rep.play, ADAM, refined.states))
+        chain = build_chain(refined, trivial, positive_witness(g, rep.play, ADAM, refined.states))
         assert objective_probability(chain, Objective.SAFETY) > 0
 
 
@@ -223,7 +228,7 @@ def test_positive_cobuchi_through_final():
     rep = positive_cobuchi(g)
     assert rep.winning_states == frozenset({0, 1, 2})
     trivial = FiniteMemoryStrategy.constant(ADAM, "x", len(refined.adam_obs))
-    chain = build_chain(refined, positive_witness(rep.play, EVE, refined.states), trivial)
+    chain = build_chain(refined, positive_witness(g, rep.play, EVE, refined.states), trivial)
     assert objective_probability(chain, Objective.COBUCHI) > 0
 
 
@@ -242,5 +247,39 @@ def test_positive_cobuchi_witness_value_positive():
         if rep.play is None:
             continue
         trivial = FiniteMemoryStrategy.constant(EVE, arena.eve_actions[0], len(refined.eve_obs))
-        chain = build_chain(refined, trivial, positive_witness(rep.play, ADAM, refined.states))
+        chain = build_chain(refined, trivial, positive_witness(g, rep.play, ADAM, refined.states))
         assert objective_probability(chain, Objective.COBUCHI) > 0
+
+
+def test_play_path_least_state_then_least_action():
+    # from s, action a reaches v and action b reaches u, both surely safe:
+    # the path goes to the lesser state u, by b
+    g = eve_half(
+        ["s", "u", "v", "f"], "s", ["f"], ["a", "b"], [["s", "u", "v", "f"]],
+        lambda s, e, a: ({"v": "1/2", "f": "1/2"} if e == "a" else {"u": "1/2", "f": "1/2"}) if s == "s" else {s: 1},
+    )
+    play = positive_safety(g).play
+    assert (play.path, play.path_actions) == ((0, 1), (1,))
+    assert bfs_winning_path(g, g.init, {1, 2}, False) == ([0, 1], [1])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from(((4, 2, 2), (5, 2, 3), (6, 3, 3))),
+    through_final=st.booleans(),
+    data=st.data(),
+)
+def test_play_path_is_bfs_path(seed, shape, through_final, data):
+    """The play's path, read off the backward search's distances, is the
+    path the forward breadth-first search finds, actions included."""
+    max_states, max_actions, max_blocks = shape
+    params = random_params(seed, max_states=max_states, max_actions=max_actions, max_blocks=max_blocks)
+    ka = build_knowledge_arena(generate_arena(params))
+    g = fix_candidate(ka, _candidate_at(ka, data.draw(st.integers(0, candidate_count(ka) - 1))))
+    rep = (positive_cobuchi if through_final else positive_safety)(g)
+    sure_states = {s for s in range(len(g.post)) if 1 << s in rep.sure_beliefs}
+    want = bfs_winning_path(g, g.init, sure_states, through_final)
+    assert (rep.play is None) == (want is None)
+    if want is not None:
+        assert (list(rep.play.path), list(rep.play.path_actions)) == want

@@ -296,6 +296,15 @@ def test_overlong_block_key_is_a_schema_error():
         parse_strategy(json.dumps(doc))
 
 
+def test_block_listed_twice_in_update_row_is_a_validation_error():
+    """"0" and "00" name one block; the later target must not silently
+    replace the earlier one."""
+    doc = json.loads(_two_memory_strategy_doc())
+    doc["update"]["m0"] = {"0": "m0", "00": "m1", "1": "m0"}
+    with pytest.raises(ValidationError, match=r"^strategy: update\['m0'\] lists block 0 twice$"):
+        parse_strategy(json.dumps(doc))
+
+
 def test_unprintable_wrong_sum_is_a_validation_error():
     """The message names the wrong sum when it can be printed."""
     with pytest.raises(ValidationError, match="^distribution weights do not sum to exactly 1$"):

@@ -91,3 +91,55 @@ def test_library_modules_import_nothing_unused():
         if path.name != "__init__.py" and (unused := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level private function, class or
+    assigned name (one leading underscore, dunders excluded) that no module
+    of ``sources`` reads as a name or an attribute; importing a name does
+    not read it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (module, node.lineno, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+    return [
+        (module, line, name)
+        for module, line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_unread_private_names_are_flagged():
+    sources = {
+        "a.py": (
+            "from b import _imported\n"
+            "_CAP, _unread = 3, 4\n"
+            "__all__ = []\n"
+            "def _helper(): return _CAP\n"
+            "class _Unused: pass\n"
+        ),
+        "b.py": "import a\ndef _imported(): pass\na._helper()\n",
+    }
+    assert unread_private_names(sources) == [("a.py", 2, "_unread"), ("a.py", 5, "_Unused"), ("b.py", 2, "_imported")]
+
+
+def test_library_modules_define_nothing_unread():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

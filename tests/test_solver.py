@@ -266,7 +266,8 @@ def test_no_verdict_candidates_all_defeated_by_witness():
         assert not wins and rep.play is not None
         adam_game = game_from_arena(dense_fold(ka, cand), ADAM)[1]
         trivial = FiniteMemoryStrategy.constant("eve", "*", len(adam_game.eve_obs))
-        chain = build_chain(adam_game, trivial, positive_witness(rep.play, ADAM, ka.state_names))
+        witness = positive_witness(fix_candidate(ka, cand), rep.play, ADAM, ka.state_names)
+        chain = build_chain(adam_game, trivial, witness)
         assert objective_probability(chain, Objective.REACHABILITY) < 1
 
 
@@ -365,7 +366,8 @@ def test_adam_reports_pinned():
         for cand in islice(enumerate_candidates(ka), 20):
             for objective in (Objective.REACHABILITY, Objective.BUCHI):
                 wins, rep = check_candidate(ka, cand, objective)
-                witness = None if rep.play is None else positive_witness(rep.play, ADAM, ka.state_names)
+                game = fix_candidate(ka, cand)
+                witness = None if rep.play is None else positive_witness(game, rep.play, ADAM, ka.state_names)
                 if witness is not None:
                     assert solver._diag_entry(ka, 0, cand, rep, 1)["adam_witness_memory"] == len(witness.memory)
                     witness = serialize_strategy(witness)
